@@ -1,26 +1,25 @@
-// Command campaign runs the paper's evaluation as declarative sweeps that
-// scale past one process: an experiment's sweep can be partitioned into
-// deterministic shards, computed on independent hosts, shipped home as JSON
-// shard files, merged, and rendered bit-identically from a persistent
-// on-disk result store. See EXPERIMENTS.md for the experiment index.
+// Command campaign runs the paper's evaluation as declarative sweeps backed
+// by a persistent on-disk result store: a sweep's cells are computed once,
+// in-process or by a fleet of workers, and every later render reads them
+// back bit-identically instead of resimulating. See EXPERIMENTS.md for the
+// experiment index.
 //
 // Usage:
 //
 //	campaign run -exp fig5 [-store DIR]            # compute + render
-//	campaign run -exp fig5 -shards 4 -shard 2 -out shard2.json
-//	campaign merge -store DIR shard0.json shard1.json ...
 //	campaign status -exp fig5 -store DIR
 //	campaign render -exp fig5 -store DIR           # render + CSV artifacts in <store>/csv
 //	campaign gc -store DIR [-dry-run]              # prune cells no sweep enumerates
 //
-// A sharded `run` computes only its partition and writes a shard file
-// instead of rendering. After `merge`, re-running `campaign run -exp fig5
-// -store DIR` renders every table from the store without resimulating
-// (enforceable with -require-store). All invocations of one campaign must
-// agree on the measurement protocol (-quick/-warmup/-measure); the store
-// manifest and shard headers refuse mismatches.
+// Re-running `campaign run -exp fig5 -store DIR` renders every table from
+// the store without resimulating (enforceable with -require-store). All
+// invocations of one campaign must agree on the measurement protocol
+// (-quick/-warmup/-measure); the store manifest refuses mismatches. With
+// -sampled, workload cells run the adaptive SMARTS-style schedule derived
+// from that protocol (sample.DeriveAdaptive), stamped into their keys.
 //
-// The coordinated mode replaces hand-run shards with a fleet service:
+// To spread a sweep across hosts, run a coordinator and any number of
+// workers:
 //
 //	campaign coordinate -addr :8123 -exp fig5 -store DIR   # lease server
 //	campaign work -coordinator http://host:8123            # any number, anywhere
@@ -39,6 +38,7 @@ import (
 	"path/filepath"
 
 	"dcra/internal/campaign"
+	"dcra/internal/config"
 	"dcra/internal/experiments"
 	"dcra/internal/obs"
 	"dcra/internal/sample"
@@ -51,8 +51,6 @@ func main() {
 	switch os.Args[1] {
 	case "run":
 		cmdRun(os.Args[2:])
-	case "merge":
-		cmdMerge(os.Args[2:])
 	case "status":
 		cmdStatus(os.Args[2:])
 	case "render":
@@ -71,12 +69,13 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: campaign <run|merge|status|render|gc|coordinate|work|top> [flags]
+	fmt.Fprintln(os.Stderr, `usage: campaign <run|status|render|gc|coordinate|work|top> [flags]
 
-  run        -exp KEY [-quick] [-warmup N -measure N] [-store DIR]
-             [-shards N -shard I -out FILE] [-require-store] [-trace FILE]
-  merge      -store DIR shard.json...
-  status     -exp KEY -store DIR | -coordinator URL
+protocol flags: [-quick] [-warmup N -measure N] [-sampled]
+
+  run        -exp KEY [protocol flags] [-store DIR] [-require-store]
+             [-trace FILE]
+  status     -exp KEY -store DIR [-sampled] | -coordinator URL
   render     -exp KEY [-csv DIR] [-store DIR] [protocol flags] [-require-store]
              [-trace FILE]
   gc         -store DIR [-dry-run]
@@ -91,14 +90,14 @@ func usage() {
 	os.Exit(2)
 }
 
-// suiteFlags registers the measurement-protocol flags shared by run/status.
+// suiteFlags registers the measurement-protocol flags shared by run, render
+// and coordinate.
 type suiteFlags struct {
-	quick    *bool
-	warmup   *uint64
-	measure  *uint64
-	sampled  *bool
-	adaptive *bool
-	trace    *string
+	quick   *bool
+	warmup  *uint64
+	measure *uint64
+	sampled *bool
+	trace   *string
 }
 
 func addSuiteFlags(fs *flag.FlagSet) suiteFlags {
@@ -107,9 +106,7 @@ func addSuiteFlags(fs *flag.FlagSet) suiteFlags {
 		warmup:  fs.Uint64("warmup", 0, "override warmup cycles"),
 		measure: fs.Uint64("measure", 0, "override measured cycles"),
 		sampled: fs.Bool("sampled", false,
-			"SMARTS-style sampled execution for workload cells (bench/sched cells stay exact; renders prefer stored exact results)"),
-		adaptive: fs.Bool("adaptive", false,
-			"variance-driven sampled execution (implies -sampled): adaptive window count, drift-sized skip, warm-tail gaps; cells carry the schedule in their content keys"),
+			"SMARTS-style sampled execution for workload cells, schedule derived from the protocol and stamped into cell keys (bench/sched cells stay exact; renders prefer stored exact results)"),
 		trace: fs.String("trace", "",
 			"write a Chrome trace-event JSON file of the run (load in Perfetto / chrome://tracing)"),
 	}
@@ -147,16 +144,20 @@ func (sf suiteFlags) suite() *experiments.Suite {
 	if *sf.measure > 0 {
 		s.Runner.Measure = *sf.measure
 	}
-	if *sf.sampled || *sf.adaptive {
+	if *sf.sampled {
+		// Derived after the warmup/measure overrides so the schedule tracks
+		// the protocol actually being run; stamped on the suite, it becomes
+		// part of every sampled cell's content key.
 		s.Mode = campaign.ModeSampled
-	}
-	if *sf.adaptive {
-		// Derived after the warmup/measure overrides so the adaptive
-		// schedule tracks the protocol actually being run; stamped on the
-		// suite, it becomes part of every sampled cell's content key.
-		s.Sampling = sample.DeriveAdaptive(s.Runner.Warmup, s.Runner.Measure).Config()
+		s.Sampling = samplingFor(s.StoreParams())
 	}
 	return s
+}
+
+// samplingFor is the sampling schedule of a measurement protocol: what
+// -sampled stamps onto every sampled cell.
+func samplingFor(p campaign.Params) config.SamplingConfig {
+	return sample.DeriveAdaptive(p.Warmup, p.Measure).Config()
 }
 
 func cmdRun(args []string) {
@@ -164,9 +165,6 @@ func cmdRun(args []string) {
 	var (
 		exp          = fs.String("exp", "", "experiment key (tab1,fig2,... — see EXPERIMENTS.md)")
 		storeDir     = fs.String("store", "", "persistent result store directory")
-		shards       = fs.Int("shards", 1, "total shard count")
-		shard        = fs.Int("shard", 0, "this shard's index (0-based)")
-		out          = fs.String("out", "", "shard result file to write (sharded runs)")
 		requireStore = fs.Bool("require-store", false, "fail if any cell had to be simulated instead of loaded from the store")
 		sflags       = addSuiteFlags(fs)
 	)
@@ -185,59 +183,13 @@ func cmdRun(args []string) {
 		s.Store = st
 	}
 	flush := sflags.instrument(s)
-	// Sharding enumerates the mode-applied sweep, so a sampled campaign's
-	// shard files carry sampled cells (their own keys) end to end.
-	sweep := experiments.ApplyModeSampling(spec.Sweep(), s.Mode, s.Sampling)
-
-	if *shards <= 1 && (*shard != 0 || *out != "") {
-		fatal(fmt.Errorf("-shard/-out only make sense with -shards N > 1 (did you forget -shards?)"))
-	}
-	if *shards > 1 {
-		cells, err := sweep.Shard(*shard, *shards)
-		if err != nil {
-			fatal(err)
-		}
-		if *out == "" {
-			fatal(fmt.Errorf("sharded run needs -out to receive the shard results"))
-		}
-		fmt.Printf("campaign: %s shard %d/%d: %d of %d cells\n",
-			spec.Key, *shard, *shards, len(cells), len(sweep.Cells))
-		if err := s.Prefetch(cells); err != nil {
-			fatal(err)
-		}
-		sf := campaign.ShardFile{
-			Campaign:  spec.Key,
-			SweepHash: sweep.Hash(),
-			Shards:    *shards,
-			Shard:     *shard,
-			Params:    s.StoreParams(),
-		}
-		for _, c := range cells {
-			r, err := s.RunCell(c)
-			if err != nil {
-				fatal(err)
-			}
-			sf.Cells = append(sf.Cells, campaign.CellResult{Key: c.Key(), Cell: c, Result: r})
-		}
-		if err := campaign.WriteShard(*out, sf); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("campaign: wrote %d cells to %s (simulated %d, store hits %d)\n",
-			len(sf.Cells), *out, s.Simulated(), s.StoreHits())
-		flush()
-		if *requireStore && s.Simulated() > 0 {
-			fatal(fmt.Errorf("%d cells were simulated but -require-store demands a fully populated store", s.Simulated()))
-		}
-		return
-	}
-
 	renderExperiment(spec, s, "", *requireStore)
 	flush()
 }
 
 // renderExperiment renders spec's tables to stdout — plus CSV artifacts
 // when csvDir is set — then prints the cell summary and enforces
-// -require-store. Shared by the unsharded `run` tail and `render`.
+// -require-store. Shared by `run` and `render`.
 func renderExperiment(spec experiments.Spec, s *experiments.Suite, csvDir string, requireStore bool) {
 	tables, err := spec.Render(s)
 	if err != nil {
@@ -259,47 +211,6 @@ func renderExperiment(spec experiments.Spec, s *experiments.Suite, csvDir string
 		spec.Key, len(spec.Sweep().Cells), s.Simulated(), s.StoreHits())
 	if requireStore && s.Simulated() > 0 {
 		fatal(fmt.Errorf("%d cells were simulated but -require-store demands a fully populated store", s.Simulated()))
-	}
-}
-
-func cmdMerge(args []string) {
-	fs := flag.NewFlagSet("campaign merge", flag.ExitOnError)
-	storeDir := fs.String("store", "", "persistent result store directory (created if missing)")
-	fs.Parse(args)
-	paths := fs.Args()
-	if *storeDir == "" || len(paths) == 0 {
-		fatal(fmt.Errorf("merge needs -store and at least one shard file"))
-	}
-	// The store adopts the protocol of the first readable shard; Merge
-	// re-verifies every file against it, so mixed-protocol shards are refused.
-	var params campaign.Params
-	adopted := false
-	for _, p := range paths {
-		sf, err := campaign.ReadShard(p)
-		if err == nil {
-			params, adopted = sf.Params, true
-			break
-		}
-	}
-	if !adopted {
-		fatal(fmt.Errorf("none of the %d shard files are readable", len(paths)))
-	}
-	st, err := campaign.Open(*storeDir, params)
-	if err != nil {
-		fatal(err)
-	}
-	n, skipped, err := campaign.Merge(st, paths)
-	for _, sk := range skipped {
-		fmt.Fprintf(os.Stderr, "campaign: skipped unreadable shard %s: %v\n", sk.Path, sk.Err)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("campaign: merged %d cells from %d shard files into %s (%d skipped)\n",
-		n, len(paths), *storeDir, len(skipped))
-	if len(skipped) > 0 {
-		fmt.Fprintf(os.Stderr, "campaign: merge is incomplete; re-run the skipped shards and merge again\n")
-		os.Exit(1)
 	}
 }
 
@@ -340,7 +251,8 @@ func cmdRender(args []string) {
 }
 
 // cmdGC prunes store cells whose keys no longer appear in any registered
-// sweep — orphans left behind by spec changes.
+// sweep — orphans left behind by spec changes, and sampled cells of the
+// retired fixed protocol.
 func cmdGC(args []string) {
 	fs := flag.NewFlagSet("campaign gc", flag.ExitOnError)
 	var (
@@ -355,24 +267,7 @@ func cmdGC(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	keep := make(map[string]bool)
-	// Adaptive-sampled cells carry their schedule in the content key; the
-	// schedule derives from the store's own measurement protocol.
-	adaptive := sample.DeriveAdaptive(st.Params().Warmup, st.Params().Measure).Config()
-	for _, sp := range experiments.Specs() {
-		sweep := sp.Sweep()
-		for _, c := range sweep.Cells {
-			keep[c.Key()] = true
-		}
-		// Sampled campaigns store cells under their own keys; keep those too
-		// (fixed protocol and this store's adaptive variant).
-		for _, c := range experiments.ApplyMode(sweep, campaign.ModeSampled).Cells {
-			keep[c.Key()] = true
-		}
-		for _, c := range experiments.ApplyModeSampling(sweep, campaign.ModeSampled, adaptive).Cells {
-			keep[c.Key()] = true
-		}
-	}
+	keep := gcKeep(st.Params())
 	removed, err := st.GC(keep, *dryRun)
 	if err != nil {
 		fatal(err)
@@ -388,14 +283,38 @@ func cmdGC(args []string) {
 		verb, len(removed), len(keep), len(experiments.Specs()))
 }
 
+// gcKeep returns the cell keys `campaign gc` keeps in a store measured
+// under p: every registered sweep's cells, exact and sampled under p's
+// schedule. Anything else — a cell no sweep enumerates any more, or a
+// sampled cell without a schedule (the retired fixed protocol's) — is
+// garbage.
+func gcKeep(p campaign.Params) map[string]bool {
+	keep := make(map[string]bool)
+	for _, sp := range experiments.Specs() {
+		sweep := sp.Sweep()
+		for _, c := range sweep.Cells {
+			keep[c.Key()] = true
+		}
+		for _, c := range sampledSweep(sweep, p).Cells {
+			keep[c.Key()] = true
+		}
+	}
+	return keep
+}
+
+// sampledSweep is sweep as a -sampled campaign under protocol p enumerates
+// it.
+func sampledSweep(sweep campaign.Sweep, p campaign.Params) campaign.Sweep {
+	return experiments.ApplyModeSampling(sweep, campaign.ModeSampled, samplingFor(p))
+}
+
 func cmdStatus(args []string) {
 	fs := flag.NewFlagSet("campaign status", flag.ExitOnError)
 	var (
 		exp         = fs.String("exp", "", "experiment key")
 		storeDir    = fs.String("store", "", "persistent result store directory")
 		coordinator = fs.String("coordinator", "", "live coordinator URL to query instead of a store")
-		sampled     = fs.Bool("sampled", false, "count the sampled variant of the sweep")
-		adaptive    = fs.Bool("adaptive", false, "count the adaptive-sampled variant (schedule derived from the store's protocol)")
+		sampled     = fs.Bool("sampled", false, "count the sampled variant of the sweep (schedule derived from the store's protocol)")
 	)
 	fs.Parse(args)
 	if *coordinator != "" {
@@ -414,12 +333,8 @@ func cmdStatus(args []string) {
 		fatal(err)
 	}
 	sweep := spec.Sweep()
-	switch {
-	case *adaptive:
-		sc := sample.DeriveAdaptive(st.Params().Warmup, st.Params().Measure).Config()
-		sweep = experiments.ApplyModeSampling(sweep, campaign.ModeSampled, sc)
-	case *sampled:
-		sweep = experiments.ApplyMode(sweep, campaign.ModeSampled)
+	if *sampled {
+		sweep = sampledSweep(sweep, st.Params())
 	}
 	present, missing := st.Count(sweep)
 	p := st.Params()

@@ -1,7 +1,9 @@
 // Command experiments regenerates the paper's tables and figures (see
 // EXPERIMENTS.md for the experiment index and recorded results). Every
-// experiment is driven through its declared campaign sweep; for sharded
-// multi-host runs and persistent result stores use cmd/campaign instead.
+// experiment is driven through its declared campaign sweep, and all the
+// selected experiments share one suite, so cells common to several figures
+// run once. For persistent result stores and multi-host runs use
+// cmd/campaign instead.
 //
 // Usage:
 //
@@ -15,11 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"dcra/internal/experiments"
-	"dcra/internal/report"
 )
 
 func main() {
@@ -51,21 +51,6 @@ func main() {
 		}
 	}
 
-	emit := func(name string, t *report.Table) {
-		t.Render(os.Stdout)
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fatal(err)
-			}
-			f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-			if err != nil {
-				fatal(err)
-			}
-			t.RenderCSV(f)
-			f.Close()
-		}
-	}
-
 	for _, spec := range specs {
 		if len(want) > 0 && !want[spec.Key] {
 			continue
@@ -75,7 +60,12 @@ func main() {
 			fatal(err)
 		}
 		for _, rt := range tables {
-			emit(rt.Name, rt.Table)
+			rt.Table.Render(os.Stdout)
+		}
+		if *csvDir != "" {
+			if _, err := experiments.WriteCSVs(*csvDir, tables); err != nil {
+				fatal(err)
+			}
 		}
 	}
 }

@@ -44,12 +44,7 @@ func main() {
 		physRegs   = flag.Int("regs", 0, "override physical register file size per class")
 		list       = flag.Bool("list", false, "list benchmarks and workloads, then exit")
 		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON instead of text")
-		sampled    = flag.Bool("sampled", false, "SMARTS-style sampled run (schedule derived from -warmup/-cycles)")
-		adaptive   = flag.Bool("adaptive", false, "variance-driven sampled run: adaptive window count, drift-sized skip, warm-tail gaps (implies -sampled)")
-		minWin     = flag.Int("sample-minwin", 0, "adaptive: override minimum window count")
-		maxWin     = flag.Int("sample-maxwin", 0, "adaptive: override maximum window count")
-		relCI      = flag.Int64("sample-relci", 0, "adaptive: override stopping target, relative 99.7% CI half-width in ppm of the mean")
-		warmTail   = flag.Uint64("sample-warmtail", 0, "sampled: override warm-tail uops per thread per gap (0 keeps the protocol default)")
+		sampled    = flag.Bool("sampled", false, "SMARTS-style sampled run: variance-driven window count, schedule derived from -warmup/-cycles")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (load in Perfetto / chrome://tracing)")
 		probe      = flag.Uint64("probe", 0, "sample per-thread IPC and ROB occupancy every N measured cycles (exact mode only)")
 	)
@@ -96,23 +91,8 @@ func main() {
 		tracer = obs.NewTracer()
 	}
 
-	if *sampled || *adaptive {
-		p := sample.Derive(*warmup, *cycles)
-		if *adaptive {
-			p = sample.DeriveAdaptive(*warmup, *cycles)
-			if *minWin > 0 {
-				p.MinWindows = *minWin
-			}
-			if *maxWin > 0 {
-				p.Windows = *maxWin
-			}
-			if *relCI > 0 {
-				p.TargetRelCIPpm = *relCI
-			}
-		}
-		if *warmTail > 0 {
-			p.WarmTail = *warmTail
-		}
+	if *sampled {
+		p := sample.DeriveAdaptive(*warmup, *cycles)
 		sum, agg, err := sample.RunObserved(m, p, nil, tracer)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "smtsim:", err)
@@ -129,10 +109,8 @@ func main() {
 		windows := len(sum.WindowThroughput)
 		fmt.Printf("policy=%s threads=%v sampled: %d windows x (warmup=%d, measure=%d cycles), gaps ff=%d cycles\n",
 			pol.Name(), names, windows, p.Warmup, p.Measure, p.FFCycles)
-		if p.Adaptive() {
-			fmt.Printf("adaptive: stopped at %d of [%d,%d] windows (target %d ppm), warm-tail %d uops\n",
-				windows, p.MinWindows, p.Windows, p.TargetRelCIPpm, p.WarmTail)
-		}
+		fmt.Printf("adaptive: stopped at %d of [%d,%d] windows (target %d ppm), warm-tail %d uops\n",
+			windows, p.MinWindows, p.Windows, p.TargetRelCIPpm, p.WarmTail)
 		fmt.Printf("throughput %.4f +/- %.4f (99.7%% CI), %d uops fast-forwarded, %d cycles measured (%d detailed, %d overhead)\n",
 			sum.Throughput, sum.ThroughputCI, sum.FastForwarded, sum.MeasuredCycles, sum.DetailedCycles, sum.OverheadCycles)
 		fmt.Print(agg)

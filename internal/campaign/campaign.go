@@ -1,9 +1,9 @@
 // Package campaign turns the experiment suite's (config, workload, policy)
 // grid into a first-class object: a declarative Sweep enumerates cells with
-// stable content-derived keys, a deterministic partitioner splits a sweep
-// across shards (and hosts), a JSON shard-file format recombines partial
-// campaigns bit-identically, and a persistent on-disk Store lets re-runs and
-// figure re-renders hit disk instead of resimulating.
+// stable content-derived keys, and a persistent on-disk Store lets re-runs
+// and figure re-renders hit disk instead of resimulating. Spreading a sweep
+// across hosts is internal/coord's job: its coordinator leases a sweep's
+// cells to workers and writes their results into a Store.
 //
 // The package is deliberately agnostic about what a cell *means*: a cell is
 // (configuration, workload id, policy string) and the experiment layer owns
@@ -52,16 +52,20 @@ func (c Cell) Sampled() Cell {
 	return c
 }
 
-// Exact returns the cell's exact-mode counterpart.
+// Exact returns the cell's exact-mode counterpart. Exact runs carry no
+// sampling schedule, so the schedule is cleared too: the result is the key
+// an exact run of the same triple is stored under.
 func (c Cell) Exact() Cell {
 	c.Mode = ModeExact
+	c.Cfg.Sampling = config.SamplingConfig{}
 	return c
 }
 
 // Key returns the cell's stable content-derived key: a 64-bit hex digest of
 // the canonical JSON encoding of the cell. Two processes (or hosts) enumerate
-// the same key for the same cell, which is what makes shard files mergeable
-// and the on-disk store addressable without coordination.
+// the same key for the same cell, which is what makes the on-disk store
+// addressable without coordination and lets a coordinator check that a
+// worker's result answers the cell it leased.
 func (c Cell) Key() string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
@@ -82,17 +86,18 @@ func (c Cell) String() string {
 
 // Sweep is a declarative enumeration of the cells one experiment needs. The
 // experiment layer declares each Figure*/Table* sweep exactly once; prefetch
-// submission, rendering, sharding and the result store all iterate the same
-// enumeration, so a new sweep point cannot silently fall back to on-demand
-// serial execution.
+// submission, rendering, the coordinator and the result store all iterate
+// the same enumeration, so a new sweep point cannot silently fall back to
+// on-demand serial execution.
 type Sweep struct {
 	Name  string // experiment key, e.g. "fig5"
 	Cells []Cell // enumeration order is the experiment's presentation order
 }
 
 // Hash returns a digest of the sweep's content (the sorted cell-key set),
-// independent of enumeration order. Shard files record it so a merge can
-// refuse to combine shards of different sweeps.
+// independent of enumeration order. The coordinator stamps it on lease
+// grants and its checkpoint, so a resumed campaign refuses a checkpoint
+// written for a different sweep, and `campaign status` prints it.
 func (s Sweep) Hash() string {
 	keys := make([]string, len(s.Cells))
 	for i, c := range s.Cells {
@@ -114,49 +119,6 @@ func (s Sweep) CellSet() map[Cell]struct{} {
 		set[c] = struct{}{}
 	}
 	return set
-}
-
-// Shard returns the cells of shard `index` out of `shards`: the deduplicated
-// enumeration is ordered by content key and dealt round-robin, so every host
-// computes its partition independently and the partitions are disjoint,
-// jointly exhaustive and stable under re-enumeration. Shards of an n-cell
-// sweep differ in size by at most one cell.
-func (s Sweep) Shard(index, shards int) ([]Cell, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("campaign: shard count %d < 1", shards)
-	}
-	if index < 0 || index >= shards {
-		return nil, fmt.Errorf("campaign: shard index %d out of range [0,%d)", index, shards)
-	}
-	ordered := s.orderedUnique()
-	var part []Cell
-	for i, c := range ordered {
-		if i%shards == index {
-			part = append(part, c.cell)
-		}
-	}
-	return part, nil
-}
-
-// keyedCell pairs a cell with its precomputed key for sorting.
-type keyedCell struct {
-	key  string
-	cell Cell
-}
-
-// orderedUnique returns the sweep's distinct cells sorted by content key.
-func (s Sweep) orderedUnique() []keyedCell {
-	seen := make(map[Cell]struct{}, len(s.Cells))
-	ordered := make([]keyedCell, 0, len(s.Cells))
-	for _, c := range s.Cells {
-		if _, dup := seen[c]; dup {
-			continue
-		}
-		seen[c] = struct{}{}
-		ordered = append(ordered, keyedCell{key: c.Key(), cell: c})
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
-	return ordered
 }
 
 // Runner evaluates one cell. *experiments.Suite is the canonical

@@ -1,10 +1,8 @@
 package campaign
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"dcra/internal/config"
@@ -48,49 +46,6 @@ func testSweep(n int) Sweep {
 		s.Cells = append(s.Cells, Cell{Cfg: cfg, WID: w.ID(), Pol: "DCRA"})
 	}
 	return s
-}
-
-func TestShardPartition(t *testing.T) {
-	sweep := testSweep(11)
-	for _, shards := range []int{1, 2, 3, 11, 16} {
-		seen := make(map[Cell]int)
-		sizes := make([]int, shards)
-		for i := 0; i < shards; i++ {
-			part, err := sweep.Shard(i, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sizes[i] = len(part)
-			for _, c := range part {
-				if prev, dup := seen[c]; dup {
-					t.Fatalf("%d shards: cell %s in shards %d and %d", shards, c, prev, i)
-				}
-				seen[c] = i
-			}
-		}
-		if len(seen) != len(sweep.Cells) {
-			t.Fatalf("%d shards cover %d cells, want %d", shards, len(seen), len(sweep.Cells))
-		}
-		// Balanced: shard sizes differ by at most one.
-		min, max := sizes[0], sizes[0]
-		for _, n := range sizes {
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
-			}
-		}
-		if max-min > 1 {
-			t.Fatalf("%d shards are unbalanced: sizes %v", shards, sizes)
-		}
-	}
-	if _, err := sweep.Shard(2, 2); err == nil {
-		t.Fatal("out-of-range shard index accepted")
-	}
-	if _, err := sweep.Shard(0, 0); err == nil {
-		t.Fatal("zero shard count accepted")
-	}
 }
 
 func TestSweepHashOrderIndependent(t *testing.T) {
@@ -268,169 +223,6 @@ func TestStoreGetQuarantinesCorruptCells(t *testing.T) {
 	}
 	if r, ok, err := st.Get(a); err != nil || !ok || r.Throughput != fakeResult(2).Throughput {
 		t.Fatalf("healed slot: ok=%v err=%v r=%+v", ok, err, r)
-	}
-}
-
-func TestShardFileRoundTripAndMerge(t *testing.T) {
-	dir := t.TempDir()
-	params := Params{Warmup: 10, Measure: 20, Seed: 30}
-	sweep := testSweep(5)
-
-	var files []string
-	for i := 0; i < 2; i++ {
-		part, err := sweep.Shard(i, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf := ShardFile{
-			Campaign: sweep.Name, SweepHash: sweep.Hash(),
-			Shards: 2, Shard: i, Params: params,
-		}
-		for j, c := range part {
-			sf.Cells = append(sf.Cells, CellResult{Key: c.Key(), Cell: c, Result: fakeResult(float64(i*10 + j + 1))})
-		}
-		path := filepath.Join(dir, "shard"+string(rune('0'+i))+".json")
-		if err := WriteShard(path, sf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadShard(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.SweepHash != sf.SweepHash || len(back.Cells) != len(sf.Cells) {
-			t.Fatal("shard file did not round-trip")
-		}
-		files = append(files, path)
-	}
-
-	st, err := Open(filepath.Join(dir, "store"), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, skipped, err := Merge(st, files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped) != 0 {
-		t.Fatalf("clean merge skipped %d shards", len(skipped))
-	}
-	if n != len(sweep.Cells) {
-		t.Fatalf("merged %d cells, want %d", n, len(sweep.Cells))
-	}
-	present, missing := st.Count(sweep)
-	if present != len(sweep.Cells) || len(missing) != 0 {
-		t.Fatalf("store holds %d cells, %d missing", present, len(missing))
-	}
-
-	// Duplicate shard indices are refused.
-	if _, _, err := Merge(st, []string{files[0], files[0]}); err == nil {
-		t.Fatal("merge accepted the same shard twice")
-	}
-	// A corrupted cell key is refused at read time.
-	raw, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := strings.Replace(string(raw), `"key": "`, `"key": "00`, 1)
-	badPath := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(badPath, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadShard(badPath); err == nil {
-		t.Fatal("shard with mismatched cell key accepted")
-	}
-	// Mismatched protocol is refused against the store.
-	other := ShardFile{Campaign: sweep.Name, SweepHash: sweep.Hash(), Shards: 2, Shard: 0,
-		Params: Params{Warmup: 999, Measure: 20, Seed: 30}}
-	otherPath := filepath.Join(dir, "other.json")
-	if err := WriteShard(otherPath, other); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Merge(st, []string{otherPath}); err == nil {
-		t.Fatal("merge accepted a shard measured under a different protocol")
-	}
-}
-
-// TestMergeSkipsTruncatedShards is the crash-recovery path: a worker died
-// mid-write leaving a truncated shard file, but the other shards must still
-// merge, with the damage reported rather than aborting the whole merge.
-func TestMergeSkipsTruncatedShards(t *testing.T) {
-	dir := t.TempDir()
-	params := Params{Warmup: 10, Measure: 20, Seed: 30}
-	sweep := testSweep(6)
-
-	var files []string
-	cellsPerShard := make([]int, 3)
-	for i := 0; i < 3; i++ {
-		part, err := sweep.Shard(i, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf := ShardFile{
-			Campaign: sweep.Name, SweepHash: sweep.Hash(),
-			Shards: 3, Shard: i, Params: params,
-		}
-		for j, c := range part {
-			sf.Cells = append(sf.Cells, CellResult{Key: c.Key(), Cell: c, Result: fakeResult(float64(i*10 + j + 1))})
-		}
-		cellsPerShard[i] = len(sf.Cells)
-		path := filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
-		if err := WriteShard(path, sf); err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, path)
-	}
-
-	// Truncate shard 1 mid-file, as a crashed writer without atomic rename
-	// would have left it.
-	raw, err := os.ReadFile(files[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(files[1], raw[:len(raw)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := Open(filepath.Join(dir, "store"), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, skipped, err := Merge(st, files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := cellsPerShard[0] + cellsPerShard[2]; n != want {
-		t.Fatalf("merged %d cells, want %d from the readable shards", n, want)
-	}
-	if len(skipped) != 1 || skipped[0].Path != files[1] || skipped[0].Err == nil {
-		t.Fatalf("skipped = %+v, want exactly the truncated shard", skipped)
-	}
-	present, missing := st.Count(sweep)
-	if present != cellsPerShard[0]+cellsPerShard[2] || len(missing) != cellsPerShard[1] {
-		t.Fatalf("store holds %d cells with %d missing", present, len(missing))
-	}
-
-	// Restoring the shard and re-merging fills the holes (idempotent merge).
-	if err := os.WriteFile(files[1], raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, skipped, err := Merge(st, files); err != nil || len(skipped) != 0 {
-		t.Fatalf("re-merge after repair: skipped=%d err=%v", len(skipped), err)
-	}
-	if present, missing := st.Count(sweep); present != len(sweep.Cells) || len(missing) != 0 {
-		t.Fatalf("store holds %d cells with %d missing after repair", present, len(missing))
-	}
-
-	// A merge where nothing is readable fails loudly.
-	empty, err := Open(filepath.Join(dir, "empty"), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "junk.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Merge(empty, []string{filepath.Join(dir, "junk.json")}); err == nil {
-		t.Fatal("merge with zero readable shards succeeded")
 	}
 }
 

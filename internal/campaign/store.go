@@ -26,6 +26,14 @@ type Params struct {
 	Seed    uint64 `json:"seed"`
 }
 
+// CellResult pairs a cell with its result: the schema of a store's cell
+// files and of the results a coordinated worker streams home.
+type CellResult struct {
+	Key    string     `json:"key"`
+	Cell   Cell       `json:"cell"`
+	Result sim.Result `json:"result"`
+}
+
 // manifest is the store's on-disk self-description.
 type manifest struct {
 	Version int    `json:"version"`
@@ -53,19 +61,16 @@ type Store struct {
 // (nil counters) is the disabled state.
 type storeObs struct {
 	puts, getHits, getMisses, quarantines *obs.Counter
-	mergeCells, mergeSkipped              *obs.Counter
 }
 
 // SetObs resolves the store's telemetry counters from reg; never
 // calling it (or passing nil) leaves the store uninstrumented.
 func (st *Store) SetObs(reg *obs.Registry) {
 	st.o = storeObs{
-		puts:         reg.Counter("store.puts"),
-		getHits:      reg.Counter("store.get.hits"),
-		getMisses:    reg.Counter("store.get.misses"),
-		quarantines:  reg.Counter("store.quarantines"),
-		mergeCells:   reg.Counter("store.merge.cells"),
-		mergeSkipped: reg.Counter("store.merge.skipped_shards"),
+		puts:        reg.Counter("store.puts"),
+		getHits:     reg.Counter("store.get.hits"),
+		getMisses:   reg.Counter("store.get.misses"),
+		quarantines: reg.Counter("store.quarantines"),
 	}
 }
 
@@ -193,9 +198,9 @@ func (st *Store) Has(c Cell) bool {
 }
 
 // Put stores the result for c atomically, overwriting any previous value.
-// Cell files share the CellResult schema with shard files: the full cell
-// identity rides along so Get can verify the file answers the question asked
-// (key collisions, hand-edited files) and the files are self-describing.
+// Cell files hold a CellResult: the full cell identity rides along so Get
+// can verify the file answers the question asked (key collisions,
+// hand-edited files) and the files are self-describing.
 func (st *Store) Put(c Cell, r sim.Result) error {
 	sc := CellResult{Key: c.Key(), Cell: c, Result: r}
 	if err := writeFileAtomic(st.cellPath(sc.Key), mustJSON(sc)); err != nil {

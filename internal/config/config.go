@@ -115,45 +115,37 @@ type Config struct {
 	PerfectICache bool
 	PerfectDCache bool
 
-	// Sampling, when non-zero, overrides the derived SMARTS-style schedule
-	// for sampled runs. The zero value means "derive from the runner's
-	// windows" and — via omitzero — leaves the JSON form of every exact
+	// Sampling is the sampled-execution schedule stamped onto sampled
+	// campaign cells (sample.DeriveAdaptive(...).Config()); exact runs
+	// leave it zero, and — via omitzero — the JSON form of every exact
 	// configuration unchanged, so exact campaign cells keep their keys.
 	Sampling SamplingConfig `json:"Sampling,omitzero"`
 }
 
-// SamplingConfig is the SMARTS-style sampled-execution schedule: Windows
+// SamplingConfig is the SMARTS-style sampled-execution schedule (see
+// sample.Params for the protocol): after a pilot window and a fast-forward
+// through the first SkipCycles cycle-equivalents, MinWindows to Windows
 // windows of (Warmup detailed cycles with statistics frozen, then Measure
-// measured detailed cycles), separated by functional fast-forward gaps. A
-// gap is either rate-proportional — FFCycles cycle-equivalents, each thread
-// skipping round(its measured IPC x FFCycles) uops, which keeps the sampled
-// windows aligned with the exact protocol's cycle interval — or fixed,
-// FFUops committed uops per thread. A non-zero SkipCycles fast-forwards
-// through the first SkipCycles cycle-equivalents (after a discarded pilot
-// window that measures commit rates) before the first measured window,
-// mirroring an exact protocol's warmup. All-zero means "not configured":
-// sampled runs then derive a schedule from the exact protocol's windows.
+// measured detailed cycles) run, separated by rate-proportional
+// fast-forward gaps of FFCycles cycle-equivalents. Windows beyond
+// MinWindows run only while the 99.7% t-interval half-width of the
+// throughput estimate exceeds TargetRelCIPpm parts-per-million of the mean.
+// WarmTail > 0 fast-forwards each gap's body with stream-only draws and
+// applies full cache/predictor warming to the last WarmTail uops per thread
+// before the next window. The zero value means "no schedule" (exact runs).
 //
-// The adaptive extension (MinWindows > 0) turns Windows into a hard cap:
-// after MinWindows windows the run keeps adding windows only while the
-// 99.7% t-interval half-width of the throughput estimate exceeds
-// TargetRelCIPpm parts-per-million of the mean. WarmTail > 0 fast-forwards
-// each gap's body with stream-only draws and applies full cache/predictor
-// warming to the last WarmTail uops per thread before the next window.
-// Every adaptive knob is omitempty, so legacy fixed-protocol configurations
-// (and exact configurations, via omitzero above) keep their campaign cell
-// keys; any knob difference produces a distinct key, so stores never mix
-// protocols.
+// The schedule is part of a sampled cell's content key, so any knob
+// difference produces a distinct key and stores never mix schedules. The
+// key of a sampled cell with no schedule belongs to the retired fixed
+// 7-window protocol, which is why such cells no longer run.
 type SamplingConfig struct {
 	SkipCycles uint64 `json:"skip_cycles,omitempty"`
 	FFCycles   uint64 `json:"ff_cycles,omitempty"`
-	FFUops     uint64 `json:"ff_uops,omitempty"`
 	Warmup     uint64 `json:"warmup,omitempty"`
 	Measure    uint64 `json:"measure,omitempty"`
 	Windows    int    `json:"windows,omitempty"`
 
-	// MinWindows enables variance-driven sequential stopping: at least
-	// MinWindows windows run, at most Windows. Zero = fixed protocol.
+	// MinWindows is the window count run before the stopping rule applies.
 	MinWindows int `json:"min_windows,omitempty"`
 	// TargetRelCIPpm is the stopping target: relative 99.7% CI half-width
 	// in parts-per-million of the mean (integer, so cell keys stay exact).
@@ -164,28 +156,20 @@ type SamplingConfig struct {
 	WarmTail uint64 `json:"warm_tail,omitempty"`
 }
 
-// Enabled reports whether an explicit schedule is configured.
+// Enabled reports whether a schedule is configured.
 func (s SamplingConfig) Enabled() bool { return s != SamplingConfig{} }
 
-// Validate checks the schedule is runnable (zero value is always valid).
+// Validate checks the schedule is runnable. It is the one rule set for
+// sampling schedules: Config.Validate applies it to configured schedules
+// and sample.Params.Validate to every run. The zero value fails.
 func (s SamplingConfig) Validate() error {
-	if !s.Enabled() {
-		return nil
-	}
-	if s.Measure == 0 || s.Windows <= 0 {
+	switch {
+	case s.Measure == 0 || s.Windows <= 0:
 		return fmt.Errorf("config: sampling needs a measure window and >= 1 windows, got %+v", s)
-	}
-	if s.FFCycles > 0 && s.FFUops > 0 {
-		return fmt.Errorf("config: sampling gaps are either rate-proportional (ff_cycles) or fixed (ff_uops), not both: %+v", s)
-	}
-	if s.MinWindows < 0 || s.MinWindows > s.Windows {
-		return fmt.Errorf("config: sampling min_windows must be in [0, windows], got %+v", s)
-	}
-	if s.MinWindows > 0 && s.TargetRelCIPpm <= 0 {
-		return fmt.Errorf("config: adaptive sampling (min_windows > 0) needs a positive target_rel_ci_ppm: %+v", s)
-	}
-	if s.MinWindows == 0 && s.TargetRelCIPpm != 0 {
-		return fmt.Errorf("config: target_rel_ci_ppm without min_windows has no effect: %+v", s)
+	case s.MinWindows < 1 || s.MinWindows > s.Windows:
+		return fmt.Errorf("config: sampling min_windows must be in [1, windows], got %+v", s)
+	case s.TargetRelCIPpm <= 0:
+		return fmt.Errorf("config: sampling needs a positive target_rel_ci_ppm: %+v", s)
 	}
 	return nil
 }
@@ -282,13 +266,10 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	return c.Sampling.Validate()
-}
-
-// WithSampling returns a copy with an explicit sampled-execution schedule.
-func (c Config) WithSampling(s SamplingConfig) Config {
-	c.Sampling = s
-	return c
+	if c.Sampling.Enabled() {
+		return c.Sampling.Validate()
+	}
+	return nil
 }
 
 // WithMemLatency returns a copy with main-memory and L2 latency set, used by

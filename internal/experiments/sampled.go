@@ -22,45 +22,40 @@ func sampleableCell(c campaign.Cell) bool {
 	return !strings.HasPrefix(c.WID, benchPrefix) && !strings.HasPrefix(c.WID, schedPrefix)
 }
 
-// applyCellMode stamps the suite's execution mode — and, when the suite
-// carries an explicit sampling schedule, that schedule — onto one cell. The
-// schedule lands in the cell's config, so it is part of the content key:
-// cells run under different sampling protocols (fixed vs adaptive, or
-// different adaptive knobs) can never collide in a store.
-func (s *Suite) applyCellMode(c campaign.Cell) campaign.Cell {
-	if s.Mode == campaign.ModeSampled && sampleableCell(c) {
+// modeCell returns the cell a run in the given mode demands: a sampleable
+// cell in sampled mode carries the mode and the schedule sc in its config,
+// so the schedule is part of its content key and cells run under different
+// schedules can never collide in a store (a zero sc leaves the cell's own
+// schedule in place). Every other cell stays exact.
+func modeCell(c campaign.Cell, mode string, sc config.SamplingConfig) campaign.Cell {
+	if mode == campaign.ModeSampled && sampleableCell(c) {
 		c = c.Sampled()
-		if s.Sampling.Enabled() {
-			c.Cfg.Sampling = s.Sampling
+		if sc.Enabled() {
+			c.Cfg.Sampling = sc
 		}
 	}
 	return c
 }
 
-// ApplyMode transforms a declared (exact) sweep into the cell set a suite
-// running in the given mode demands: sampleable cells carry the mode, the
-// rest stay exact. ModeExact returns the sweep unchanged. The campaign CLI
-// and the sweep-parity tests share this transformation with Suite.Prefetch.
-func ApplyMode(s campaign.Sweep, mode string) campaign.Sweep {
-	return ApplyModeSampling(s, mode, config.SamplingConfig{})
+// applyCellMode stamps the suite's execution mode and sampling schedule
+// onto one cell.
+func (s *Suite) applyCellMode(c campaign.Cell) campaign.Cell {
+	return modeCell(c, s.Mode, s.Sampling)
 }
 
-// ApplyModeSampling is ApplyMode with an explicit sampling schedule stamped
-// onto every sampled cell (the sweep-side counterpart of Suite.Sampling; a
-// zero schedule stamps nothing).
+// ApplyModeSampling transforms a declared (exact) sweep into the cell set a
+// suite running in the given mode under schedule sc demands — the
+// sweep-side counterpart of Suite.Mode and Suite.Sampling. ModeExact
+// returns the sweep unchanged. The campaign CLI and the coordinator
+// enumerate sweeps through it, sharing the transformation with
+// Suite.Prefetch.
 func ApplyModeSampling(s campaign.Sweep, mode string, sc config.SamplingConfig) campaign.Sweep {
 	if mode == campaign.ModeExact {
 		return s
 	}
 	out := campaign.Sweep{Name: s.Name + "+" + mode, Cells: make([]campaign.Cell, len(s.Cells))}
 	for i, c := range s.Cells {
-		if mode == campaign.ModeSampled && sampleableCell(c) {
-			c = c.Sampled()
-			if sc.Enabled() {
-				c.Cfg.Sampling = sc
-			}
-		}
-		out.Cells[i] = c
+		out.Cells[i] = modeCell(c, mode, sc)
 	}
 	return out
 }

@@ -18,27 +18,20 @@ import (
 	"dcra/internal/workload"
 )
 
-// sampledDeterminismSuite is determinismSuite in sampled execution mode.
+// sampledDeterminismSuite is determinismSuite in sampled execution mode,
+// with the schedule stamped on exactly as `campaign run -sampled` does.
 func sampledDeterminismSuite(workers int) *Suite {
 	s := determinismSuite(workers)
-	s.Mode = "sampled"
-	return s
-}
-
-// adaptiveDeterminismSuite is sampledDeterminismSuite with the variance-
-// driven protocol stamped on: cells carry the adaptive schedule in their
-// config, exactly as `campaign run -adaptive` produces them.
-func adaptiveDeterminismSuite(workers int) *Suite {
-	s := sampledDeterminismSuite(workers)
+	s.Mode = campaign.ModeSampled
 	s.Sampling = sample.DeriveAdaptive(s.Runner.Warmup, s.Runner.Measure).Config()
 	return s
 }
 
-// TestSampledDeterminism runs the same cells in sampled mode on a serial
-// engine, a parallel engine, and a pool-less runner, and requires
-// bit-identical results — including every per-window throughput in the
-// sampling summary. Run under -race this also exercises the sampled
-// baseline cache.
+// TestSampledDeterminism runs the same sampled cells on a serial engine, a
+// parallel engine sharing the machine pool, and a pool-less runner, and
+// requires bit-identical results — including every per-window throughput in
+// the sampling summary. Run under -race this also exercises the shared pool
+// and the sampled baseline cache.
 func TestSampledDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -87,60 +80,58 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDeterminism is TestSampledDeterminism for the variance-driven
-// protocol: the same adaptive cells on a serial engine, a parallel engine
-// sharing the machine pool, and a pool-less runner must agree bit-for-bit —
-// including where the stopping rule landed (the retained window values ARE
-// the observable; a data race or order dependence in the sequential stopping
-// path would move it). Run under -race this exercises the shared pool.
+// TestAdaptiveDeterminism checks where the variance-driven stopping rule
+// lands: every cell retains between MinWindows and Windows windows, and a
+// parallel engine that is handed the cells in reverse order retains the
+// same window values as a serial engine handed them in order (the retained
+// values ARE the observable; a data race or order dependence in the
+// sequential stopping path would move them).
 func TestAdaptiveDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	cells := determinismCells()
-
-	serial := adaptiveDeterminismSuite(1)
-	parallel := adaptiveDeterminismSuite(8)
-	fresh := adaptiveDeterminismSuite(8)
-	fresh.Runner.Pool = nil
-	for _, s := range []*Suite{serial, parallel, fresh} {
-		if err := s.Prefetch(cells); err != nil {
-			t.Fatal(err)
-		}
+	reversed := make([]campaign.Cell, len(cells))
+	for i, c := range cells {
+		reversed[len(cells)-1-i] = c
 	}
 
+	serial := sampledDeterminismSuite(1)
+	parallel := sampledDeterminismSuite(8)
+	if err := serial.Prefetch(cells); err != nil {
+		t.Fatal(err)
+	}
+	if err := parallel.Prefetch(reversed); err != nil {
+		t.Fatal(err)
+	}
+
+	want := make(map[string]sim.Result, len(cells))
 	for _, c := range cells {
 		c = serial.applyCellMode(c)
-		rs, err := serial.RunCell(c)
+		r, err := serial.RunCell(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		id := c.WID + "/" + c.Pol
-		if rs.Sampled == nil {
-			t.Fatalf("%s: adaptive cell carries no sampling summary", id)
+		if r.Sampled == nil {
+			t.Fatalf("%s: sampled-mode cell carries no sampling summary", id)
 		}
-		if !rs.Sampled.Params.Adaptive() {
-			t.Fatalf("%s: cell ran the fixed protocol: %+v", id, rs.Sampled.Params)
+		p := r.Sampled.Params
+		if k := len(r.Sampled.WindowThroughput); k < p.MinWindows || k > p.Windows {
+			t.Errorf("%s: retained %d windows, outside [%d, %d]", id, k, p.MinWindows, p.Windows)
 		}
-		if k := len(rs.Sampled.WindowThroughput); k < rs.Sampled.Params.MinWindows || k > rs.Sampled.Params.Windows {
-			t.Errorf("%s: retained %d windows, outside [%d, %d]",
-				id, k, rs.Sampled.Params.MinWindows, rs.Sampled.Params.Windows)
+		want[c.Key()] = r
+	}
+	for _, c := range reversed {
+		c = parallel.applyCellMode(c)
+		r, err := parallel.RunCell(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for name, other := range map[string]*Suite{"parallel": parallel, "pool-less": fresh} {
-			ro, err := other.RunCell(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.Throughput != ro.Throughput {
-				t.Errorf("%s: throughput %v (serial) != %v (%s)", id, rs.Throughput, ro.Throughput, name)
-			}
-			if !reflect.DeepEqual(rs.Sampled, ro.Sampled) {
-				t.Errorf("%s: sampling summaries differ between serial and %s:\n%+v\nvs\n%+v",
-					id, name, rs.Sampled, ro.Sampled)
-			}
-			if !reflect.DeepEqual(rs.Stats, ro.Stats) {
-				t.Errorf("%s: aggregate stats differ between serial and %s", id, name)
-			}
+		w := want[c.Key()]
+		if w.Throughput != r.Throughput || !reflect.DeepEqual(w.Sampled, r.Sampled) {
+			t.Errorf("%s/%s: stopping rule landed differently in reverse order:\n%+v\nvs\n%+v",
+				c.WID, c.Pol, w.Sampled, r.Sampled)
 		}
 	}
 }
@@ -150,7 +141,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 // CI half-width, and each retained window value, per cell key.
 func adaptiveFingerprint(t *testing.T) string {
 	t.Helper()
-	s := adaptiveDeterminismSuite(2)
+	s := sampledDeterminismSuite(2)
 	cells := determinismCells()[:6]
 	h := sha256.New()
 	for _, c := range cells {
@@ -207,11 +198,14 @@ func TestAdaptiveCrossProcessDeterminism(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStoreSeparation pins the content-key contract that lets exact,
-// fixed-sampled and adaptive-sampled results share one store: the three
-// variants of a cell have pairwise distinct keys, and writing the sampled
-// variants never perturbs the stored exact result. No simulation — the
-// results are fabricated; only keying and store round-trips are under test.
+// TestAdaptiveStoreSeparation pins the content-key contract that lets
+// exact and sampled results share one store with results of the retired
+// fixed protocol: the three variants of a cell (exact, unstamped sampled —
+// the fixed protocol's key — and stamped sampled) have pairwise distinct
+// keys, writing the sampled variants never perturbs the stored exact
+// result, and the fixed protocol's result is never served. No simulation —
+// the results are fabricated; only keying and store lookups are under
+// test.
 func TestAdaptiveStoreSeparation(t *testing.T) {
 	cfg := config.Baseline()
 	w, err := workload.Get(2, workload.Kinds[0], 1)
@@ -220,17 +214,22 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 	}
 	exact := cellOf(cfg, w, PolDCRA)
 	fixed := exact.Sampled()
-	adaptive := adaptiveDeterminismSuite(1).applyCellMode(exact)
-	if adaptive.Mode != campaign.ModeSampled || !adaptive.Cfg.Sampling.Enabled() {
-		t.Fatalf("applyCellMode produced no adaptive cell: %+v", adaptive)
+	stamped := sampledDeterminismSuite(1).applyCellMode(exact)
+	if stamped.Mode != campaign.ModeSampled || !stamped.Cfg.Sampling.Enabled() {
+		t.Fatalf("applyCellMode produced no stamped sampled cell: %+v", stamped)
 	}
 	keys := map[string]string{
-		exact.Key():    "exact",
-		fixed.Key():    "fixed-sampled",
-		adaptive.Key(): "adaptive-sampled",
+		exact.Key():   "exact",
+		fixed.Key():   "fixed-sampled",
+		stamped.Key(): "stamped-sampled",
 	}
 	if len(keys) != 3 {
 		t.Fatalf("cell variants collide on content keys: %v", keys)
+	}
+	for _, c := range []campaign.Cell{fixed, stamped} {
+		if c.Exact() != exact {
+			t.Errorf("%s: Exact() = %+v, want the exact cell", c, c.Exact())
+		}
 	}
 
 	st, err := campaign.Open(t.TempDir(), campaign.Params{Warmup: 5_000, Measure: 20_000, Seed: 1})
@@ -241,7 +240,7 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 	if err := st.Put(exact, exactResult); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []campaign.Cell{fixed, adaptive} {
+	for _, c := range []campaign.Cell{fixed, stamped} {
 		if st.Has(c) {
 			t.Errorf("%s: present in store before being written", c)
 		}
@@ -255,6 +254,62 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 	}
 	if got.Throughput != exactResult.Throughput {
 		t.Errorf("exact cell overwritten: throughput %v, want %v", got.Throughput, exactResult.Throughput)
+	}
+
+	// The fixed protocol's stored result is never served: a sampled cell
+	// without a schedule fails before the store is consulted.
+	s := determinismSuite(1)
+	s.Mode = campaign.ModeSampled
+	s.Store = st
+	if _, err := s.RunCell(fixed); err == nil || !strings.Contains(err.Error(), "no sampling schedule") {
+		t.Fatalf("unstamped sampled cell: err = %v, want a missing-schedule error", err)
+	}
+	if s.StoreHits() != 0 || s.Simulated() != 0 {
+		t.Errorf("refused cell still reached the store or the kernel: hits %d, simulated %d",
+			s.StoreHits(), s.Simulated())
+	}
+}
+
+// TestSampledRenderPrefersStoredExact: a sampled suite with a stamped
+// schedule renders from exact results already in its store — the "renders
+// prefer exact when present" rule — without simulating anything.
+func TestSampledRenderPrefersStoredExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	spec, err := SpecByKey("tab5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := sweepSuite()
+	st, err := campaign.Open(t.TempDir(), exact.StoreParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact.Store = st
+	want, err := spec.Render(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sampled := sweepSuite()
+	sampled.Mode = campaign.ModeSampled
+	sampled.Sampling = sample.DeriveAdaptive(sampled.Runner.Warmup, sampled.Runner.Measure).Config()
+	sampled.Store = st
+	got, err := spec.Render(sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sampled.Simulated(); n != 0 {
+		t.Errorf("sampled render simulated %d cells, want 0 (exact results are stored)", n)
+	}
+	if n := sampled.StoreHits(); n != int64(len(spec.Sweep().Cells)) {
+		t.Errorf("sampled render hit the store %d times, want %d", n, len(spec.Sweep().Cells))
+	}
+	for i := range want {
+		if g, w := got[i].Table.String(), want[i].Table.String(); g != w {
+			t.Errorf("table %s: sampled render of stored exact cells differs:\n%s\nvs\n%s", want[i].Name, g, w)
+		}
 	}
 }
 
@@ -271,7 +326,8 @@ func TestFigure5Parity(t *testing.T) {
 	exact.Runner.Warmup, exact.Runner.Measure = 15_000, 60_000
 	sampled := NewQuickSuite()
 	sampled.Runner.Warmup, sampled.Runner.Measure = 15_000, 60_000
-	sampled.Mode = "sampled"
+	sampled.Mode = campaign.ModeSampled
+	sampled.Sampling = sample.DeriveAdaptive(15_000, 60_000).Config()
 
 	rows, st, err := Figure5Parity(exact, sampled)
 	if err != nil {
@@ -280,6 +336,8 @@ func TestFigure5Parity(t *testing.T) {
 	if st.Cells != len(rows) || st.Cells == 0 {
 		t.Fatalf("parity covered %d cells, rows %d", st.Cells, len(rows))
 	}
+	t.Logf("parity: %d/%d cells within CI, mean |err| %.4f IPC, max rel err %.2f%%",
+		st.WithinCI, st.Cells, st.MeanAbsErr, st.MaxRelErrPct)
 	for _, r := range rows {
 		if !r.Within {
 			t.Errorf("%s/%s: sampled %.4f outside exact %.4f +/- %.4f",

@@ -20,10 +20,10 @@ type RenderedTable struct {
 // Spec describes one experiment of the paper's evaluation: a stable key, a
 // declarative sweep enumerating every simulation cell the experiment needs,
 // and a render function that consumes exactly those cells from the suite.
-// The sweep is the single source of truth — prefetch submission, shard
-// partitioning, store status and the render loop all iterate it — so a new
-// sweep point cannot silently fall back to serial on-demand execution
-// (enforced by the sweep-parity tests).
+// The sweep is the single source of truth — prefetch submission, the
+// coordinator's leases, store status and the render loop all iterate it —
+// so a new sweep point cannot silently fall back to serial on-demand
+// execution (enforced by the sweep-parity tests).
 type Spec struct {
 	Key    string // CLI selector, e.g. "fig5"
 	Title  string

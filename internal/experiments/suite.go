@@ -2,8 +2,8 @@
 // evaluation (see EXPERIMENTS.md for the experiment index and the
 // paper-vs-measured record). Each Figure*/Table* function declares its sweep
 // — the campaign.Sweep enumerating every (config, workload, policy) cell it
-// needs — exactly once; prefetch submission, rendering, sharding and the
-// persistent result store all iterate that same enumeration.
+// needs — exactly once; prefetch submission, rendering, the coordinator's
+// leases and the persistent result store all iterate that same enumeration.
 package experiments
 
 import (
@@ -151,11 +151,12 @@ type Suite struct {
 	// always run exact, so sampled and exact results share reference axes.
 	Mode string
 
-	// Sampling, when non-zero, is the explicit sampling schedule stamped
-	// onto every sampled cell's config (e.g. sample.DeriveAdaptive's
-	// variance-driven protocol). It becomes part of each cell's content
-	// key, so stores never mix results from different protocols. Zero
-	// leaves cells deriving the fixed schedule from the Runner's windows.
+	// Sampling is the sampling schedule stamped onto every sampled cell's
+	// config, normally sample.DeriveAdaptive(Runner.Warmup,
+	// Runner.Measure).Config(). It becomes part of each cell's content key,
+	// so stores never mix results from different schedules. Sampled mode
+	// needs it: a sampled cell without a schedule fails to run (its key is
+	// where the retired fixed 7-window protocol stored its results).
 	Sampling config.SamplingConfig
 
 	// SchedFFDrain runs "sched:" trial cells with sched.Config.FFDrain:
@@ -262,6 +263,12 @@ func (s *Suite) RunCell(c campaign.Cell) (sim.Result, error) {
 // requested set reflects what rendering consumed, not what the sweep
 // submitted.
 func (s *Suite) runCell(c campaign.Cell) (sim.Result, error) {
+	if c.Mode == campaign.ModeSampled && !c.Cfg.Sampling.Enabled() {
+		// Checked before the store: old stores hold fixed-protocol results
+		// under exactly this key.
+		return sim.Result{}, fmt.Errorf("experiments: sampled cell %s carries no sampling schedule "+
+			"(stamp one, e.g. sample.DeriveAdaptive(warmup, measure).Config(), via Suite.Sampling)", c)
+	}
 	return s.memo.Do(c, func() (sim.Result, error) {
 		if s.SchedFFDrain && strings.HasPrefix(c.WID, schedPrefix) {
 			// FF-drained trials are estimates: keep them out of the store.

@@ -1,11 +1,14 @@
 package experiments
 
 import (
-	"path/filepath"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dcra/internal/campaign"
+	"dcra/internal/coord"
 )
 
 // sweepSuite builds a suite with very small windows: the sweep tests assert
@@ -20,8 +23,9 @@ func sweepSuite() *Suite {
 // TestSweepRenderParity: for every experiment, the cells demanded by the
 // render path must be exactly the declared sweep's cells — no silent serial
 // fallback (a rendered cell missing from the sweep would be computed
-// on-demand and escape sharding/prefetch), and no dead sweep points (a
-// declared cell no render consumes would burn shard time for nothing).
+// on-demand and escape prefetch and the coordinator), and no dead sweep
+// points (a declared cell no render consumes would burn worker time for
+// nothing).
 func TestSweepRenderParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -78,12 +82,12 @@ func assertCellParity(t *testing.T, sweep campaign.Sweep, s *Suite) {
 	}
 }
 
-// TestShardMergeMatchesUnsharded proves the campaign contract end to end:
-// splitting a figure's sweep into shards, running each shard in its own
-// suite (as separate hosts would), merging the shard files into a store and
-// rendering from it is bit-identical to a single-process run — and the
-// store-backed render resimulates nothing.
-func TestShardMergeMatchesUnsharded(t *testing.T) {
+// TestCoordinatedStoreMatchesInProcess proves the campaign contract end to
+// end: a coordinator leasing a figure's sweep to three workers, each
+// running its own suite (as separate hosts would), fills a store whose
+// render is byte-identical to a single-process run — and the store-backed
+// render resimulates nothing.
+func TestCoordinatedStoreMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
@@ -100,95 +104,70 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shard runs: independent suites, nothing shared but the enumeration.
-	const shards = 3
-	dir := t.TempDir()
-	var files []string
-	for i := 0; i < shards; i++ {
-		part, err := sweep.Shard(i, shards)
-		if err != nil {
-			t.Fatal(err)
+	// Coordinated run: workers share nothing but the coordinator, and learn
+	// the measurement protocol from their lease grants.
+	rendered := sweepSuite()
+	store, err := campaign.Open(t.TempDir(), rendered.StoreParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := coord.New(spec.Key, sweep, store, coord.Options{
+		RangeSize: 2,
+		// A worker's heartbeat sleeps LeaseTTL/3 before the worker can
+		// move on, so a short TTL keeps the test fast.
+		LeaseTTL:     300 * time.Millisecond,
+		PollInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := coord.NewLoopback(co)
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		w := &coord.Worker{
+			ID:        fmt.Sprintf("w%d", i),
+			Transport: lb,
+			NewRunner: func(p campaign.Params) (campaign.Runner, error) {
+				s := sweepSuite()
+				s.Runner.Warmup, s.Runner.Measure, s.Runner.Seed = p.Warmup, p.Measure, p.Seed
+				return s, nil
+			},
 		}
-		s := sweepSuite()
-		if err := s.Prefetch(part); err != nil {
-			t.Fatal(err)
-		}
-		sf := campaign.ShardFile{
-			Campaign: spec.Key, SweepHash: sweep.Hash(),
-			Shards: shards, Shard: i, Params: s.StoreParams(),
-		}
-		for _, c := range part {
-			r, err := s.RunCell(c)
-			if err != nil {
-				t.Fatal(err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(); err != nil {
+				t.Errorf("worker %s: %v", w.ID, err)
 			}
-			sf.Cells = append(sf.Cells, campaign.CellResult{Key: c.Key(), Cell: c, Result: r})
-		}
-		path := filepath.Join(dir, spec.Key+"-"+string(rune('0'+i))+".json")
-		if err := campaign.WriteShard(path, sf); err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, path)
+		}()
+	}
+	wg.Wait()
+	if st := co.Status(); !st.Complete() || st.Done != len(sweep.Cells) {
+		t.Fatalf("coordinated campaign incomplete: %+v", st)
 	}
 
-	// Merge and render from the store with a fresh suite.
-	merged := sweepSuite()
-	store, err := campaign.Open(filepath.Join(dir, "store"), merged.StoreParams())
+	// Render from the store with a fresh suite.
+	rendered.Store = store
+	renderedTables, err := spec.Render(rendered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, skipped, err := campaign.Merge(store, files); err != nil || len(skipped) != 0 {
-		t.Fatalf("merge: skipped=%d err=%v", len(skipped), err)
-	}
-	merged.Store = store
-	mergedTables, err := spec.Render(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Per-cell results must be bit-identical to the reference run.
-	for _, c := range sweep.Cells {
-		want, err := ref.RunCell(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok, err := store.Get(c)
-		if err != nil || !ok {
-			t.Fatalf("merged store missing %s (ok %v, err %v)", c, ok, err)
-		}
-		if got.Throughput != want.Throughput || got.Hmean != want.Hmean {
-			t.Errorf("%s: merged (%v, %v) != unsharded (%v, %v)",
-				c, got.Throughput, got.Hmean, want.Throughput, want.Hmean)
-		}
-	}
-
-	// Rendered tables must be byte-identical.
-	if len(mergedTables) != len(refTables) {
-		t.Fatalf("merged render has %d tables, reference %d", len(mergedTables), len(refTables))
+	if len(renderedTables) != len(refTables) {
+		t.Fatalf("store-backed render has %d tables, reference %d", len(renderedTables), len(refTables))
 	}
 	for i := range refTables {
 		want := refTables[i].Table.String()
-		got := mergedTables[i].Table.String()
+		got := renderedTables[i].Table.String()
 		if got != want {
-			t.Errorf("table %s differs between merged-store and single-process render:\n--- merged\n%s--- unsharded\n%s",
+			t.Errorf("table %s differs between coordinated-store and single-process render:\n--- coordinated\n%s--- in-process\n%s",
 				refTables[i].Name, got, want)
 		}
 	}
-
-	// The store-backed render must not have simulated anything.
-	if n := merged.Simulated(); n != 0 {
+	if n := rendered.Simulated(); n != 0 {
 		t.Errorf("store-backed render simulated %d cells, want 0", n)
 	}
-	if n := merged.StoreHits(); n != int64(len(sweep.Cells)) {
+	if n := rendered.StoreHits(); n != int64(len(sweep.Cells)) {
 		t.Errorf("store-backed render hit the store %d times, want %d", n, len(sweep.Cells))
-	}
-
-	// A second render on the same suite is served from the memo alone.
-	if _, err := spec.Render(merged); err != nil {
-		t.Fatal(err)
-	}
-	if n := merged.Simulated(); n != 0 {
-		t.Errorf("re-render simulated %d cells", n)
 	}
 }
 

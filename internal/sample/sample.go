@@ -1,9 +1,10 @@
 // Package sample implements SMARTS-style statistical sampling over the
 // detailed simulator: a deterministic schedule of measurement windows
 // (detailed warmup with statistics frozen → detailed measurement) separated
-// by functional fast-forward gaps, reporting per-metric means with standard
-// errors and 99.7% confidence intervals (the SMARTS paper's convention —
-// with K around 8 windows a 95% interval would be missed by the expected 5%
+// by functional fast-forward gaps, stopping once the estimate is precise
+// enough, and reporting per-metric means with standard errors and 99.7%
+// confidence intervals (the SMARTS paper's convention — with K between 4
+// and 10 windows a 95% interval would be missed by the expected 5%
 // of cells for purely statistical reasons, which is useless as a parity
 // contract; the 99.7% Student-t interval is wide enough that a miss means a
 // real bias, not bad luck).
@@ -15,12 +16,12 @@
 // gap cycles) uops, spreading the K windows across the same cycle interval
 // the exact protocol measures. The exact protocol's warmup region is handled
 // the same way: a pilot window at cycle zero (discarded from the estimate)
-// measures commit rates, a fast-forward gap skips the rest of the warmup,
-// and only then do the K windows begin — without the skip, early windows
-// measure a half-trained predictor and bias throughput low. The exact kernel
-// stays the verifier: the Figure 5 parity harness (internal/experiments)
-// asserts every workload's sampled throughput lands within the reported
-// confidence interval of its exact run.
+// measures commit rates and their drift, a fast-forward gap skips the rest
+// of the warmup, and only then do the K windows begin — without the skip,
+// early windows measure a half-trained predictor and bias throughput low.
+// The exact kernel stays the verifier: the Figure 5 parity harness
+// (internal/experiments) asserts every workload's sampled throughput lands
+// within the reported confidence interval of its exact run.
 //
 // Sampled runs are bit-reproducible like everything else in the repo: the
 // schedule is a pure function of (Params, measured statistics), fast-forward
@@ -38,119 +39,65 @@ import (
 	"dcra/internal/stats"
 )
 
-// Params is the resolved sampling schedule of one run: Windows repetitions
-// of (Warmup frozen cycles, Measure measured cycles), separated by
-// fast-forward gaps. Exactly one gap form may be set: FFCycles
-// (rate-proportional: thread t skips round(ipc_t × FFCycles) uops, keeping
-// window positions cycle-aligned) or FFUops (fixed uops per thread). Both
-// zero means contiguous windows.
+// Params is the resolved sampling schedule of one run (SMARTS-style, made
+// adaptive): a half-scale pilot window at cycle zero, discarded from the
+// estimate, measures commit rates in two halves and sizes a fast-forward
+// through the rest of the first SkipCycles cycle-equivalents from the drift
+// between them. MinWindows to Windows repetitions of (Warmup frozen cycles,
+// Measure measured cycles) follow, separated by rate-proportional gaps:
+// thread t skips round(ipc_t × FFCycles) uops, keeping window positions
+// cycle-aligned. After MinWindows windows, more are added only while the
+// 99.7% t-interval half-width of the running throughput estimate exceeds
+// TargetRelCIPpm parts-per-million of its mean; Windows is the hard cap.
+// WarmTail > 0 fast-forwards each gap body with stream-only draws, applying
+// full cache/TLB/predictor warming only to the last WarmTail uops per
+// thread; zero warms the whole gap.
 //
-// A non-zero SkipCycles prepends a pilot: one extra (Warmup, Measure)
-// detailed window at cycle zero, discarded from the estimate, whose commit
-// rates size a rate-proportional fast-forward through the remainder of the
-// first SkipCycles cycle-equivalents. This aligns the measured windows with
-// an exact protocol's post-warmup interval.
-// The adaptive extension (MinWindows > 0) turns Windows into a hard cap:
-// after MinWindows windows, more are added only while the 99.7% t-interval
-// half-width of the running throughput estimate exceeds TargetRelCIPpm
-// parts-per-million of its mean. The adaptive pilot is also cheaper: it
-// runs at half scale, measures its commit rates in two halves, and sizes
-// the exact-warmup skip from the observed drift between them (bounded
-// linear extrapolation) instead of a flat rate multiple. WarmTail > 0
-// fast-forwards each gap body with stream-only draws, applying full
-// cache/TLB/predictor warming only to the last WarmTail uops per thread.
+// Every Summary serialises its Params, and sampled results are persisted
+// verbatim, so the field set and order are part of the stored format.
 type Params struct {
 	SkipCycles uint64 // initial region to skip via pilot + fast-forward
 	FFCycles   uint64 // rate-proportional gap, in cycle-equivalents
-	FFUops     uint64 // fixed gap, in committed uops per thread
-	Warmup     uint64 // detailed warmup cycles per window (stats frozen)
-	Measure    uint64 // detailed measured cycles per window
-	Windows    int    // number of windows (the hard cap when adaptive)
+	// FFUops is always zero and nothing reads it: the fixed-uop gap form
+	// is retired, but the field stays so every stored Summary keeps its
+	// serialised bytes.
+	FFUops  uint64
+	Warmup  uint64 // detailed warmup cycles per window (stats frozen)
+	Measure uint64 // detailed measured cycles per window
+	Windows int    // hard cap on the window count
 
-	MinWindows     int    // adaptive floor; 0 = fixed protocol
+	MinWindows     int    // windows run before the stopping rule applies
 	TargetRelCIPpm int64  // stopping target: rel. CI half-width, ppm of mean
 	WarmTail       uint64 // per-thread warm uops at each gap's end; 0 = full warming
 }
 
-// Adaptive reports whether the sequential stopping rule is enabled.
-func (p Params) Adaptive() bool { return p.MinWindows > 0 }
-
-// Validate checks the schedule is runnable.
+// Validate checks the schedule is runnable under the rules of
+// config.SamplingConfig.Validate; a zero Params (no schedule) fails.
 func (p Params) Validate() error {
-	if p.Measure == 0 || p.Windows <= 0 {
-		return fmt.Errorf("sample: schedule needs a measure window and >= 1 windows, got %+v", p)
-	}
-	if p.FFCycles > 0 && p.FFUops > 0 {
-		return fmt.Errorf("sample: gaps are either rate-proportional (FFCycles) or fixed (FFUops), not both: %+v", p)
-	}
-	if p.MinWindows < 0 || p.MinWindows > p.Windows {
-		return fmt.Errorf("sample: MinWindows must be in [0, Windows], got %+v", p)
-	}
-	if p.MinWindows > 0 && p.TargetRelCIPpm <= 0 {
-		return fmt.Errorf("sample: adaptive schedule needs a positive TargetRelCIPpm: %+v", p)
+	if err := p.Config().Validate(); err != nil {
+		return fmt.Errorf("sample: %w", err)
 	}
 	return nil
 }
 
-// DetailedCycles returns the detailed-simulation cost of the schedule,
-// including the pilot window a SkipCycles schedule runs.
-func (p Params) DetailedCycles() uint64 {
-	n := uint64(p.Windows)
-	if p.SkipCycles > 0 {
-		n++
-	}
-	return n * (p.Warmup + p.Measure)
-}
-
-// SpannedCycles returns the cycle-equivalents the schedule covers (skipped
-// region, detailed windows, and rate-proportional gaps).
-func (p Params) SpannedCycles() uint64 {
-	if p.Windows <= 0 {
-		return 0
-	}
-	return p.SkipCycles + uint64(p.Windows)*(p.Warmup+p.Measure) + uint64(p.Windows-1)*p.FFCycles
-}
-
 // FromConfig converts an explicit config.SamplingConfig into Params.
 func FromConfig(sc config.SamplingConfig) Params {
-	return Params{SkipCycles: sc.SkipCycles, FFCycles: sc.FFCycles, FFUops: sc.FFUops,
+	return Params{SkipCycles: sc.SkipCycles, FFCycles: sc.FFCycles,
 		Warmup: sc.Warmup, Measure: sc.Measure, Windows: sc.Windows,
 		MinWindows: sc.MinWindows, TargetRelCIPpm: sc.TargetRelCIPpm, WarmTail: sc.WarmTail}
 }
 
 // Config converts Params back into the config block form, for stamping onto
 // campaign cells: the sampling knobs become part of the cell's content key,
-// so results from different protocols can never collide in a store.
+// so results from different schedules can never collide in a store.
 func (p Params) Config() config.SamplingConfig {
-	return config.SamplingConfig{SkipCycles: p.SkipCycles, FFCycles: p.FFCycles, FFUops: p.FFUops,
+	return config.SamplingConfig{SkipCycles: p.SkipCycles, FFCycles: p.FFCycles,
 		Warmup: p.Warmup, Measure: p.Measure, Windows: p.Windows,
 		MinWindows: p.MinWindows, TargetRelCIPpm: p.TargetRelCIPpm, WarmTail: p.WarmTail}
 }
 
-// Derive builds a schedule from an exact protocol's (warmup, measure)
-// windows: the warmup region is skipped via pilot + fast-forward, and K
-// windows whose detailed cost is roughly a fifth of the measured interval
-// are spread across it with rate-proportional gaps, the last window ending
-// where the exact measurement ends. (The parity tests check this across all
-// Figure 5 cells at multiple scales.)
-func Derive(warmup, measure uint64) Params {
-	p := Params{Windows: 7, SkipCycles: warmup}
-	w := uint64(p.Windows)
-	// Tuned against the Figure 5 parity sweep: the per-window warmup must
-	// cover the post-fast-forward refill transient — an empty pipeline
-	// restarts in a burst until the first load misses clog the ROB again,
-	// roughly fill time plus one memory round-trip — or memory-bound cells
-	// bias high. 3/5 of the measure window covers it at both protocol scales.
-	p.Measure = max(measure/48, 500)
-	p.Warmup = max(3*p.Measure/5, 250)
-	if det := w * (p.Warmup + p.Measure); measure > det {
-		p.FFCycles = (measure - det) / (w - 1)
-	}
-	return p
-}
-
-// Adaptive-protocol defaults (DeriveAdaptive). Tuned against the Figure 5
-// parity sweep at both protocol scales. The stopping target looks loose but
+// Protocol defaults (DeriveAdaptive). Tuned against the Figure 5 parity
+// sweep at both protocol scales. The stopping target looks loose but
 // is calibrated to the estimator, not to the error: short windows see large
 // phase-to-phase throughput swings (per-window relative std around 25-40%),
 // and the floor-count t-quantile (6.4 at four degrees of freedom) multiplies
@@ -166,32 +113,36 @@ const (
 	adaptiveMinWindows = 4
 	adaptiveMaxWindows = 10
 	adaptiveTargetPpm  = 1_500_000 // 150% relative CI half-width at 99.7%
-	adaptiveWarmTail   = 3072    // uops of full warming per thread per gap
+	adaptiveWarmTail   = 3072      // uops of full warming per thread per gap
 )
 
-// DeriveAdaptive builds a variance-driven schedule from an exact protocol's
-// (warmup, measure) windows: window geometry matches Derive, but the gap
-// spread anchors to the minimum window count — a run that stops at the floor
-// covers the same cycle interval the exact protocol measures, and only
-// high-variance cells extend beyond it (the synthetic streams are
-// phase-stationary, so later windows estimate the same process). The pilot
-// runs at half scale and sizes the warmup skip from its observed commit-rate
-// drift, and gaps warm only their WarmTail: see RunObserved.
+// DeriveAdaptive builds the sampling schedule for an exact protocol's
+// (warmup, measure) windows: the warmup region is skipped via pilot +
+// fast-forward, and each window measures about 1/48 of the measured
+// interval. The gap spread anchors to the minimum window count — a run that
+// stops at the floor covers the same cycle interval the exact protocol
+// measures, and only high-variance cells extend beyond it (the synthetic
+// streams are phase-stationary, so later windows estimate the same
+// process). The pilot runs at half scale and sizes the warmup skip from its
+// observed commit-rate drift, and gaps warm only their WarmTail: see
+// RunObserved.
 func DeriveAdaptive(warmup, measure uint64) Params {
-	p := Derive(warmup, measure)
-	p.MinWindows = adaptiveMinWindows
-	p.Windows = adaptiveMaxWindows
-	p.TargetRelCIPpm = adaptiveTargetPpm
-	p.WarmTail = adaptiveWarmTail
-	// Warm-tail gaps keep caches, TLB and predictor trained through the
-	// fast-forward, so the per-window warmup only has to cover the pipeline
-	// refill transient, not cache re-warming: 2/5 of the measure window
-	// suffices where the fixed protocol (cold gaps) needs 3/5.
+	p := Params{
+		SkipCycles:     warmup,
+		Measure:        max(measure/48, 500),
+		Windows:        adaptiveMaxWindows,
+		MinWindows:     adaptiveMinWindows,
+		TargetRelCIPpm: adaptiveTargetPpm,
+		WarmTail:       adaptiveWarmTail,
+	}
+	// The per-window warmup must cover the post-fast-forward refill
+	// transient — an empty pipeline restarts in a burst until the first
+	// load misses clog the ROB again. Warm-tail gaps keep caches, TLB and
+	// predictor trained through the fast-forward, so 2/5 of the measure
+	// window covers it at both protocol scales.
 	p.Warmup = max(2*p.Measure/5, 250)
-	w := uint64(p.MinWindows)
-	p.FFCycles = 0
-	if det := w * (p.Warmup + p.Measure); measure > det {
-		p.FFCycles = (measure - det) / (w - 1)
+	if det := uint64(p.MinWindows) * (p.Warmup + p.Measure); measure > det {
+		p.FFCycles = (measure - det) / uint64(p.MinWindows-1)
 	}
 	return p
 }
@@ -219,9 +170,9 @@ type Summary struct {
 
 	// DetailedCycles is the detailed cycles actually simulated (pilot,
 	// warmups and measured windows); OverheadCycles the share of those that
-	// never reached the estimate (pilot + frozen warmups). Under the
-	// adaptive protocol these depend on where the stopping rule landed, so
-	// they are observed, not derived from Params.
+	// never reached the estimate (pilot + frozen warmups). Both depend on
+	// where the stopping rule landed, so they are observed, not derived
+	// from Params.
 	DetailedCycles uint64 `json:"detailed_cycles"`
 	OverheadCycles uint64 `json:"overhead_cycles"`
 }
@@ -332,7 +283,6 @@ func RunObserved(m *cpu.Machine, p Params, reg *obs.Registry, tr *obs.Tracer) (*
 	agg := stats.New(nt)
 	ffTotals := make([]uint64, nt)
 	budgets := make([]uint64, nt)
-	adaptive := p.Adaptive()
 	relTarget := float64(p.TargetRelCIPpm) / 1e6
 	var detailed, overhead uint64
 	ff := func(label string, args ...any) {
@@ -354,30 +304,7 @@ func RunObserved(m *cpu.Machine, p Params, reg *obs.Registry, tr *obs.Tracer) (*
 			span(m.Cycle(), fmt.Sprintf(label, args...)+fmt.Sprintf(" (%d uops)", skipped))
 		}
 	}
-	if p.SkipCycles > 0 && !adaptive {
-		// Pilot window: detailed execution at cycle zero whose commit rates
-		// size the fast-forward through the rest of the skipped region. Its
-		// statistics never reach the summary — the first measured window's
-		// ResetStats discards them.
-		pilotFrom := m.Cycle()
-		m.Run(p.Warmup)
-		span(pilotFrom, "pilot warmup")
-		m.ResetStats()
-		measureFrom := m.Cycle()
-		m.Run(p.Measure)
-		span(measureFrom, "pilot")
-		detailed += p.Warmup + p.Measure
-		overhead += p.Warmup + p.Measure
-		if pilot := p.Warmup + p.Measure; p.SkipCycles > pilot {
-			st := m.Stats()
-			gap := p.SkipCycles - pilot
-			for t := 0; t < nt; t++ {
-				budgets[t] = (st.Threads[t].Committed*gap + p.Measure/2) / p.Measure
-			}
-			ff("gap skip")
-		}
-	}
-	if p.SkipCycles > 0 && adaptive {
+	if p.SkipCycles > 0 {
 		// Half-scale pilot with drift-sized skip: settle for half the window
 		// warmup, measure commit counts over two half-windows, and size the
 		// skip budget from a bounded linear extrapolation of the rate trend
@@ -388,8 +315,7 @@ func RunObserved(m *cpu.Machine, p Params, reg *obs.Registry, tr *obs.Tracer) (*
 		// which is what lets the pilot run at half the detailed cost.
 		// Each half must span at least a couple of main-memory round-trips
 		// or memory-bound threads alias their stall bursts into the rate —
-		// half the measure window does at both protocol scales, and the
-		// pilot still costs ~20% less than the fixed protocol's.
+		// half the measure window does at both protocol scales.
 		settle := p.Warmup / 2
 		h := max(p.Measure/2, 1)
 		pilotFrom := m.Cycle()
@@ -440,7 +366,7 @@ func RunObserved(m *cpu.Machine, p Params, reg *obs.Registry, tr *obs.Tracer) (*
 		if k+1 == p.Windows {
 			break
 		}
-		if adaptive && k+1 >= p.MinWindows {
+		if k+1 >= p.MinWindows {
 			// Sequential stopping: once the running 99.7% interval is
 			// tighter than the per-cell target, further windows only buy
 			// precision the parity contract does not need. A pure function
@@ -453,18 +379,14 @@ func RunObserved(m *cpu.Machine, p Params, reg *obs.Registry, tr *obs.Tracer) (*
 				break
 			}
 		}
-		if p.FFCycles == 0 && p.FFUops == 0 {
+		if p.FFCycles == 0 {
 			continue
 		}
 		for t := 0; t < nt; t++ {
-			if p.FFCycles > 0 {
-				// Rate-proportional: skip what the thread would have
-				// committed in FFCycles cycles at its measured rate
-				// (integer rounding — determinism needs exact arithmetic).
-				budgets[t] = (st.Threads[t].Committed*p.FFCycles + p.Measure/2) / p.Measure
-			} else {
-				budgets[t] = p.FFUops
-			}
+			// Rate-proportional: skip what the thread would have committed
+			// in FFCycles cycles at its measured rate (integer rounding —
+			// determinism needs exact arithmetic).
+			budgets[t] = (st.Threads[t].Committed*p.FFCycles + p.Measure/2) / p.Measure
 		}
 		ff("gap %d", k)
 	}
@@ -499,7 +421,7 @@ func RunObserved(m *cpu.Machine, p Params, reg *obs.Registry, tr *obs.Tracer) (*
 		reg.Counter("sample.uops.fastforwarded").Add(int64(sum.FastForwarded))
 		if sum.Throughput > 0 {
 			// Relative CI half-width in parts-per-million: a dimensionless
-			// integer, so shard merges of the histogram stay exact.
+			// integer, so merged histograms stay exact.
 			reg.Histogram("sample.ci.rel.ppm", obs.PPMBounds).
 				Observe(int64(sum.ThroughputCI / sum.Throughput * 1e6))
 		}

@@ -23,45 +23,79 @@ func testMachine(t *testing.T) *cpu.Machine {
 	return m
 }
 
+// TestParamsValidate is the schedule rule set's table test: every case
+// gets the same verdict from Params.Validate (what RunObserved applies) and
+// from config.Config.Validate with the schedule stamped on.
 func TestParamsValidate(t *testing.T) {
-	good := Params{SkipCycles: 1000, FFCycles: 500, Warmup: 100, Measure: 400, Windows: 4}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid schedule rejected: %v", err)
+	good := DeriveAdaptive(15_000, 60_000)
+	with := func(edit func(*Params)) Params {
+		p := good
+		edit(&p)
+		return p
 	}
-	bad := []Params{
-		{Windows: 4},                // no measure window
-		{Measure: 100},              // no windows
-		{Measure: 100, Windows: -1}, // negative windows
-		{Measure: 100, Windows: 2, FFCycles: 1, FFUops: 1}, // both gap kinds
+	cases := []struct {
+		name string
+		p    Params
+		ok   bool
+	}{
+		{"derived", good, true},
+		{"contiguous windows", with(func(p *Params) { p.FFCycles, p.SkipCycles = 0, 0 }), true},
+		{"floor equals cap", with(func(p *Params) { p.MinWindows = p.Windows }), true},
+		{"zero schedule", Params{}, false},
+		{"no measure window", with(func(p *Params) { p.Measure = 0 }), false},
+		{"no windows", with(func(p *Params) { p.Windows = 0 }), false},
+		{"negative windows", with(func(p *Params) { p.Windows = -1 }), false},
+		{"no window floor", with(func(p *Params) { p.MinWindows = 0 }), false},
+		{"floor above cap", with(func(p *Params) { p.MinWindows = p.Windows + 1 }), false},
+		{"no stopping target", with(func(p *Params) { p.TargetRelCIPpm = 0 }), false},
+		{"negative stopping target", with(func(p *Params) { p.TargetRelCIPpm = -1 }), false},
+		{"target without floor", with(func(p *Params) { p.MinWindows = 0; p.TargetRelCIPpm = 1 }), false},
 	}
-	for _, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("schedule %+v accepted, want error", p)
+	for _, tc := range cases {
+		err := tc.p.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Params.Validate(%+v) = %v, want ok=%v", tc.name, tc.p, err, tc.ok)
 		}
+		cfg := config.Baseline()
+		cfg.Sampling = tc.p.Config()
+		// A config without a schedule is an exact one, so only configured
+		// schedules go through the sampling rules there.
+		if err := cfg.Validate(); cfg.Sampling.Enabled() && (err == nil) != tc.ok {
+			t.Errorf("%s: config.Validate with schedule = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	if _, _, err := Run(testMachine(t), Params{}); err == nil {
+		t.Error("RunObserved ran a zero schedule")
 	}
 }
 
 // TestDeriveSpansExactProtocol checks the derived schedule skips the exact
-// warmup and covers the measured interval: last window ends at most one gap
-// rounding short of warmup+measure.
+// warmup and that a run stopping at the window floor covers the measured
+// interval: its last window ends at most one gap rounding short of
+// warmup+measure, at a fraction of the detailed cost.
 func TestDeriveSpansExactProtocol(t *testing.T) {
 	for _, proto := range [][2]uint64{{15_000, 60_000}, {50_000, 300_000}, {5_000, 20_000}} {
 		warmup, measure := proto[0], proto[1]
-		p := Derive(warmup, measure)
+		p := DeriveAdaptive(warmup, measure)
 		if err := p.Validate(); err != nil {
-			t.Fatalf("Derive(%d, %d) invalid: %v", warmup, measure, err)
+			t.Fatalf("DeriveAdaptive(%d, %d) invalid: %v", warmup, measure, err)
 		}
 		if p.SkipCycles != warmup {
-			t.Errorf("Derive(%d, %d): SkipCycles = %d, want the exact warmup", warmup, measure, p.SkipCycles)
+			t.Errorf("DeriveAdaptive(%d, %d): SkipCycles = %d, want the exact warmup", warmup, measure, p.SkipCycles)
 		}
-		span := p.SpannedCycles()
-		if total := warmup + measure; span > total || total-span >= uint64(p.Windows) {
-			t.Errorf("Derive(%d, %d): spans %d cycles, want within %d of %d",
-				warmup, measure, span, p.Windows, total)
+		if p.MinWindows >= p.Windows {
+			t.Errorf("DeriveAdaptive(%d, %d): no room above the window floor: %+v", warmup, measure, p)
 		}
-		if p.DetailedCycles() >= measure/2 {
-			t.Errorf("Derive(%d, %d): detailed cost %d is no saving over measure %d",
-				warmup, measure, p.DetailedCycles(), measure)
+		k := uint64(p.MinWindows)
+		detailed := k * (p.Warmup + p.Measure)
+		span := p.SkipCycles + detailed + (k-1)*p.FFCycles
+		if total := warmup + measure; span > total || total-span >= k {
+			t.Errorf("DeriveAdaptive(%d, %d): floor run spans %d cycles, want within %d of %d",
+				warmup, measure, span, k, total)
+		}
+		if detailed >= measure/2 {
+			t.Errorf("DeriveAdaptive(%d, %d): floor detailed cost %d is no saving over measure %d",
+				warmup, measure, detailed, measure)
 		}
 	}
 }
@@ -72,7 +106,7 @@ func TestRunDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	p := Derive(5_000, 20_000)
+	p := DeriveAdaptive(5_000, 20_000)
 	a, aggA, err := Run(testMachine(t), p)
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +138,6 @@ func TestAdaptiveStopping(t *testing.T) {
 	base := DeriveAdaptive(5_000, 20_000)
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if !base.Adaptive() || base.MinWindows >= base.Windows {
-		t.Fatalf("DeriveAdaptive yielded no adaptive headroom: %+v", base)
 	}
 
 	capped := base
@@ -149,28 +180,29 @@ func TestSummaryInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	p := Derive(5_000, 20_000)
+	p := DeriveAdaptive(5_000, 20_000)
 	sum, agg, err := Run(testMachine(t), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.WindowThroughput) != p.Windows {
-		t.Fatalf("retained %d windows, want %d", len(sum.WindowThroughput), p.Windows)
+	k := len(sum.WindowThroughput)
+	if k < p.MinWindows || k > p.Windows {
+		t.Fatalf("retained %d windows, want within [%d, %d]", k, p.MinWindows, p.Windows)
 	}
 	var mean float64
 	for _, w := range sum.WindowThroughput {
 		mean += w
 	}
-	mean /= float64(p.Windows)
+	mean /= float64(k)
 	if sum.Throughput != mean {
 		t.Errorf("Throughput %v != mean of windows %v", sum.Throughput, mean)
 	}
-	tq := tQuantile9985(p.Windows - 1)
+	tq := tQuantile9985(k - 1)
 	if got, want := sum.ThroughputCI, tq*sum.ThroughputStdErr; math.Abs(got-want) > 1e-12 {
 		t.Errorf("ThroughputCI %v != t-quantile x stderr %v", got, want)
 	}
-	if sum.MeasuredCycles != uint64(p.Windows)*p.Measure {
-		t.Errorf("MeasuredCycles %d, want %d", sum.MeasuredCycles, uint64(p.Windows)*p.Measure)
+	if sum.MeasuredCycles != uint64(k)*p.Measure {
+		t.Errorf("MeasuredCycles %d, want %d", sum.MeasuredCycles, uint64(k)*p.Measure)
 	}
 	if agg.Cycles != sum.MeasuredCycles {
 		t.Errorf("aggregate cycles %d != summary MeasuredCycles %d", agg.Cycles, sum.MeasuredCycles)

@@ -64,9 +64,9 @@ func (t *Trial) Summary() *sim.SchedSummary {
 }
 
 // Result adapts the trial to the campaign result schema so sched cells ride
-// the same memoisation, store and shard machinery as every closed-workload
-// cell. Throughput carries the aggregate committed IPC; the open-system
-// metrics live in Result.Sched.
+// the same memoisation, store and coordinator machinery as every
+// closed-workload cell. Throughput carries the aggregate committed IPC; the
+// open-system metrics live in Result.Sched.
 func (t *Trial) Result() sim.Result {
 	s := t.Summary()
 	return sim.Result{

@@ -221,15 +221,12 @@ func (r *Runner) RunWorkload(cfg config.Config, w workload.Workload, mk PolicyFa
 	return res, nil
 }
 
-// SamplePlan resolves the sampling schedule for cfg under this runner's
-// protocol: an explicit cfg.Sampling block wins, otherwise the schedule is
-// derived from the runner's exact warmup/measure windows, so quick and full
-// protocols scale their sampled counterparts consistently.
+// SamplePlan returns the sampling schedule stamped on cfg. A config without
+// one yields the zero Params, which sample.RunObserved refuses: every
+// sampled run names its schedule, so its results cannot be confused with
+// another schedule's.
 func (r *Runner) SamplePlan(cfg config.Config) sample.Params {
-	if cfg.Sampling.Enabled() {
-		return sample.FromConfig(cfg.Sampling)
-	}
-	return sample.Derive(r.Warmup, r.Measure)
+	return sample.FromConfig(cfg.Sampling)
 }
 
 // RunMachineSampled is RunMachine's sampled-mode counterpart: it draws a

@@ -371,8 +371,8 @@ func MustProfile(name string) Profile {
 }
 
 // ProfileByName returns the named benchmark profile, with an error rather
-// than a panic for names arriving from external inputs (campaign cells,
-// shard files).
+// than a panic for names arriving from external inputs (campaign cells read
+// from a store or a lease).
 func ProfileByName(name string) (Profile, error) {
 	p, ok := Benchmarks()[name]
 	if !ok {
