@@ -66,9 +66,9 @@ func TestDiffRecordsSlowdownRegresses(t *testing.T) {
 
 func TestDiffRecordsWithinThreshold(t *testing.T) {
 	old, rec := baseRecord(), baseRecord()
-	rec.NsPerCycle = 105      // +5%, inside the threshold
-	rec.SampledSpeedup = 4.8  // -4%, inside the threshold (higher-better)
-	rec.Figure5Seconds = 9    // improvement, never a regression
+	rec.NsPerCycle = 105     // +5%, inside the threshold
+	rec.SampledSpeedup = 4.8 // -4%, inside the threshold (higher-better)
+	rec.Figure5Seconds = 9   // improvement, never a regression
 	if deltas, regressed := diffRecords(old, rec, 0.10); regressed {
 		t.Fatalf("within-threshold moves flagged: %+v", deltas)
 	}

@@ -40,18 +40,18 @@ func writeTrace(tr *obs.Tracer, path string) {
 func cmdCoordinate(args []string) {
 	fs := flag.NewFlagSet("campaign coordinate", flag.ExitOnError)
 	var (
-		addr       = fs.String("addr", ":8123", "HTTP listen address")
-		exp        = fs.String("exp", "", "experiment key (tab1,fig2,... — see EXPERIMENTS.md)")
-		storeDir   = fs.String("store", "", "persistent result store directory")
-		csvDir     = fs.String("csv", "", "CSV artifact directory (default <store>/csv)")
-		rangeSize  = fs.Int("range", 0, "cells per lease (0 = default)")
-		ttl        = fs.Duration("ttl", 0, "lease TTL; a lease with no heartbeat for this long is reclaimed (0 = default)")
-		retries    = fs.Int("retries", 0, "per-cell retry budget before a cell is declared missing (0 = default)")
-		backoff    = fs.Duration("backoff", 0, "base retry backoff, doubled per attempt (0 = default)")
-		backoffMax = fs.Duration("backoff-max", 0, "retry backoff cap (0 = default)")
-		speculate  = fs.Duration("speculate", 0, "re-dispatch a straggling lease to a second worker after this long (0 = default)")
-		deadline   = fs.Duration("deadline", 0, "campaign deadline; on expiry drain leases and render what completed (0 = none)")
-		grace      = fs.Duration("grace", 30*time.Second, "drain grace: how long to wait for in-flight leases on deadline/SIGTERM")
+		addr        = fs.String("addr", ":8123", "HTTP listen address")
+		exp         = fs.String("exp", "", "experiment key (tab1,fig2,... — see EXPERIMENTS.md)")
+		storeDir    = fs.String("store", "", "persistent result store directory")
+		csvDir      = fs.String("csv", "", "CSV artifact directory (default <store>/csv)")
+		rangeSize   = fs.Int("range", 0, "cells per lease (0 = default)")
+		ttl         = fs.Duration("ttl", 0, "lease TTL; a lease with no heartbeat for this long is reclaimed (0 = default)")
+		retries     = fs.Int("retries", 0, "per-cell retry budget before a cell is declared missing (0 = default)")
+		backoff     = fs.Duration("backoff", 0, "base retry backoff, doubled per attempt (0 = default)")
+		backoffMax  = fs.Duration("backoff-max", 0, "retry backoff cap (0 = default)")
+		speculate   = fs.Duration("speculate", 0, "re-dispatch a straggling lease to a second worker after this long (0 = default)")
+		deadline    = fs.Duration("deadline", 0, "campaign deadline; on expiry drain leases and render what completed (0 = none)")
+		grace       = fs.Duration("grace", 30*time.Second, "drain grace: how long to wait for in-flight leases, and for live workers to hear the campaign is over")
 		checkpoint  = fs.String("checkpoint", "", "coordinator checkpoint file (default <store>/coordinator.json)")
 		seed        = fs.Uint64("seed", 1, "backoff jitter seed")
 		healthEvery = fs.Duration("health-every", 2*time.Second, "health ring tick interval (windowed rates for /status and `campaign top`)")
@@ -181,11 +181,12 @@ wait:
 		}
 	}
 	co.HealthTick() // close the final interval before reporting
-	// Let workers see StateDone/Cancel before the listener goes away, then
-	// stop accepting. Lingering workers just observe a dead coordinator and
-	// retry into their retry window — the campaign state is already safe.
+	// Let live workers hear StateDone before the listener goes away, then
+	// stop accepting. A worker parked between polls would otherwise find the
+	// port closed and retry into its retry window.
 	if !drained {
 		co.Drain()
+		co.WaitIdle(*grace)
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -340,7 +341,7 @@ func cmdWork(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		in := faults.NewInjector(f, nil)
+		in := faults.NewInjector(f)
 		w.Hooks = in.Hooks()
 		w.Transport = in.Wrap(w.Transport)
 		fmt.Fprintf(os.Stderr, "work: %s: injecting fault %s\n", *id, f)

@@ -84,11 +84,11 @@ func serveMain(args []string) {
 			}
 			return pol
 		},
-		Picker:    picker,
-		Arrivals:  sched.Arrivals{Kind: sched.ArrivalKind(*arrivals), Jobs: *jobs, Gap: *gap, Burst: *burst},
-		Benches:   benches,
-		Budget:    *budget,
-		Seed:      *seed,
+		Picker:      picker,
+		Arrivals:    sched.Arrivals{Kind: sched.ArrivalKind(*arrivals), Jobs: *jobs, Gap: *gap, Burst: *burst},
+		Benches:     benches,
+		Budget:      *budget,
+		Seed:        *seed,
 		MaxCycles:   *maxCycles,
 		FFDrain:     *ffDrain,
 		Obs:         reg,

@@ -78,7 +78,7 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 						NewRunner: runnerFactory(runner),
 					}
 					if f.Kind != faults.CoordinatorRestart && f.Worker == i {
-						in := faults.NewInjector(f, nil)
+						in := faults.NewInjector(f)
 						w.Hooks = in.Hooks()
 						w.Transport = in.Wrap(lb)
 					}

@@ -26,21 +26,6 @@ import (
 	"dcra/internal/rng"
 )
 
-// Clock abstracts wall time so tests can compress lease TTLs and backoff
-// windows; the zero value of every consumer uses the real clock.
-type Clock interface {
-	Now() time.Time
-	Sleep(d time.Duration)
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time        { return time.Now() }
-func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// RealClock returns the wall clock.
-func RealClock() Clock { return realClock{} }
-
 // Options tune the coordinator. The zero value gets sensible defaults.
 type Options struct {
 	// RangeSize is the number of cells per lease (default 8).
@@ -66,8 +51,6 @@ type Options struct {
 	PollInterval time.Duration
 	// Seed fixes the backoff jitter stream (default 1).
 	Seed uint64
-	// Clock defaults to the wall clock; chaos tests compress time.
-	Clock Clock
 	// Checkpoint is the path retry accounting is persisted to after every
 	// state change; empty disables checkpointing (restart then resets retry
 	// budgets but still resumes completion from the store).
@@ -117,9 +100,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Clock == nil {
-		o.Clock = realClock{}
-	}
 	return o
 }
 
@@ -137,6 +117,13 @@ type rangeState struct {
 	start, end int
 	attempts   int       // failed leases so far, drives backoff
 	notBefore  time.Time // backoff gate; zero = leasable now
+}
+
+// contact is a worker's latest request: when it arrived and whether it was
+// answered StateDone.
+type contact struct {
+	at   time.Time
+	done bool
 }
 
 // lease is one outstanding grant.
@@ -168,6 +155,7 @@ type Coordinator struct {
 	done     int
 	exhaust  int
 	retries  int
+	workers  map[string]contact
 
 	o      coordObs
 	lanes  map[string]int // trace lane per worker, in first-contact order
@@ -231,6 +219,7 @@ func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*
 		store:    st,
 		cellByKy: make(map[string]int),
 		leases:   make(map[string]*lease),
+		workers:  make(map[string]contact),
 		jitter:   rng.New(opts.Seed ^ 0xc00d),
 		lanes:    make(map[string]int),
 	}
@@ -284,9 +273,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 		c.opts.Logf(format, args...)
 	}
 }
-
-// now returns the coordinator clock's current time.
-func (c *Coordinator) now() time.Time { return c.opts.Clock.Now() }
 
 // reapLocked expires overdue leases, re-queueing their incomplete cells.
 func (c *Coordinator) reapLocked(now time.Time) {
@@ -371,7 +357,13 @@ func (c *Coordinator) leaseCountLocked() map[int]int {
 func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	now := time.Now()
+	resp := c.leaseLocked(req, now)
+	c.workers[req.Worker] = contact{at: now, done: resp.State == StateDone}
+	return resp
+}
+
+func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) LeaseResponse {
 	c.reapLocked(now)
 
 	if c.draining || c.done+c.exhaust == len(c.cells) {
@@ -406,7 +398,7 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	if straggler != nil && straggler.worker != req.Worker {
 		r := c.ranges[straggler.r]
 		c.logf("straggler: range %d leased to %s for %v, re-dispatching to %s",
-			straggler.r, straggler.worker, c.now().Sub(straggler.issued), req.Worker)
+			straggler.r, straggler.worker, now.Sub(straggler.issued), req.Worker)
 		c.o.speculated.Inc()
 		c.flightf("speculate", "range %d straggling on %s for %v, re-dispatched to %s",
 			straggler.r, straggler.worker, now.Sub(straggler.issued), req.Worker)
@@ -452,7 +444,8 @@ func (c *Coordinator) grantLocked(worker string, ri int, idx []int, attempt int,
 func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	now := time.Now()
+	c.workers[req.Worker] = contact{at: now}
 	c.reapLocked(now)
 	l, ok := c.leases[req.LeaseID]
 	if !ok {
@@ -485,7 +478,8 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	now := time.Now()
+	c.workers[req.Worker] = contact{at: now}
 	c.reapLocked(now)
 
 	if got := PayloadSum(req.Cells); got != req.Sum {
@@ -560,7 +554,8 @@ func (c *Coordinator) traceCellLocked(req CompleteRequest, ci int, now time.Time
 func (c *Coordinator) Fail(req FailRequest) FailResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	now := time.Now()
+	c.workers[req.Worker] = contact{at: now}
 	c.reapLocked(now)
 	if l, ok := c.leases[req.LeaseID]; ok {
 		delete(c.leases, req.LeaseID)
@@ -576,7 +571,7 @@ func (c *Coordinator) Fail(req FailRequest) FailResponse {
 func (c *Coordinator) Status() StatusResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	now := time.Now()
 	c.reapLocked(now)
 
 	resp := StatusResponse{
@@ -638,20 +633,35 @@ func (c *Coordinator) Drain() {
 	}
 }
 
-// WaitIdle blocks until no leases are outstanding (their workers completed,
-// failed or expired) or the grace period elapses.
+// WaitIdle blocks until the grace period elapses or the campaign has wound
+// down: no leases are outstanding (their workers completed, failed or
+// expired) and every worker heard from within the last LeaseTTL has been
+// answered StateDone, so no live worker finds the listener gone. A worker
+// silent for a whole TTL has crashed or left and is not waited for.
 func (c *Coordinator) WaitIdle(grace time.Duration) {
-	deadline := c.now().Add(grace)
+	deadline := time.Now().Add(grace)
 	for {
+		now := time.Now()
 		c.mu.Lock()
-		c.reapLocked(c.now())
-		idle := len(c.leases) == 0
+		c.reapLocked(now)
+		idle := len(c.leases) == 0 && c.workersToldLocked(now)
 		c.mu.Unlock()
-		if idle || !c.now().Before(deadline) {
+		if idle || !now.Before(deadline) {
 			return
 		}
-		c.opts.Clock.Sleep(min(50*time.Millisecond, grace/10+time.Millisecond))
+		time.Sleep(min(50*time.Millisecond, grace/10+time.Millisecond))
 	}
+}
+
+// workersToldLocked reports whether every worker heard from within the last
+// LeaseTTL was answered StateDone.
+func (c *Coordinator) workersToldLocked(now time.Time) bool {
+	for _, w := range c.workers {
+		if !w.done && now.Sub(w.at) < c.opts.LeaseTTL {
+			return false
+		}
+	}
+	return true
 }
 
 // Missing returns the cells not in the store, in canonical order.

@@ -151,18 +151,14 @@ func Parse(spec string) (Fault, error) {
 // injector behaviour — the harness owns it.
 type Injector struct {
 	Fault Fault
-	Clock coord.Clock
 
 	heartbeats atomic.Int64
 	completes  atomic.Int64
 }
 
 // NewInjector builds the injector for one fault.
-func NewInjector(f Fault, clock coord.Clock) *Injector {
-	if clock == nil {
-		clock = coord.RealClock()
-	}
-	return &Injector{Fault: f, Clock: clock}
+func NewInjector(f Fault) *Injector {
+	return &Injector{Fault: f}
 }
 
 // Hooks returns the worker hooks implementing the fault's compute-side
@@ -179,7 +175,7 @@ func (in *Injector) Hooks() coord.WorkerHooks {
 	case SlowLoris:
 		return coord.WorkerHooks{BeforeCell: func(n int, _ campaign.Cell) error {
 			if n >= in.Fault.After {
-				in.Clock.Sleep(in.Fault.Delay)
+				time.Sleep(in.Fault.Delay)
 			}
 			return nil
 		}}

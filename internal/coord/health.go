@@ -1,6 +1,8 @@
 package coord
 
 import (
+	"time"
+
 	"dcra/internal/obs"
 )
 
@@ -49,7 +51,7 @@ func (c *Coordinator) HealthTick() {
 	if c.health == nil {
 		return
 	}
-	c.health.Record(c.now().UnixMilli(), c.opts.Obs.Snapshot())
+	c.health.Record(time.Now().UnixMilli(), c.opts.Obs.Snapshot())
 	if !c.opts.CellSLO.Enabled() {
 		return
 	}

@@ -15,10 +15,10 @@ import (
 
 // HTTP wire paths. The coordinator serves them; HTTPTransport calls them.
 const (
-	pathLease     = "/v1/lease"
-	pathHeartbeat = "/v1/heartbeat"
-	pathComplete  = "/v1/complete"
-	pathFail      = "/v1/fail"
+	pathLease       = "/v1/lease"
+	pathHeartbeat   = "/v1/heartbeat"
+	pathComplete    = "/v1/complete"
+	pathFail        = "/v1/fail"
 	pathStatus      = "/v1/status"
 	pathMetrics     = "/metrics"
 	pathMetricsProm = "/metrics.prom"

@@ -39,8 +39,6 @@ type Worker struct {
 	Transport Transport
 	NewRunner RunnerFactory
 
-	// Clock defaults to the wall clock.
-	Clock Clock
 	// RetryWindow bounds how long consecutive transport failures are
 	// retried before the worker gives up (default 60s).
 	RetryWindow time.Duration
@@ -59,13 +57,6 @@ type Worker struct {
 	params campaign.Params
 }
 
-func (w *Worker) clock() Clock {
-	if w.Clock == nil {
-		return realClock{}
-	}
-	return w.Clock
-}
-
 // Run serves the campaign until the coordinator reports it done (returns
 // nil), the transport stays down past RetryWindow, or a fault hook kills the
 // worker.
@@ -79,14 +70,14 @@ func (w *Worker) Run() error {
 	for {
 		resp, err := w.Transport.Lease(LeaseRequest{Worker: w.ID})
 		if err != nil {
-			now := w.clock().Now()
+			now := time.Now()
 			if downSince.IsZero() {
 				downSince = now
 			} else if now.Sub(downSince) > retryWindow {
 				w.Flight.Record("outage", "coordinator unreachable for %v, giving up: %v", now.Sub(downSince), err)
 				return fmt.Errorf("coord: worker %s: coordinator unreachable for %v: %w", w.ID, now.Sub(downSince), err)
 			}
-			w.clock().Sleep(backoff)
+			time.Sleep(backoff)
 			backoff = min(2*backoff, 2*time.Second)
 			continue
 		}
@@ -96,7 +87,7 @@ func (w *Worker) Run() error {
 			w.Missing = resp.Missing
 			return nil
 		case StateWait:
-			w.clock().Sleep(time.Duration(resp.RetryMs) * time.Millisecond)
+			time.Sleep(time.Duration(resp.RetryMs) * time.Millisecond)
 		case StateLease:
 			if err := w.serve(resp.Grant); err != nil {
 				return err
@@ -122,30 +113,28 @@ func (w *Worker) serve(g *Grant) error {
 
 	// Heartbeat at a third of the TTL until the lease's work is over or the
 	// coordinator cancels it (drain, or a twin finished the range first).
+	// Waiting in a select on stop lets serve return as soon as the lease's
+	// last completion is acknowledged.
 	cancel := make(chan struct{})
 	stop := make(chan struct{})
-	var once sync.Once
 	var hb sync.WaitGroup
 	hb.Add(1)
 	go func() {
 		defer hb.Done()
+		timer := time.NewTimer(g.TTL() / 3)
+		defer timer.Stop()
 		for {
 			select {
 			case <-stop:
 				return
-			default:
-			}
-			w.clock().Sleep(g.TTL() / 3)
-			select {
-			case <-stop:
-				return
-			default:
+			case <-timer.C:
 			}
 			resp, err := w.Transport.Heartbeat(HeartbeatRequest{Worker: w.ID, LeaseID: g.LeaseID})
 			if err == nil && resp.Cancel {
-				once.Do(func() { close(cancel) })
+				close(cancel)
 				return
 			}
+			timer.Reset(g.TTL() / 3)
 		}
 	}()
 	defer func() {
@@ -164,14 +153,14 @@ func (w *Worker) serve(g *Grant) error {
 				return err
 			}
 		}
-		t0 := w.clock().Now()
+		t0 := time.Now()
 		r, err := w.runner.RunCell(cell)
 		if err != nil {
 			w.Flight.Record("cell-failed", "cell %s: %v", cell, err)
 			w.Transport.Fail(FailRequest{Worker: w.ID, LeaseID: g.LeaseID, Reason: err.Error()})
 			return nil
 		}
-		elapsed := w.clock().Now().Sub(t0)
+		elapsed := time.Since(t0)
 		w.Cells++
 		cells := []campaign.CellResult{{Key: cell.Key(), Cell: cell, Result: r}}
 		req := CompleteRequest{

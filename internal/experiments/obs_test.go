@@ -54,7 +54,7 @@ func TestFigure5BitIdenticalWithTelemetry(t *testing.T) {
 	got, err := Figure5(instrumented)
 	close(stopSampling)
 	<-samplerDone
-	ring.Record(1 << 30, reg.Snapshot())
+	ring.Record(1<<30, reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,10 +112,7 @@ func TestCoordinatedStoreMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	co, err := coord.New(spec.Key, sweep, store, coord.Options{
-		RangeSize: 2,
-		// A worker's heartbeat sleeps LeaseTTL/3 before the worker can
-		// move on, so a short TTL keeps the test fast.
-		LeaseTTL:     300 * time.Millisecond,
+		RangeSize:    2,
 		PollInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
