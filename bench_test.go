@@ -227,15 +227,16 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 // detailed cycles, only the stream advance plus warming. Each op is one
 // committed uop per thread (4 threads), driven in gap-sized budgets the way
 // the sampled runner issues them. "full" trains caches/TLBs/predictor for
-// every skipped uop; "warmtail" skims the gap body with stats-only stream
-// advance and trains only the final uops before the would-be window — the
-// adaptive protocol's gap mode. The uops/s metric counts all threads.
+// every skipped uop (a warm tail as long as the gap); "warmtail" skims the
+// gap body with stats-only stream advance and trains only the final uops
+// before the would-be window — the sampled protocol's gap mode. The uops/s
+// metric counts all threads.
 func BenchmarkFastForward(b *testing.B) {
+	const gap = 16_384 // per-thread uops per budget call, ~ a sampling gap
 	run := func(b *testing.B, ff func(m *cpu.Machine, budgets []uint64)) {
 		m := benchMachine(b)
 		budgets := make([]uint64, m.NumThreads())
 		b.ResetTimer()
-		const gap = 16_384 // per-thread uops per budget call, ~ a sampling gap
 		var done uint64
 		for done < uint64(b.N) {
 			n := min(gap, uint64(b.N)-done)
@@ -248,7 +249,7 @@ func BenchmarkFastForward(b *testing.B) {
 		b.ReportMetric(float64(done)*float64(len(budgets))/b.Elapsed().Seconds(), "uops/s")
 	}
 	b.Run("full", func(b *testing.B) {
-		run(b, func(m *cpu.Machine, budgets []uint64) { m.FastForwardBudgets(budgets) })
+		run(b, func(m *cpu.Machine, budgets []uint64) { m.FastForwardBudgetsTail(budgets, gap) })
 	})
 	b.Run("warmtail", func(b *testing.B) {
 		run(b, func(m *cpu.Machine, budgets []uint64) { m.FastForwardBudgetsTail(budgets, 3072) })

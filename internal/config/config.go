@@ -130,9 +130,9 @@ type Config struct {
 // fast-forward gaps of FFCycles cycle-equivalents. Windows beyond
 // MinWindows run only while the 99.7% t-interval half-width of the
 // throughput estimate exceeds TargetRelCIPpm parts-per-million of the mean.
-// WarmTail > 0 fast-forwards each gap's body with stream-only draws and
-// applies full cache/predictor warming to the last WarmTail uops per thread
-// before the next window. The zero value means "no schedule" (exact runs).
+// Each gap's body is fast-forwarded with stream-only draws, and the last
+// WarmTail uops per thread before the next window get full cache/predictor
+// warming. The zero value means "no schedule" (exact runs).
 //
 // The schedule is part of a sampled cell's content key, so any knob
 // difference produces a distinct key and stores never mix schedules. The
@@ -152,7 +152,7 @@ type SamplingConfig struct {
 	TargetRelCIPpm int64 `json:"target_rel_ci_ppm,omitempty"`
 	// WarmTail is the per-thread uop count at the end of each gap that gets
 	// full functional warming; the gap body before it advances the stream
-	// without touching caches or the predictor. Zero = warm the whole gap.
+	// without touching caches or the predictor. It must be at least 1.
 	WarmTail uint64 `json:"warm_tail,omitempty"`
 }
 
@@ -170,6 +170,8 @@ func (s SamplingConfig) Validate() error {
 		return fmt.Errorf("config: sampling min_windows must be in [1, windows], got %+v", s)
 	case s.TargetRelCIPpm <= 0:
 		return fmt.Errorf("config: sampling needs a positive target_rel_ci_ppm: %+v", s)
+	case s.WarmTail == 0:
+		return fmt.Errorf("config: sampling needs a warm_tail of at least 1 uop: %+v", s)
 	}
 	return nil
 }

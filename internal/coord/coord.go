@@ -318,6 +318,43 @@ func (c *Coordinator) failLeaseLocked(l *lease, now time.Time, why string) {
 	c.saveCheckpointLocked()
 }
 
+// closeHeldLocked closes every lease worker still holds. A worker serves
+// one lease at a time, so when it asks for the next one, any lease it still
+// holds is over: usually one a heartbeat told it to abandon (drain, or a
+// speculative twin finished the range), which it leaves without a Fail or a
+// final Complete. Closing it now rather than at its deadline keeps WaitIdle
+// from waiting out its TTL. A lease with nothing left to compute is dropped
+// without charging a retry; any other is failed exactly as its expiry
+// would be.
+func (c *Coordinator) closeHeldLocked(worker string, now time.Time) {
+	for id, l := range c.leases {
+		if l.worker != worker {
+			continue
+		}
+		delete(c.leases, id)
+		if !c.leftLocked(l) {
+			c.traceLeaseLocked(l, now, "cancelled")
+			c.logf("lease %s (%s, range %d): closed at its worker's next lease request, nothing left to compute",
+				l.id, l.worker, l.r)
+			continue
+		}
+		c.o.leasesExpired.Inc()
+		c.traceLeaseLocked(l, now, "abandoned")
+		c.flightf("lease-abandoned", "lease %s (%s, range %d) abandoned by its worker", l.id, l.worker, l.r)
+		c.failLeaseLocked(l, now, "abandoned by its worker")
+	}
+}
+
+// leftLocked reports whether any of l's cells is neither done nor given up.
+func (c *Coordinator) leftLocked(l *lease) bool {
+	for _, i := range l.cells {
+		if !c.cells[i].done && !c.cells[i].exhausted {
+			return true
+		}
+	}
+	return false
+}
+
 // backoffLocked computes the jittered exponential backoff for an attempt.
 func (c *Coordinator) backoffLocked(attempt int) time.Duration {
 	d := c.opts.BackoffBase
@@ -353,7 +390,8 @@ func (c *Coordinator) leaseCountLocked() map[int]int {
 // cells, no active lease and an elapsed backoff gate. When none is pending,
 // a straggler range (sole lease older than SpeculateAfter) is speculatively
 // double-leased; otherwise the worker is told to wait or, when every cell is
-// done or given up on (or the coordinator is draining), to exit.
+// done or given up on (or the coordinator is draining), to exit. Any lease
+// the asking worker still holds is closed first (closeHeldLocked).
 func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -365,6 +403,7 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 
 func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) LeaseResponse {
 	c.reapLocked(now)
+	c.closeHeldLocked(req.Worker, now)
 
 	if c.draining || c.done+c.exhaust == len(c.cells) {
 		return LeaseResponse{State: StateDone, Missing: len(c.cells) - c.done}
@@ -455,17 +494,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	l.deadline = now.Add(c.opts.LeaseTTL)
 	// Cancel leases whose remaining work evaporated (a speculative twin or a
 	// late completion finished the cells) and all leases while draining.
-	cancel := c.draining
-	if !cancel {
-		cancel = true
-		for _, i := range l.cells {
-			if !c.cells[i].done && !c.cells[i].exhausted {
-				cancel = false
-				break
-			}
-		}
-	}
-	return HeartbeatResponse{OK: true, Cancel: cancel}
+	return HeartbeatResponse{OK: true, Cancel: c.draining || !c.leftLocked(l)}
 }
 
 // Complete verifies and stores a completion payload. Integrity is checked

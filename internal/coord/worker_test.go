@@ -164,3 +164,65 @@ func TestExitHandshakeSilentWorker(t *testing.T) {
 		t.Errorf("WaitIdle waited %v for a worker silent since its lease", elapsed)
 	}
 }
+
+// TestNextLeaseClosesCancelledLease has a speculative twin finish the range
+// a slow worker is straggling on. The straggler's next heartbeat cancels its
+// lease and it leaves the lease without a Fail or a final Complete; its
+// next Lease request must close that lease, without charging a retry, so
+// WaitIdle returns well inside the lease's TTL instead of waiting it out.
+func TestNextLeaseClosesCancelledLease(t *testing.T) {
+	const ttl = time.Second
+	co := openChaos(t, chaosSweep(4), func(o *coord.Options) { // one range
+		o.LeaseTTL = ttl
+		o.SpeculateAfter = 20 * time.Millisecond
+	})
+	lb := coord.NewLoopback(co)
+	// Four 250 ms cells: the heartbeat at TTL/3 cancels the straggler before
+	// its last cell, so no final Complete closes its lease.
+	slow := &coord.Worker{ID: "slow", Transport: lb, NewRunner: runnerFactory(newSlowRunner(250 * time.Millisecond))}
+	slowErr := make(chan error, 1)
+	go func() { slowErr <- slow.Run() }()
+	for len(co.Status().Leases) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	twin := &coord.Worker{ID: "twin", Transport: lb, NewRunner: runnerFactory(newSlowRunner(0))}
+	if err := twin.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-slowErr; err != nil {
+		t.Fatal(err)
+	}
+	if slow.Cells >= 4 {
+		t.Fatalf("the straggler computed all %d cells; it was never cancelled", slow.Cells)
+	}
+	start := time.Now()
+	co.WaitIdle(10 * ttl)
+	if elapsed := time.Since(start); elapsed >= ttl/4 {
+		t.Errorf("WaitIdle waited %v after the straggler's cancelled lease (TTL %v)", elapsed, ttl)
+	}
+	if st := co.Status(); len(st.Leases) != 0 || st.Retries != 0 || !st.Complete() {
+		t.Errorf("after the straggler's next lease request: %d leases, %d retries, complete=%v; want 0, 0, true",
+			len(st.Leases), st.Retries, st.Complete())
+	}
+}
+
+// TestNextLeaseFailsAbandonedLease checks the other case: a worker asking
+// for a lease while its previous one still has cells to compute abandoned
+// it, so that lease is failed at once exactly as its expiry would be (one
+// retry charged, its range behind a backoff gate) rather than held for a
+// TTL.
+func TestNextLeaseFailsAbandonedLease(t *testing.T) {
+	co := openChaos(t, chaosSweep(4), func(o *coord.Options) {
+		o.LeaseTTL = time.Minute
+		o.BackoffBase, o.BackoffMax = time.Minute, time.Minute
+	})
+	if r := co.Lease(coord.LeaseRequest{Worker: "w"}); r.State != coord.StateLease {
+		t.Fatalf("first lease request answered %q", r.State)
+	}
+	if r := co.Lease(coord.LeaseRequest{Worker: "w"}); r.State != coord.StateWait {
+		t.Fatalf("second lease request answered %q, want wait behind the abandoned range's backoff", r.State)
+	}
+	if st := co.Status(); len(st.Leases) != 0 || st.Retries != 1 || st.Pending != 4 {
+		t.Errorf("after abandoning: %d leases, %d retries, %d pending; want 0, 1, 4", len(st.Leases), st.Retries, st.Pending)
+	}
+}

@@ -145,43 +145,19 @@ func (m *Machine) ffSkim(t int, n uint64) {
 // others' lines before every measurement window, biasing sampled IPC low.
 const ffChunk = 128
 
-// FastForward advances every non-parked thread by n committed uops,
-// interleaved in ffChunk-uop round-robin quanta. The schedule is a pure
-// function of (n, thread count), so same-seed sampled runs reproduce
-// bit-identically.
-func (m *Machine) FastForward(n uint64) {
-	rem := m.ffBuf[:0]
-	for t := 0; t < m.nt; t++ {
-		rem = append(rem, n)
-	}
-	m.ffRun(rem)
-}
-
-// FastForwardBudgets advances thread t by budgets[t] committed uops (parked
-// threads and missing entries skip nothing), interleaved like FastForward so
+// FastForwardBudgetsTail advances thread t by budgets[t] committed uops
+// (parked threads and missing entries skip nothing) with warm-tail
+// warming: each thread's gap body beyond the last tail uops advances with
+// ffSkim (stream draws only — no cache, TLB or predictor training), and
+// only the final tail uops before the next measurement window run the full
+// functional-warming path, interleaved in ffChunk-uop round-robin quanta so
 // threads with unequal budgets — e.g. rate-proportional sampling gaps —
-// still mingle their cache footprints. Every non-parked thread is rewound to
-// its commit point even on a zero budget, so the machine restarts uniformly.
-// The schedule is a pure function of the budget vector, keeping same-seed
-// sampled runs bit-identical.
-func (m *Machine) FastForwardBudgets(budgets []uint64) {
-	rem := m.ffBuf[:0]
-	for t := 0; t < m.nt; t++ {
-		b := uint64(0)
-		if t < len(budgets) {
-			b = budgets[t]
-		}
-		rem = append(rem, b)
-	}
-	m.ffRun(rem)
-}
-
-// FastForwardBudgetsTail is FastForwardBudgets with warm-tail warming: each
-// thread's gap body beyond the last tail uops advances with ffSkim (stream
-// draws only — no cache, TLB or predictor training), and only the final tail
-// uops before the next measurement window run the full functional-warming
-// path. tail == 0 skims everything; a tail at least as large as every budget
-// degenerates to FastForwardBudgets exactly.
+// still mingle their cache footprints. tail == 0 skims everything; a tail
+// at least as large as every budget warms the whole gap (full warming).
+// Every non-parked thread is rewound to its commit point even on a zero
+// budget, so the machine restarts uniformly. The schedule is a pure
+// function of the budget vector and tail, keeping same-seed sampled runs
+// bit-identical.
 //
 // The parity argument: during the skim the hierarchy is neither refreshed
 // nor perturbed, so lines resident at gap entry stay resident; the warm tail
@@ -218,22 +194,6 @@ func (m *Machine) FastForwardBudgetsTail(budgets []uint64, tail uint64) {
 			rem[t] = tail
 			total -= skim
 		}
-	}
-	m.ffWalk(rem, total)
-}
-
-// ffRun rewinds every non-parked thread and walks the remaining budgets in
-// interleaved ffChunk-uop round-robin quanta. rem aliases the machine's
-// scratch buffer and is consumed.
-func (m *Machine) ffRun(rem []uint64) {
-	var total uint64
-	for t := 0; t < m.nt; t++ {
-		if m.threads[t].parked {
-			rem[t] = 0
-			continue
-		}
-		m.ffRewind(t)
-		total += rem[t]
 	}
 	m.ffWalk(rem, total)
 }

@@ -2,8 +2,16 @@ package cpu
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
+
+// fullWarm fast-forwards every thread of m by its budget with full
+// functional warming: a warm tail at least as large as every budget warms
+// the whole gap.
+func fullWarm(m *Machine, budgets ...uint64) {
+	m.FastForwardBudgetsTail(budgets, slices.Max(budgets))
+}
 
 // TestFastForwardBitReproducible checks a run interleaving detailed and
 // fast-forward execution is a pure function of the seed and call sequence:
@@ -15,9 +23,9 @@ func TestFastForwardBitReproducible(t *testing.T) {
 	run := func() *Machine {
 		m := newTestMachine(t, "gzip", "mcf", "art", "eon")
 		m.Run(2_000)
-		m.FastForward(2_500)
+		fullWarm(m, 2_500, 2_500, 2_500, 2_500)
 		m.Run(1_000)
-		m.FastForwardBudgets([]uint64{1_000, 2_000, 3_000, 500})
+		fullWarm(m, 1_000, 2_000, 3_000, 500)
 		m.Run(2_000)
 		return m
 	}
@@ -38,7 +46,7 @@ func TestFastForwardMatchesDetailedStream(t *testing.T) {
 	detailed.Run(30_000)
 	ff := newTestMachine(t, "gzip", "mcf")
 	ff.Run(5_000)
-	ff.FastForward(4_000)
+	fullWarm(ff, 4_000, 4_000)
 	ff.Run(5_000)
 	sd, sf := detailed.Stats(), ff.Stats()
 	for i := range sf.Threads {
@@ -61,7 +69,7 @@ func TestFastForwardBudgetsSkipsParked(t *testing.T) {
 	m := newTestMachine(t, "gzip", "mcf")
 	m.Run(1_000)
 	m.ParkThread(1)
-	m.FastForwardBudgets([]uint64{2_000, 2_000})
+	fullWarm(m, 2_000, 2_000)
 	st := m.Stats()
 	if st.Threads[0].FastForwarded != 2_000 {
 		t.Errorf("active thread FastForwarded = %d, want 2000", st.Threads[0].FastForwarded)

@@ -153,6 +153,10 @@ type Machine struct {
 	rankBuf   []int
 	totalRes  [NumResources]int
 	commitObs CommitObserver // optional per-commit hook, nil almost always
+
+	// ckpts is the canonical-stream checkpoint store the machine's streams
+	// use (see SetCheckpoints); nil outside a pool.
+	ckpts *trace.Checkpoints
 }
 
 // Shape captures the allocation geometry of a Machine: two machines with
@@ -341,7 +345,9 @@ func (m *Machine) Reinit(cfg config.Config, profiles []trace.Profile, pol Policy
 		if err != nil {
 			return err
 		}
+		ckpts := m.ckpts
 		*m = *nm
+		m.SetCheckpoints(ckpts)
 		return nil
 	}
 
@@ -394,6 +400,19 @@ func (m *Machine) Reinit(cfg config.Config, profiles []trace.Profile, pol Policy
 	m.commitObs = nil
 	m.setTotals(rename)
 	return nil
+}
+
+// SetCheckpoints hands checkpoint store c to every thread's stream (nil
+// detaches), so their fast-forward skims restore generator state other
+// streams of the same identity already reached. Results are bit-identical
+// with or without a store. The attachment survives Reinit and
+// RebindThread; machine pools attach their store to every machine they
+// serve.
+func (m *Machine) SetCheckpoints(c *trace.Checkpoints) {
+	m.ckpts = c
+	for t := range m.threads {
+		m.threads[t].stream.UseCheckpoints(c)
+	}
 }
 
 // ---- accessors used by policies and the experiment harness ----

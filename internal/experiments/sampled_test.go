@@ -30,13 +30,20 @@ func sampledDeterminismSuite(workers int) *Suite {
 // TestSampledDeterminism runs the same sampled cells on a serial engine, a
 // parallel engine sharing the machine pool, and a pool-less runner, and
 // requires bit-identical results — including every per-window throughput in
-// the sampling summary. Run under -race this also exercises the shared pool
-// and the sampled baseline cache.
+// the sampling summary. A second parallel suite then reruns the cells in
+// reverse order on the first one's pool, whose stream checkpoint store the
+// first pass filled, so its skims restore what other cells walked. Run
+// under -race this also exercises the shared pool, the checkpoint store and
+// the sampled baseline cache.
 func TestSampledDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	cells := determinismCells()
+	reversed := make([]campaign.Cell, len(cells))
+	for i, c := range cells {
+		reversed[len(cells)-1-i] = c
+	}
 
 	serial := sampledDeterminismSuite(1)
 	parallel := sampledDeterminismSuite(8)
@@ -46,6 +53,11 @@ func TestSampledDeterminism(t *testing.T) {
 		if err := s.Prefetch(cells); err != nil {
 			t.Fatal(err)
 		}
+	}
+	refilled := sampledDeterminismSuite(8)
+	refilled.Runner.Pool = parallel.Runner.Pool
+	if err := refilled.Prefetch(reversed); err != nil {
+		t.Fatal(err)
 	}
 
 	for _, c := range cells {
@@ -58,7 +70,7 @@ func TestSampledDeterminism(t *testing.T) {
 		if rs.Sampled == nil {
 			t.Fatalf("%s: sampled-mode cell carries no sampling summary", id)
 		}
-		for name, other := range map[string]*Suite{"parallel": parallel, "pool-less": fresh} {
+		for name, other := range map[string]*Suite{"parallel": parallel, "pool-less": fresh, "checkpoint-restoring": refilled} {
 			ro, err := other.RunCell(c)
 			if err != nil {
 				t.Fatal(err)

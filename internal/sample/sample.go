@@ -49,9 +49,9 @@ import (
 // cycle-aligned. After MinWindows windows, more are added only while the
 // 99.7% t-interval half-width of the running throughput estimate exceeds
 // TargetRelCIPpm parts-per-million of its mean; Windows is the hard cap.
-// WarmTail > 0 fast-forwards each gap body with stream-only draws, applying
-// full cache/TLB/predictor warming only to the last WarmTail uops per
-// thread; zero warms the whole gap.
+// Each gap body is fast-forwarded with stream-only draws, applying full
+// cache/TLB/predictor warming only to the last WarmTail uops per thread
+// (WarmTail >= 1).
 //
 // Every Summary serialises its Params, and sampled results are persisted
 // verbatim, so the field set and order are part of the stored format.
@@ -68,7 +68,7 @@ type Params struct {
 
 	MinWindows     int    // windows run before the stopping rule applies
 	TargetRelCIPpm int64  // stopping target: rel. CI half-width, ppm of mean
-	WarmTail       uint64 // per-thread warm uops at each gap's end; 0 = full warming
+	WarmTail       uint64 // per-thread warm uops at each gap's end, >= 1
 }
 
 // Validate checks the schedule is runnable under the rules of
@@ -286,11 +286,7 @@ func RunObserved(m *cpu.Machine, p Params, reg *obs.Registry, tr *obs.Tracer) (*
 	relTarget := float64(p.TargetRelCIPpm) / 1e6
 	var detailed, overhead uint64
 	ff := func(label string, args ...any) {
-		if p.WarmTail > 0 {
-			m.FastForwardBudgetsTail(budgets, p.WarmTail)
-		} else {
-			m.FastForwardBudgets(budgets)
-		}
+		m.FastForwardBudgetsTail(budgets, p.WarmTail)
 		var skipped uint64
 		for t := 0; t < nt; t++ {
 			if !m.Parked(t) {

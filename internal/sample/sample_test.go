@@ -50,6 +50,7 @@ func TestParamsValidate(t *testing.T) {
 		{"no stopping target", with(func(p *Params) { p.TargetRelCIPpm = 0 }), false},
 		{"negative stopping target", with(func(p *Params) { p.TargetRelCIPpm = -1 }), false},
 		{"target without floor", with(func(p *Params) { p.MinWindows = 0; p.TargetRelCIPpm = 1 }), false},
+		{"no warm tail", with(func(p *Params) { p.WarmTail = 0 }), false},
 	}
 	for _, tc := range cases {
 		err := tc.p.Validate()

@@ -17,11 +17,19 @@ import (
 // per-P caches make Get/Put contention-free on the hot path, and whose GC
 // integration keeps idle campaigns from pinning retired machine arenas.
 //
+// The pool also owns the canonical-stream checkpoint store its machines
+// share (trace.Checkpoints): a sampled cell's fast-forward skims restore
+// generator state that an earlier cell of the pool already walked for the
+// same (profile, thread slot, seed), instead of re-deriving it. Exact cells
+// never skim, so they never touch it. The store lives as long as the pool
+// and grows with the canonical reach of the streams skimmed through it.
+//
 // A nil *MachinePool is valid and degenerates to fresh construction per
 // call, which is what keeps pooling transparent to zero-value Runners.
 type MachinePool struct {
 	mu    sync.Mutex
 	pools map[cpu.Shape]*sync.Pool
+	ckpts *trace.Checkpoints
 
 	hits   *obs.Counter // Get served by a pooled machine (Reinit path)
 	misses *obs.Counter // Get built a fresh machine
@@ -29,7 +37,7 @@ type MachinePool struct {
 
 // NewMachinePool returns an empty pool.
 func NewMachinePool() *MachinePool {
-	return &MachinePool{pools: make(map[cpu.Shape]*sync.Pool)}
+	return &MachinePool{pools: make(map[cpu.Shape]*sync.Pool), ckpts: trace.NewCheckpoints()}
 }
 
 // SetObs resolves the pool's hit/miss counters from reg; a nil reg (or
@@ -64,15 +72,21 @@ func (p *MachinePool) Get(cfg config.Config, profiles []trace.Profile, pol cpu.P
 		return cpu.New(cfg, profiles, pol, seed)
 	}
 	sh := cpu.ShapeOf(cfg, len(profiles))
-	if m, ok := p.bucket(sh).Get().(*cpu.Machine); ok {
+	m, ok := p.bucket(sh).Get().(*cpu.Machine)
+	if ok {
 		if err := m.Reinit(cfg, profiles, pol, seed); err != nil {
 			return nil, err
 		}
 		p.hits.Inc()
-		return m, nil
+	} else {
+		p.misses.Inc()
+		var err error
+		if m, err = cpu.New(cfg, profiles, pol, seed); err != nil {
+			return nil, err
+		}
 	}
-	p.misses.Inc()
-	return cpu.New(cfg, profiles, pol, seed)
+	m.SetCheckpoints(p.ckpts)
+	return m, nil
 }
 
 // Put returns a machine to the pool for later reuse. The caller must be done

@@ -32,8 +32,9 @@ type ThreadStats struct {
 
 	Flushes uint64 // FLUSH-policy squash events
 
-	// FastForwarded counts uops advanced functionally (Machine.FastForward)
-	// rather than through the detailed pipeline. They are not Committed:
+	// FastForwarded counts uops advanced functionally
+	// (Machine.FastForwardBudgetsTail, Machine.FastForwardThread) rather
+	// than through the detailed pipeline. They are not Committed:
 	// IPC and throughput remain detailed-window quantities.
 	FastForwarded uint64
 }

@@ -17,7 +17,12 @@ import (
 //	u := s.At(i)     // i may be at most the generation frontier
 //	s.Release(i)     // uops below i have committed and may be dropped
 type Stream struct {
+	// Identity: the generator state at canonical index i is a pure
+	// function of (prof, slot, seed, i), which is what lets streams share
+	// checkpoints (see Checkpoints).
 	prof Profile
+	slot int
+	seed uint64
 
 	rg  *rng.Source // canonical-path randomness
 	wrg *rng.Source // wrong-path randomness (separate so squashes cannot
@@ -63,6 +68,10 @@ type Stream struct {
 	// draw skips the accumulation pass. Summation order matches Pick's, so
 	// draws stay bit-identical.
 	mixTotal [2]float64
+
+	// ck links the stream to the checkpoint store its owner attached, if
+	// any; only SkipUops consults it.
+	ck ckptHandle
 }
 
 // Region indices within the working-set mixture.
@@ -102,12 +111,17 @@ func (s *Stream) init(p Profile, threadID int, seed uint64) {
 	}
 	var base rng.Source
 	base.Reseed(seed ^ (uint64(threadID)+1)*0x9e3779b97f4a7c15)
-	s.prof = p
+	s.prof, s.slot, s.seed = p, threadID, seed
+	s.ck.line = nil
 	base.SplitInto(s.rg)
 	base.SplitInto(s.wrg)
 	s.siteSeed = base.Uint64()
 	s.buf = s.buf[:0]
 	s.base, s.next = 0, 0
+	if s.callStack == nil {
+		// Never nil, so an emptied stack and a fresh one compare equal.
+		s.callStack = make([]uint64, 0, maxCallDepth)
+	}
 	s.callStack = s.callStack[:0]
 	s.sinceLoad = 0
 	// Stagger the layout per thread by odd line counts: power-of-two bases
@@ -241,11 +255,17 @@ func (s *Stream) SkipUop(u *isa.Uop) {
 // u is scratch space; unlike SkipUop it is NOT a faithful synthesis: the
 // dependency-distance fields are left zero (their geometric draws advance
 // the RNG identically but skip the CDF search — see rng.GeomDist.Skip),
-// because no caller observes them. Callers that need complete uops
-// (functional warming) use SkipUop per uop instead. This is the
-// bulk-advance primitive behind warm-tail fast-forward, where the gap body
-// only needs the stream cursor and RNG state moved, not the uops
-// themselves.
+// because no caller observes them, and with a checkpoint store attached it
+// may not be written at all. Callers that need complete uops (functional
+// warming) use SkipUop per uop instead. This is the bulk-advance primitive
+// behind warm-tail fast-forward, where the gap body only needs the stream
+// cursor and RNG state moved, not the uops themselves.
+//
+// With a checkpoint store attached (UseCheckpoints), the skim first
+// restores the latest stored checkpoint of this stream identity in
+// (frontier, frontier+n], then skims the rest, recording a checkpoint at
+// every multiple of ckptStride it passes. The end state is bit-identical
+// either way.
 func (s *Stream) SkipUops(n uint64, u *isa.Uop) {
 	if n == 0 {
 		return
@@ -255,8 +275,22 @@ func (s *Stream) SkipUops(n uint64, u *isa.Uop) {
 	}
 	s.skim = true
 	defer func() { s.skim = false }()
-	for i := uint64(0); i < n; i++ {
-		s.skipOne(u)
+	end := s.next + n
+	line := s.ckptLine()
+	if line != nil {
+		line.restore(s, end)
+	}
+	for s.next < end {
+		stop := end
+		if line != nil {
+			stop = min(end, (s.next/ckptStride+1)*ckptStride)
+		}
+		for s.next < stop {
+			s.skipOne(u)
+		}
+		if line != nil && stop%ckptStride == 0 {
+			line.record(s)
+		}
 	}
 }
 
