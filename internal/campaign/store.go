@@ -13,7 +13,6 @@ import (
 
 	"dcra/internal/obs"
 	"dcra/internal/sim"
-	"dcra/internal/singleflight"
 )
 
 // Params pins the simulation protocol a store's results were measured under.
@@ -45,13 +44,10 @@ const storeVersion = 1
 // Store is a persistent on-disk result store: one JSON file per cell, named
 // by the cell's content key, written atomically (temp file + rename) so
 // concurrent writers — including unrelated processes sharing the directory —
-// never expose a torn cell. A single-flight memo keeps in-flight cells from
-// being simulated or read twice within a process and serves repeat lookups
-// from memory.
+// never expose a torn cell.
 type Store struct {
 	dir         string
 	params      Params
-	flight      singleflight.Memo[string, sim.Result]
 	quarantined atomic.Int64
 
 	o storeObs
@@ -131,12 +127,31 @@ func (st *Store) cellPath(key string) string {
 	return filepath.Join(st.dir, "cells", key+".json")
 }
 
-// Get returns the stored result for c, reporting whether it was present.
-// A corrupt cell file — truncated or garbled JSON (a crashed disk, a torn
-// copy), or a file holding a different cell (key collision, hand-edit) — is
-// quarantined to <key>.corrupt and reported as a miss, so one bad file costs
-// one resimulation instead of failing the whole render.
+// preferred returns the cell whose stored result renders use instead of c's
+// own when the store holds it, and whether c has one. Renders prefer exact:
+// a sampled cell is an approximation of its exact counterpart's result.
+func preferred(c Cell) (Cell, bool) {
+	return c.Exact(), c.Mode == ModeSampled
+}
+
+// Get returns the stored result renders use for c, reporting whether the
+// store holds one: for a sampled cell its exact counterpart's result when
+// that is stored (preferred), otherwise c's own.
 func (st *Store) Get(c Cell) (sim.Result, bool, error) {
+	if e, ok := preferred(c); ok {
+		if r, ok, err := st.get(e); err != nil || ok {
+			return r, ok, err
+		}
+	}
+	return st.get(c)
+}
+
+// get reads c's own cell file. A corrupt cell file — truncated or garbled
+// JSON (a crashed disk, a torn copy), or a file holding a different cell
+// (key collision, hand-edit) — is quarantined to <key>.corrupt and reported
+// as a miss, so one bad file costs one resimulation instead of failing the
+// whole render.
+func (st *Store) get(c Cell) (sim.Result, bool, error) {
 	key := c.Key()
 	data, err := os.ReadFile(st.cellPath(key))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -191,10 +206,19 @@ func (st *Store) CorruptCount() (int, error) {
 	return n, nil
 }
 
-// Has reports whether the store holds a result for c without reading it.
+// Has reports whether c's own cell file is present, without reading it.
 func (st *Store) Has(c Cell) bool {
 	_, err := os.Stat(st.cellPath(c.Key()))
 	return err == nil
+}
+
+// Covers reports whether Get has a result for c, without reading it: the
+// preferred cell's file or c's own is present.
+func (st *Store) Covers(c Cell) bool {
+	if e, ok := preferred(c); ok && st.Has(e) {
+		return true
+	}
+	return st.Has(c)
 }
 
 // Put stores the result for c atomically, overwriting any previous value.
@@ -210,28 +234,22 @@ func (st *Store) Put(c Cell, r sim.Result) error {
 	return nil
 }
 
-// Do returns the result for c, loading it from disk if present and otherwise
-// computing it with compute and persisting the result. In-flight cells are
-// single-flighted: concurrent requesters within the process share one disk
-// read or one simulation, and repeat calls are served from memory. computed
-// reports whether compute ran (i.e. the store missed).
+// Do returns Get's result for c or, when the store has none, computes it
+// with compute and persists it under c's key. computed reports whether
+// compute ran. Do does not deduplicate concurrent calls for one cell: its
+// caller (experiments.Suite) already single-flights and memoises cells.
 func (st *Store) Do(c Cell, compute func() (sim.Result, error)) (r sim.Result, computed bool, err error) {
-	r, err = st.flight.Do(c.Key(), func() (sim.Result, error) {
-		if r, ok, err := st.Get(c); err != nil || ok {
-			return r, err
-		}
-		computed = true
-		r, err := compute()
-		if err != nil {
-			return r, err
-		}
-		return r, st.Put(c, r)
-	})
-	return r, computed, err
+	if r, ok, err := st.Get(c); err != nil || ok {
+		return r, false, err
+	}
+	if r, err = compute(); err != nil {
+		return r, true, err
+	}
+	return r, true, st.Put(c, r)
 }
 
-// Count returns how many of the sweep's cells the store holds, alongside the
-// cells still missing (in sweep enumeration order).
+// Count returns how many of the sweep's distinct cells the store covers
+// (Covers), alongside the cells still missing (in sweep enumeration order).
 func (st *Store) Count(s Sweep) (present int, missing []Cell) {
 	seen := make(map[Cell]struct{}, len(s.Cells))
 	for _, c := range s.Cells {
@@ -239,7 +257,7 @@ func (st *Store) Count(s Sweep) (present int, missing []Cell) {
 			continue
 		}
 		seen[c] = struct{}{}
-		if st.Has(c) {
+		if st.Covers(c) {
 			present++
 		} else {
 			missing = append(missing, c)

@@ -206,10 +206,11 @@ func (c *Coordinator) traceLeaseLocked(l *lease, now time.Time, outcome string) 
 // New builds a coordinator for one experiment sweep over the given store.
 // The sweep's distinct cells, in enumeration order, form the canonical cell
 // order ranges are cut from — deterministic, so a restarted coordinator cuts
-// identical ranges. Cells already in the store count as done immediately
-// (resumption, or a partially merged earlier campaign); a checkpoint file at
-// opts.Checkpoint, if present, must describe the same campaign and restores
-// retry accounting.
+// identical ranges. Cells the store already covers count as done
+// immediately (resumption, an earlier campaign, or for a sampled cell its
+// stored exact counterpart, which renders prefer); a sweep with no cells
+// starts complete. A checkpoint file at opts.Checkpoint, if present, must
+// describe the same campaign and restores retry accounting.
 func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{
@@ -246,15 +247,12 @@ func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*
 			continue
 		}
 		seen[cell] = struct{}{}
-		cs := cellState{cell: cell, key: cell.Key(), done: st.Has(cell)}
+		cs := cellState{cell: cell, key: cell.Key(), done: st.Covers(cell)}
 		if cs.done {
 			c.done++
 		}
 		c.cellByKy[cs.key] = len(c.cells)
 		c.cells = append(c.cells, cs)
-	}
-	if len(c.cells) == 0 {
-		return nil, fmt.Errorf("coord: campaign %s has no cells", name)
 	}
 	for start := 0; start < len(c.cells); start += opts.RangeSize {
 		end := min(start+opts.RangeSize, len(c.cells))

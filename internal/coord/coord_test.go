@@ -13,6 +13,7 @@ import (
 	"dcra/internal/campaign"
 	"dcra/internal/config"
 	"dcra/internal/coord"
+	"dcra/internal/sample"
 	"dcra/internal/sim"
 )
 
@@ -474,5 +475,63 @@ func TestCompleteRejectsCorruptPayloads(t *testing.T) {
 		Cells: []campaign.CellResult{good}, Sum: coord.PayloadSum([]campaign.CellResult{good}),
 	}); !r.OK {
 		t.Fatalf("clean payload rejected: %s", r.Reason)
+	}
+}
+
+// TestExactBackedSampledCellsStartDone: renders prefer exact, so a sampled
+// cell whose exact counterpart is stored needs no lease. A coordinator over
+// a sampled sweep with all but one exact cell stored leases only that one
+// cell, and a coordinator over a store holding every exact cell starts
+// complete.
+func TestExactBackedSampledCellsStartDone(t *testing.T) {
+	exact := chaosSweep(6)
+	sampled := campaign.Sweep{Name: "chaos-sampled"}
+	for _, c := range exact.Cells {
+		c = c.Sampled()
+		c.Cfg.Sampling = sample.DeriveAdaptive(chaosParams.Warmup, chaosParams.Measure).Config()
+		sampled.Cells = append(sampled.Cells, c)
+	}
+	dir := t.TempDir()
+	st, err := campaign.Open(dir, chaosParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range exact.Cells[1:] {
+		if err := st.Put(c, chaosResult(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	co, err := coord.New("chaos", sampled, st, fastOpts(t, dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Status(); s.Done != len(exact.Cells)-1 {
+		t.Fatalf("sampled campaign over %d stored exact cells starts with %d done", len(exact.Cells)-1, s.Done)
+	}
+	runner := newSlowRunner(0)
+	w := &coord.Worker{ID: "w0", Transport: coord.NewLoopback(co), NewRunner: runnerFactory(runner)}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Cells != 1 || runner.count(sampled.Cells[0].Key()) != 1 {
+		t.Errorf("worker computed %d cells, want only the sampled cell without a stored exact result", w.Cells)
+	}
+
+	if err := st.Put(exact.Cells[0], chaosResult(exact.Cells[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "cells", sampled.Cells[0].Key()+".json")); err != nil {
+		t.Fatal(err)
+	}
+	co, err = coord.New("chaos", sampled, st, fastOpts(t, dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Status(); !s.Complete() || s.Done != len(sampled.Cells) {
+		t.Errorf("sampled campaign over a store holding every exact cell starts at %+v, want complete", s)
+	}
+	if r := co.Lease(coord.LeaseRequest{Worker: "w1"}); r.State != coord.StateDone {
+		t.Errorf("lease request answered %q, want %q", r.State, coord.StateDone)
 	}
 }

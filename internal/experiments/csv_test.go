@@ -8,7 +8,7 @@ import (
 )
 
 // TestWriteCSVs renders the static experiments (no simulation needed) and
-// checks the CSV artifacts land where `campaign render -csv` promises them.
+// checks the CSV artifacts land where `campaign run -csv` promises them.
 func TestWriteCSVs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "csv")
 	s := NewQuickSuite()

@@ -160,7 +160,6 @@ func (s *Suite) computeSchedCell(c campaign.Cell) (sim.Result, error) {
 		Seed:        s.Runner.Seed,
 		MaxCycles:   schedMaxCycles(s),
 		Pool:        s.Runner.Pool,
-		FFDrain:     s.SchedFFDrain,
 		Obs:         s.Runner.Obs,
 		SLOs:        s.SchedSLOs,
 		HealthEvery: s.SchedHealthEvery,

@@ -159,14 +159,6 @@ type Suite struct {
 	// where the retired fixed 7-window protocol stored its results).
 	Sampling config.SamplingConfig
 
-	// SchedFFDrain runs "sched:" trial cells with sched.Config.FFDrain:
-	// each trial's tail (all jobs arrived, none queued) fast-forwards
-	// functionally instead of simulating in detail. Drained trials report
-	// estimated turnarounds and mode-dependent event-log digests, so such
-	// cells bypass the persistent store entirely — they neither read the
-	// exact results nor pollute the store with estimates.
-	SchedFFDrain bool
-
 	// SchedSLOs and SchedHealthEvery attach the fleet-health layer to
 	// "sched:" trial cells: declarative turnaround objectives and the
 	// health-ring tick interval, forwarded into sched.Config. Health ticks
@@ -270,43 +262,28 @@ func (s *Suite) runCell(c campaign.Cell) (sim.Result, error) {
 			"(stamp one, e.g. sample.DeriveAdaptive(warmup, measure).Config(), via Suite.Sampling)", c)
 	}
 	return s.memo.Do(c, func() (sim.Result, error) {
-		if s.SchedFFDrain && strings.HasPrefix(c.WID, schedPrefix) {
-			// FF-drained trials are estimates: keep them out of the store.
+		if s.Store == nil {
 			r, err := s.computeCell(c)
 			if err == nil {
 				s.simulated.Add(1)
 			}
 			return r, err
 		}
-		if s.Store != nil {
-			// Renders prefer exact when present: a sampled cell whose exact
-			// counterpart is already in the store loads that instead of
-			// simulating an approximation of a result we hold exactly.
-			if c.Mode == campaign.ModeSampled {
-				if r, ok, err := s.Store.Get(c.Exact()); err == nil && ok {
-					s.storeHits.Add(1)
-					return r, nil
-				}
+		compute := func() (sim.Result, error) { return s.computeCell(c) }
+		if s.RequireStore {
+			compute = func() (sim.Result, error) {
+				return sim.Result{}, fmt.Errorf("experiments: cell %s: %w", c, ErrMissingCell)
 			}
-			compute := func() (sim.Result, error) { return s.computeCell(c) }
-			if s.RequireStore {
-				compute = func() (sim.Result, error) {
-					return sim.Result{}, fmt.Errorf("experiments: cell %s: %w", c, ErrMissingCell)
-				}
-			}
-			r, computed, err := s.Store.Do(c, compute)
-			if err == nil {
-				if computed {
-					s.simulated.Add(1)
-				} else {
-					s.storeHits.Add(1)
-				}
-			}
-			return r, err
 		}
-		r, err := s.computeCell(c)
+		// The store answers a sampled cell with its exact counterpart's
+		// result when it holds one: renders prefer exact.
+		r, computed, err := s.Store.Do(c, compute)
 		if err == nil {
-			s.simulated.Add(1)
+			if computed {
+				s.simulated.Add(1)
+			} else {
+				s.storeHits.Add(1)
+			}
 		}
 		return r, err
 	})

@@ -103,8 +103,8 @@ func (e *Engine) RunLabeled(n int, label func(i int) string, task func(i int)) {
 
 // EnginePID is the trace pid lane group engine worker spans live on. It must
 // stay clear of the coordinator's lane groups (coord.TracePIDLeases = 0,
-// coord.TracePIDCells = 1) because `campaign coordinate -trace` attaches one
-// tracer to both the coordinator and the render engine in one process.
+// coord.TracePIDCells = 1) because `campaign run -trace` attaches one tracer
+// to both the coordinator and the render engine in one process.
 const EnginePID = 4
 
 // instrumented wraps task with the engine's telemetry: started/done
