@@ -5,8 +5,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"strings"
 )
 
 // MetricDelta is one compared metric between two bench records.
@@ -58,19 +60,41 @@ func diffRecords(old, new Record, threshold float64) (deltas []MetricDelta, regr
 	return deltas, regressed
 }
 
-// runDiff is the -diff entry point: load both records, print the table,
-// exit 1 on regression.
-func runDiff(oldPath, newPath string, threshold float64) {
+// shapeMismatch names every machine-shape field on which two records
+// differ, with both values. Wall-clock and allocation totals follow the
+// worker count, so only same-shape points compare.
+func shapeMismatch(old, new Record) []string {
+	var diffs []string
+	if old.GOMAXPROCS != new.GOMAXPROCS {
+		diffs = append(diffs, fmt.Sprintf("gomaxprocs %d vs %d", old.GOMAXPROCS, new.GOMAXPROCS))
+	}
+	if old.Workers != new.Workers {
+		diffs = append(diffs, fmt.Sprintf("workers %d vs %d", old.Workers, new.Workers))
+	}
+	return diffs
+}
+
+// runDiff is the -diff entry point: load both records, print the table and
+// return the exit code: 1 on a regression or an unreadable record, 2 when
+// the records were measured on different machine shapes.
+func runDiff(oldPath, newPath string, threshold float64, stdout, stderr io.Writer) int {
 	old, err := readRecord(oldPath)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
 	rec, err := readRecord(newPath)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
+	}
+	if diffs := shapeMismatch(old, rec); len(diffs) > 0 {
+		fmt.Fprintf(stderr, "benchjson: %s and %s were measured on different machine shapes (%s); refusing to compare\n",
+			oldPath, newPath, strings.Join(diffs, ", "))
+		return 2
 	}
 	deltas, regressed := diffRecords(old, rec, threshold)
-	fmt.Printf("benchjson: %s -> %s (threshold %.0f%%)\n", oldPath, newPath, 100*threshold)
+	fmt.Fprintf(stdout, "benchjson: %s -> %s (threshold %.0f%%)\n", oldPath, newPath, 100*threshold)
 	for _, d := range deltas {
 		mark := " "
 		if d.Regressed {
@@ -80,13 +104,14 @@ func runDiff(oldPath, newPath string, threshold float64) {
 		if !math.IsNaN(d.Pct) {
 			pct = fmt.Sprintf("%+.1f%%", d.Pct)
 		}
-		fmt.Printf("%s %-34s %14.4g -> %-14.4g %s\n", mark, d.Name, d.Old, d.New, pct)
+		fmt.Fprintf(stdout, "%s %-34s %14.4g -> %-14.4g %s\n", mark, d.Name, d.Old, d.New, pct)
 	}
 	if regressed {
-		fmt.Println("benchjson: REGRESSION (metrics marked '!')")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "benchjson: REGRESSION (metrics marked '!')")
+		return 1
 	}
-	fmt.Println("benchjson: no regressions")
+	fmt.Fprintln(stdout, "benchjson: no regressions")
+	return 0
 }
 
 func readRecord(path string) (Record, error) {

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"dcra/internal/experiments"
@@ -9,6 +14,8 @@ import (
 
 func baseRecord() Record {
 	return Record{
+		GOMAXPROCS:        1,
+		Workers:           1,
 		NsPerCycle:        100,
 		Figure5Seconds:    10,
 		Figure5AllocBytes: 1 << 20,
@@ -110,5 +117,58 @@ func TestDiffRecordsZeroBaseline(t *testing.T) {
 	}
 	if d := deltaByName(t, deltas, "ns_per_cycle"); !math.IsNaN(d.Pct) {
 		t.Errorf("zero baseline should yield NaN pct, got %v", d.Pct)
+	}
+}
+
+// writeRecord stores rec as a trajectory-point file and returns its path.
+func writeRecord(t *testing.T, name string, rec Record) string {
+	t.Helper()
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestRunDiffExitCodes(t *testing.T) {
+	slow := baseRecord()
+	slow.NsPerCycle = 120
+	oldPath := writeRecord(t, "old.json", baseRecord())
+	for _, tc := range []struct {
+		name string
+		rec  Record
+		code int
+	}{
+		{"unchanged", baseRecord(), 0},
+		{"regressed", slow, 1},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := runDiff(oldPath, writeRecord(t, "new.json", tc.rec), 0.10, &stdout, &stderr); code != tc.code {
+			t.Errorf("%s: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", tc.name, code, tc.code, &stdout, &stderr)
+		}
+	}
+}
+
+// TestRunDiffRefusesDifferentShapes: BENCH_PR9.json ran one worker on
+// GOMAXPROCS 1 and BENCH_PR14.json two on 2, so their wall-clock and
+// allocation totals measure the worker count as much as the code. -diff
+// must name both differing fields and exit 2 without printing deltas.
+func TestRunDiffRefusesDifferentShapes(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := runDiff("../../BENCH_PR9.json", "../../BENCH_PR14.json", 0.10, &stdout, &stderr)
+	if code != 2 {
+		t.Errorf("exit %d, want 2", code)
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("deltas printed for incomparable points:\n%s", &stdout)
+	}
+	for _, want := range []string{"gomaxprocs 1 vs 2", "workers 1 vs 2"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("refusal %q does not name %q", stderr.String(), want)
+		}
 	}
 }

@@ -10,7 +10,8 @@
 //	benchjson                      # writes bench.json in the working dir
 //	benchjson -out BENCH_PR2.json  # the committed per-PR trajectory points
 //	benchjson -cycles 2000000      # longer simulator-speed measurement
-//	benchjson -diff A.json B.json  # per-metric deltas; exit 1 on regression
+//	benchjson -diff A.json B.json  # per-metric deltas; exit 1 on regression,
+//	                               # 2 if A and B ran on different shapes
 package main
 
 import (
@@ -87,8 +88,7 @@ func main() {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-diff needs exactly two record paths, got %d", flag.NArg()))
 		}
-		runDiff(flag.Arg(0), flag.Arg(1), *thresh)
-		return
+		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *thresh, os.Stdout, os.Stderr))
 	}
 	if *cycles == 0 {
 		fatal(fmt.Errorf("-cycles must be > 0"))

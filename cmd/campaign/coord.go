@@ -13,7 +13,6 @@ import (
 	"dcra/internal/coord"
 	"dcra/internal/coord/faults"
 	"dcra/internal/experiments"
-	"dcra/internal/obs"
 )
 
 // coordinatorStatus queries a live coordinator and renders its progress
@@ -65,7 +64,6 @@ func cmdWork(args []string) {
 		id          = fs.String("id", "", "worker name (default host:pid)")
 		faultSpec   = fs.String("fault", "", "fault to self-inject, for chaos drills: kind[:after=N][:delay=D] (kinds: "+faults.KindList()+")")
 		retryWindow = fs.Duration("retry-window", 0, "keep retrying an unreachable coordinator this long before giving up (0 = default)")
-		flightPath  = fs.String("flightrec", "", "dump the worker's flight record here on failure (empty = disabled)")
 	)
 	fs.Parse(args)
 	if *coordinator == "" {
@@ -88,19 +86,6 @@ func cmdWork(args []string) {
 		NewRunner:   func(p campaign.Params) (campaign.Runner, error) { return workerSuite(p), nil },
 		RetryWindow: *retryWindow,
 	}
-	if *flightPath != "" {
-		w.Flight = obs.NewFlightRecorder(256)
-	}
-	dumpWorkerFlight := func(reason string) {
-		if *flightPath == "" {
-			return
-		}
-		if err := w.Flight.WriteFile(*flightPath, reason); err != nil {
-			fmt.Fprintln(os.Stderr, "work: writing flight record:", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "work: %s: wrote flight record %s (%d events)\n", *id, *flightPath, w.Flight.Len())
-	}
 	if *faultSpec != "" {
 		f, err := faults.Parse(*faultSpec)
 		if err != nil {
@@ -119,11 +104,9 @@ func cmdWork(args []string) {
 		// The injected crash: die abruptly, mid-lease, without a Fail call —
 		// exactly what a SIGKILLed or OOM-killed worker looks like.
 		fmt.Fprintf(os.Stderr, "work: %s: killed by injected fault\n", *id)
-		dumpWorkerFlight("killed by injected fault")
 		os.Exit(137)
 	}
 	if err != nil {
-		dumpWorkerFlight("worker failed: " + err.Error())
 		fatal(err)
 	}
 	if w.Missing > 0 {

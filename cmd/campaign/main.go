@@ -25,12 +25,15 @@
 //
 //	campaign run -addr :8123 -exp fig5 -store DIR          # lease server, renders when complete
 //	campaign work -coordinator http://host:8123            # any number, anywhere
-//	campaign status -coordinator http://host:8123          # live progress
+//	campaign status -coordinator http://host:8123          # live progress, health and cell SLO
 //
 // Either way the coordinator reclaims leases whose heartbeats lapse,
 // retries failed cells with backoff, checkpoints its retry state for
 // crash-safe resumption (<store>/coordinator-<sweep hash>.json), and drains
-// on Ctrl-C or -deadline. See EXPERIMENTS.md ("Distributed campaigns").
+// on Ctrl-C or -deadline. It ticks a health ring every 2s, judged against
+// the -cell-slo-* objective, and an aborted campaign leaves its flight
+// record in <store>/flightrec.json. See EXPERIMENTS.md ("Distributed
+// campaigns", "Watching a fleet").
 package main
 
 import (
@@ -67,26 +70,22 @@ func main() {
 		cmdGC(os.Args[2:])
 	case "work":
 		cmdWork(os.Args[2:])
-	case "top":
-		cmdTop(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: campaign <run|status|gc|work|top> [flags]
+	fmt.Fprintln(os.Stderr, `usage: campaign <run|status|gc|work> [flags]
 
   run     -exp KEY -store DIR [-quick] [-warmup N -measure N] [-sampled]
           [-csv DIR] [-require-store] [-trace FILE]
           [-addr HOST:PORT] [-range N -ttl D -retries N -backoff D -backoff-max D]
           [-speculate D -deadline D -grace D -checkpoint FILE -seed N]
-          [-health-every D -cell-slo-p Q -cell-slo-ms N -cell-slo-window N]
+          [-cell-slo-p Q -cell-slo-ms N -cell-slo-window N]
   status  -exp KEY -store DIR [-sampled] | -coordinator URL
   gc      -store DIR [-dry-run]
-  work    -coordinator URL [-id NAME] [-fault SPEC] [-retry-window D]
-          [-flightrec FILE]
-  top     -coordinator URL [-interval D] [-n N]`)
+  work    -coordinator URL [-id NAME] [-fault SPEC] [-retry-window D]`)
 	os.Exit(2)
 }
 

@@ -41,12 +41,15 @@ type runOptions struct {
 
 	// addr, when set, serves the coordinator over HTTP to remote workers
 	// instead of computing with local ones.
-	addr        string
-	coord       coord.Options // Checkpoint defaults per sweep (runCampaign)
-	deadline    time.Duration
-	grace       time.Duration
-	healthEvery time.Duration
+	addr     string
+	coord    coord.Options // Checkpoint defaults per sweep (runCampaign)
+	deadline time.Duration
+	grace    time.Duration
 }
+
+// healthEvery is the coordinator's health-ring tick: the windowed rates in
+// /v1/status and the cell SLO's window are counted in these intervals.
+const healthEvery = 2 * time.Second
 
 // parseRunFlags resolves `campaign run`'s flags. Flag errors are reported
 // on stderr by the flag package.
@@ -75,7 +78,6 @@ func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
 	fs.DurationVar(&o.grace, "grace", 30*time.Second, "drain grace: how long to wait for in-flight leases, and for live remote workers to hear the campaign is over")
 	fs.StringVar(&o.coord.Checkpoint, "checkpoint", "", "coordinator checkpoint file (default <store>/coordinator-<sweep hash>.json)")
 	fs.Uint64Var(&o.coord.Seed, "seed", 1, "backoff jitter seed")
-	fs.DurationVar(&o.healthEvery, "health-every", 2*time.Second, "health ring tick interval (windowed rates for /status and `campaign top`)")
 	fs.Float64Var(&o.coord.CellSLO.Quantile, "cell-slo-p", 0.99, "cell-latency SLO quantile")
 	fs.Int64Var(&o.coord.CellSLO.TargetMs, "cell-slo-ms", 0, "cell-latency SLO target in ms; 0 disables the objective")
 	fs.IntVar(&o.coord.CellSLO.Window, "cell-slo-window", 30, "cell-latency SLO sliding window, in health intervals")
@@ -231,7 +233,7 @@ func runCampaign(o runOptions, stdout, stderr io.Writer) error {
 	tick := time.NewTicker(200 * time.Millisecond)
 	defer tick.Stop()
 	co.HealthTick() // the zero baseline; windowed rates measure from here
-	healthTick := time.NewTicker(o.healthEvery)
+	healthTick := time.NewTicker(healthEvery)
 	defer healthTick.Stop()
 	aborted := ""
 wait:

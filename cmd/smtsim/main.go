@@ -14,8 +14,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,39 +30,59 @@ import (
 	"dcra/internal/workload"
 )
 
+// errUsage reports a command line the flag package rejected; the flag
+// package has already printed why.
+var errUsage = errors.New("invalid command line")
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		serveMain(os.Args[2:])
-		return
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "smtsim:", err)
+		os.Exit(1)
 	}
+}
+
+// run executes one smtsim command line (without the program name): the
+// report goes to stdout, diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) > 0 && args[0] == "serve" {
+		return serve(args[1:], stdout, stderr)
+	}
+	fs := flag.NewFlagSet("smtsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchList  = flag.String("bench", "", "comma-separated benchmark names (see -list)")
-		wlName     = flag.String("workload", "", "paper Table 4 workload, e.g. MEM2.1 (kind+threads.group)")
-		polName    = flag.String("policy", "DCRA", "policy: "+strings.Join(dcra.PolicyNames(), ", "))
-		warmup     = flag.Uint64("warmup", 50_000, "warmup cycles before statistics reset")
-		cycles     = flag.Uint64("cycles", 300_000, "measured cycles")
-		seed       = flag.Uint64("seed", 0x5eeddc2a, "workload generator seed")
-		memLatency = flag.Int("mem-latency", 0, "override main-memory latency (pairs L2 with 10/20/25)")
-		physRegs   = flag.Int("regs", 0, "override physical register file size per class")
-		list       = flag.Bool("list", false, "list benchmarks and workloads, then exit")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON instead of text")
-		sampled    = flag.Bool("sampled", false, "SMARTS-style sampled run: variance-driven window count, schedule derived from -warmup/-cycles")
-		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (load in Perfetto / chrome://tracing)")
-		probe      = flag.Uint64("probe", 0, "sample per-thread IPC and ROB occupancy every N measured cycles (exact mode only)")
+		benchList  = fs.String("bench", "", "comma-separated benchmark names (see -list)")
+		wlName     = fs.String("workload", "", "paper Table 4 workload, e.g. MEM2.1 (kind+threads.group)")
+		polName    = fs.String("policy", "DCRA", "policy: "+strings.Join(dcra.PolicyNames(), ", "))
+		warmup     = fs.Uint64("warmup", 50_000, "warmup cycles before statistics reset")
+		cycles     = fs.Uint64("cycles", 300_000, "measured cycles")
+		seed       = fs.Uint64("seed", 0x5eeddc2a, "workload generator seed")
+		memLatency = fs.Int("mem-latency", 0, "override main-memory latency (pairs L2 with 10/20/25)")
+		physRegs   = fs.Int("regs", 0, "override physical register file size per class")
+		list       = fs.Bool("list", false, "list benchmarks and workloads, then exit")
+		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of text")
+		sampled    = fs.Bool("sampled", false, "SMARTS-style sampled run: variance-driven window count, schedule derived from -warmup/-cycles")
+		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON file of the run (load in Perfetto / chrome://tracing)")
+		probe      = fs.Uint64("probe", 0, "sample per-thread IPC and ROB occupancy every N measured cycles (exact mode only)")
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Println("benchmarks:")
+		fmt.Fprintln(stdout, "benchmarks:")
 		for _, n := range dcra.BenchmarkNames() {
 			p := dcra.MustProfile(n)
-			fmt.Printf("  %-8s %s (paper L2 miss rate %.1f%%)\n", n, p.Type(), p.PaperL2MissRate)
+			fmt.Fprintf(stdout, "  %-8s %s (paper L2 miss rate %.1f%%)\n", n, p.Type(), p.PaperL2MissRate)
 		}
-		fmt.Println("workloads (paper Table 4):")
+		fmt.Fprintln(stdout, "workloads (paper Table 4):")
 		for _, w := range dcra.AllWorkloads() {
-			fmt.Printf("  %-8s %v\n", w.ID(), w.Names)
+			fmt.Fprintf(stdout, "  %-8s %v\n", w.ID(), w.Names)
 		}
-		return
+		return nil
 	}
 
 	cfg := baselineWithMemLatency(*memLatency)
@@ -70,20 +92,17 @@ func main() {
 
 	profiles, names, err := resolveThreads(*benchList, *wlName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "smtsim:", err)
-		os.Exit(1)
+		return err
 	}
 
 	pol, err := dcra.NewPolicy(dcra.PolicyName(*polName), cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "smtsim:", err)
-		os.Exit(1)
+		return err
 	}
 
 	m, err := dcra.NewMachine(cfg, profiles, pol, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "smtsim:", err)
-		os.Exit(1)
+		return err
 	}
 
 	var tracer *obs.Tracer
@@ -95,26 +114,26 @@ func main() {
 		p := sample.DeriveAdaptive(*warmup, *cycles)
 		sum, agg, err := sample.RunObserved(m, p, nil, tracer)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "smtsim:", err)
-			os.Exit(1)
+			return err
 		}
-		flushTrace(tracer, *traceOut)
+		if err := flushTrace(tracer, *traceOut, stderr); err != nil {
+			return err
+		}
 		if *jsonOut {
 			rs := sched.StaticRunStats(pol.Name(), names, agg)
 			rs.Throughput = sum.Throughput // window mean, not the aggregate
 			rs.Sampled = sum
-			emitJSON(rs)
-			return
+			return emitJSON(stdout, rs)
 		}
 		windows := len(sum.WindowThroughput)
-		fmt.Printf("policy=%s threads=%v sampled: %d windows x (warmup=%d, measure=%d cycles), gaps ff=%d cycles\n",
+		fmt.Fprintf(stdout, "policy=%s threads=%v sampled: %d windows x (warmup=%d, measure=%d cycles), gaps ff=%d cycles\n",
 			pol.Name(), names, windows, p.Warmup, p.Measure, p.FFCycles)
-		fmt.Printf("adaptive: stopped at %d of [%d,%d] windows (target %d ppm), warm-tail %d uops\n",
+		fmt.Fprintf(stdout, "adaptive: stopped at %d of [%d,%d] windows (target %d ppm), warm-tail %d uops\n",
 			windows, p.MinWindows, p.Windows, p.TargetRelCIPpm, p.WarmTail)
-		fmt.Printf("throughput %.4f +/- %.4f (99.7%% CI), %d uops fast-forwarded, %d cycles measured (%d detailed, %d overhead)\n",
+		fmt.Fprintf(stdout, "throughput %.4f +/- %.4f (99.7%% CI), %d uops fast-forwarded, %d cycles measured (%d detailed, %d overhead)\n",
 			sum.Throughput, sum.ThroughputCI, sum.FastForwarded, sum.MeasuredCycles, sum.DetailedCycles, sum.OverheadCycles)
-		fmt.Print(agg)
-		return
+		fmt.Fprint(stdout, agg)
+		return nil
 	}
 
 	m.Run(*warmup)
@@ -132,27 +151,40 @@ func main() {
 		tracer.Lane(0, 0, "run")
 		tracer.CompleteAt(0, 0, "warmup", "phase", 0, float64(*warmup))
 		tracer.CompleteAt(0, 0, "measure", "phase", float64(*warmup), float64(*cycles))
-		flushTrace(tracer, *traceOut)
+		if err := flushTrace(tracer, *traceOut, stderr); err != nil {
+			return err
+		}
 	}
 
 	st := m.Stats()
 	if *jsonOut {
 		rs := sched.StaticRunStats(pol.Name(), names, st)
 		rs.Probe = series
-		emitJSON(rs)
-		return
+		return emitJSON(stdout, rs)
 	}
-	fmt.Printf("policy=%s threads=%v warmup=%d measured=%d\n", pol.Name(), names, *warmup, *cycles)
-	fmt.Print(st)
+	fmt.Fprintf(stdout, "policy=%s threads=%v warmup=%d measured=%d\n", pol.Name(), names, *warmup, *cycles)
+	fmt.Fprint(stdout, st)
 	if series != nil {
-		fmt.Printf("probe every %d cycles (%d samples):\n", series.Interval, len(series.Samples))
+		fmt.Fprintf(stdout, "probe every %d cycles (%d samples):\n", series.Interval, len(series.Samples))
 		for _, sm := range series.Samples {
-			fmt.Printf("  @%-8d ipc %v rob %v\n", sm.Cycle, formatIPCs(sm.IPC), sm.ROBOcc)
+			fmt.Fprintf(stdout, "  @%-8d ipc %v rob %v\n", sm.Cycle, formatIPCs(sm.IPC), sm.ROBOcc)
 		}
 	}
 	h := m.Hierarchy()
-	fmt.Printf("caches: L1I %.2f%% | L1D %.2f%% | L2 %.2f%% miss; %d memory fills; TLB %.2f%% miss\n",
+	fmt.Fprintf(stdout, "caches: L1I %.2f%% | L1D %.2f%% | L2 %.2f%% miss; %d memory fills; TLB %.2f%% miss\n",
 		h.L1I.MissRate(), h.L1D.MissRate(), h.L2.MissRate(), h.MemMisses, h.TLB.MissRate())
+	return nil
+}
+
+// parseFlags parses args into fs. The flag package reports a rejected
+// command line on fs's output; it comes back as errUsage, and -h as
+// flag.ErrHelp.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
 }
 
 // baselineWithMemLatency returns the baseline configuration, optionally
@@ -174,15 +206,15 @@ func baselineWithMemLatency(memLatency int) dcra.Config {
 
 // flushTrace writes a recorded span trace; nil tracer means -trace was not
 // given. The confirmation goes to stderr so -json stdout stays parseable.
-func flushTrace(tr *obs.Tracer, path string) {
+func flushTrace(tr *obs.Tracer, path string, stderr io.Writer) error {
 	if tr == nil {
-		return
+		return nil
 	}
 	if err := tr.WriteFile(path); err != nil {
-		fmt.Fprintln(os.Stderr, "smtsim: writing trace:", err)
-		os.Exit(1)
+		return fmt.Errorf("writing trace: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "smtsim: wrote trace %s (%d events)\n", path, tr.Len())
+	fmt.Fprintf(stderr, "smtsim: wrote trace %s (%d events)\n", path, tr.Len())
+	return nil
 }
 
 // formatIPCs renders a probe sample's per-thread IPCs compactly.
@@ -195,30 +227,31 @@ func formatIPCs(ipcs []float64) string {
 }
 
 // emitJSON writes the shared RunStats schema to stdout.
-func emitJSON(rs sched.RunStats) {
+func emitJSON(stdout io.Writer, rs sched.RunStats) error {
 	data, err := json.MarshalIndent(rs, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "smtsim:", err)
-		os.Exit(1)
+		return err
 	}
-	os.Stdout.Write(append(data, '\n'))
+	_, err = stdout.Write(append(data, '\n'))
+	return err
 }
 
-// resolveThreads turns either -bench or -workload into profiles.
+// resolveThreads turns either -bench or -workload into profiles and their
+// thread labels (the benchmark names, trimmed of spaces).
 func resolveThreads(benchList, wlName string) ([]dcra.Profile, []string, error) {
 	switch {
 	case benchList != "" && wlName != "":
 		return nil, nil, fmt.Errorf("use either -bench or -workload, not both")
 	case benchList != "":
 		names := strings.Split(benchList, ",")
-		profiles := make([]dcra.Profile, 0, len(names))
-		for _, n := range names {
-			n = strings.TrimSpace(n)
-			p, ok := dcra.Benchmarks()[n]
+		profiles := make([]dcra.Profile, len(names))
+		for i, n := range names {
+			names[i] = strings.TrimSpace(n)
+			p, ok := dcra.Benchmarks()[names[i]]
 			if !ok {
-				return nil, nil, fmt.Errorf("unknown benchmark %q (try -list)", n)
+				return nil, nil, fmt.Errorf("unknown benchmark %q (try -list)", names[i])
 			}
-			profiles = append(profiles, p)
+			profiles[i] = p
 		}
 		return profiles, names, nil
 	case wlName != "":

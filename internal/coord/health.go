@@ -6,9 +6,9 @@ import (
 	"dcra/internal/obs"
 )
 
-// coordHealthRingCap bounds the coordinator's wall-clock health ring: at the
-// default 2s tick that is ~8.5 minutes of history, enough for `campaign top`
-// windows and the status report without unbounded growth.
+// coordHealthRingCap bounds the coordinator's wall-clock health ring: at
+// `campaign run`'s 2s tick that is ~8.5 minutes of history, enough for the
+// status report's windows without unbounded growth.
 const coordHealthRingCap = 256
 
 // CellSLO declares the coordinator's wall-clock cell-latency objective: the
@@ -43,7 +43,7 @@ type HealthInfo struct {
 }
 
 // HealthTick snapshots the coordinator's metrics registry into its
-// wall-clock health ring. The caller owns the cadence (cmdCoordinate ticks
+// wall-clock health ring. The caller owns the cadence (runCampaign ticks
 // on its wait loop); without an Obs registry the tick is a no-op. A breach
 // of the declared cell SLO is charged to coord.slo.breaches and recorded in
 // the flight recorder once per breaching tick.

@@ -2,10 +2,7 @@ package coord_test
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,8 +15,8 @@ import (
 // TestCoordinatorHealthAndFlight runs an instrumented fleet, ticking the
 // health ring as it goes, and checks the whole fleet-health surface: the
 // status report's windowed rates, an (impossible) cell SLO breaching into
-// the flight recorder and the breach counter, the lease lifecycle showing up
-// as flight events, and /metrics.prom exposing parseable text format.
+// the flight recorder and the breach counter, and the lease lifecycle
+// showing up as flight events.
 func TestCoordinatorHealthAndFlight(t *testing.T) {
 	sweep := chaosSweep(10)
 	dir := t.TempDir()
@@ -45,7 +42,7 @@ func TestCoordinatorHealthAndFlight(t *testing.T) {
 	srv := httptest.NewServer(coord.NewHTTPHandler(co))
 	defer srv.Close()
 
-	// Tick the ring the way cmdCoordinate does: once before work starts
+	// Tick the ring the way runCampaign does: once before work starts
 	// (the zero baseline) and then periodically while the fleet runs, so
 	// the windowed deltas cover the campaign's activity.
 	co.HealthTick()
@@ -121,31 +118,6 @@ func TestCoordinatorHealthAndFlight(t *testing.T) {
 	if kinds["slo-breach"] == 0 {
 		t.Errorf("flight recorder holds no slo-breach events: %v", kinds)
 	}
-
-	// Prometheus exposition: right Content-Type, counters present, every
-	// sample line two fields.
-	resp, err := http.Get(srv.URL + "/metrics.prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics.prom: %s", resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
-		t.Errorf("/metrics.prom Content-Type = %q, want %q", ct, obs.PromContentType)
-	}
-	text := string(body)
-	for _, want := range []string{
-		fmt.Sprintf("coord_cells_done %d\n", len(sweep.Cells)),
-		"# TYPE coord_cell_us histogram\n",
-		`coord_cell_us_bucket{le="+Inf"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics.prom missing %q:\n%s", want, text)
-		}
-	}
 }
 
 // TestCoordinatorHealthDisabled checks the uninstrumented path: no registry
@@ -167,17 +139,5 @@ func TestCoordinatorHealthDisabled(t *testing.T) {
 	}
 	if co.Flight() != nil {
 		t.Error("uninstrumented coordinator has a flight recorder")
-	}
-
-	// /metrics.prom still answers (empty exposition) without a registry.
-	srv := httptest.NewServer(coord.NewHTTPHandler(co))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics.prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/metrics.prom uninstrumented: %s", resp.Status)
 	}
 }

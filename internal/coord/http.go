@@ -9,19 +9,16 @@ import (
 	"net/http/pprof"
 	"strings"
 	"time"
-
-	"dcra/internal/obs"
 )
 
 // HTTP wire paths. The coordinator serves them; HTTPTransport calls them.
 const (
-	pathLease       = "/v1/lease"
-	pathHeartbeat   = "/v1/heartbeat"
-	pathComplete    = "/v1/complete"
-	pathFail        = "/v1/fail"
-	pathStatus      = "/v1/status"
-	pathMetrics     = "/metrics"
-	pathMetricsProm = "/metrics.prom"
+	pathLease     = "/v1/lease"
+	pathHeartbeat = "/v1/heartbeat"
+	pathComplete  = "/v1/complete"
+	pathFail      = "/v1/fail"
+	pathStatus    = "/v1/status"
+	pathMetrics   = "/metrics"
 )
 
 // NewHTTPHandler exposes a coordinator over HTTP: JSON requests in, JSON
@@ -51,10 +48,6 @@ func NewHTTPHandler(c *Coordinator) http.Handler {
 	mux.HandleFunc("GET "+pathMetrics, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		c.Obs().Snapshot().WriteJSON(w)
-	})
-	mux.HandleFunc("GET "+pathMetricsProm, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.PromContentType)
-		c.Obs().Snapshot().WriteProm(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dcra/internal/campaign"
-	"dcra/internal/obs"
 )
 
 // ErrKilled is returned by a fault-injection hook to simulate a hard worker
@@ -44,9 +43,6 @@ type Worker struct {
 	RetryWindow time.Duration
 	// Hooks inject faults; zero value injects nothing.
 	Hooks WorkerHooks
-	// Flight, when set, records the worker's lease/cell lifecycle into a
-	// bounded ring for postmortem dumps on failure; nil disables.
-	Flight *obs.FlightRecorder
 
 	// Cells counts cells computed; Missing is the coordinator's count of
 	// given-up cells when the campaign ended. Valid after Run returns.
@@ -74,7 +70,6 @@ func (w *Worker) Run() error {
 			if downSince.IsZero() {
 				downSince = now
 			} else if now.Sub(downSince) > retryWindow {
-				w.Flight.Record("outage", "coordinator unreachable for %v, giving up: %v", now.Sub(downSince), err)
 				return fmt.Errorf("coord: worker %s: coordinator unreachable for %v: %w", w.ID, now.Sub(downSince), err)
 			}
 			time.Sleep(backoff)
@@ -102,7 +97,6 @@ func (w *Worker) Run() error {
 // surrender the lease (Fail) and return nil — the worker moves on to the
 // next lease; the coordinator owns the retry. Only injected kills propagate.
 func (w *Worker) serve(g *Grant) error {
-	w.Flight.Record("lease", "lease %s: %d cells [%d,%d), attempt %d", g.LeaseID, len(g.Cells), g.Range[0], g.Range[1], g.Attempt)
 	if w.runner == nil || w.params != g.Params {
 		r, err := w.NewRunner(g.Params)
 		if err != nil {
@@ -156,7 +150,6 @@ func (w *Worker) serve(g *Grant) error {
 		t0 := time.Now()
 		r, err := w.runner.RunCell(cell)
 		if err != nil {
-			w.Flight.Record("cell-failed", "cell %s: %v", cell, err)
 			w.Transport.Fail(FailRequest{Worker: w.ID, LeaseID: g.LeaseID, Reason: err.Error()})
 			return nil
 		}
@@ -175,11 +168,9 @@ func (w *Worker) serve(g *Grant) error {
 		if err != nil {
 			// Transport broke mid-lease: abandon it; undelivered cells are
 			// recomputed under the re-lease.
-			w.Flight.Record("abandon", "lease %s: completion transport error: %v", g.LeaseID, err)
 			return nil
 		}
 		if !resp.OK {
-			w.Flight.Record("rejected", "lease %s: completion rejected: %s", g.LeaseID, resp.Reason)
 			w.Transport.Fail(FailRequest{Worker: w.ID, LeaseID: g.LeaseID, Reason: "completion rejected: " + resp.Reason})
 			return nil
 		}

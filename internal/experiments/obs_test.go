@@ -5,10 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"dcra/internal/campaign"
-	"dcra/internal/config"
 	"dcra/internal/obs"
-	"dcra/internal/sched"
 )
 
 // TestFigure5BitIdenticalWithTelemetry is the telemetry layer's
@@ -107,45 +104,5 @@ func TestFigure5BitIdenticalWithTelemetry(t *testing.T) {
 	} else if d := win.Counters["engine.cells.done"]; d < 0 || d > done || fromAt >= toAt {
 		t.Errorf("ring window delta %d over [%d,%d] inconsistent with %d total cells",
 			d, fromAt, toAt, done)
-	}
-}
-
-// TestSchedExperimentBitIdenticalWithHealth extends the same contract to
-// the open-system scheduler experiment: attaching the fleet-health layer
-// (turnaround SLOs evaluated over a cycle-domain health ring) to sched
-// trial cells must leave every cell's result bit-identical.
-func TestSchedExperimentBitIdenticalWithHealth(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation test")
-	}
-
-	plain := determinismSuite(4)
-	healthy := determinismSuite(4)
-	healthy.SchedSLOs = []sched.SLOSpec{
-		{Class: sched.ClassAll, Quantile: 0.99, Target: schedMaxCycles(healthy)},
-		{Class: sched.ClassMEM, Quantile: 0.5, Target: 50_000},
-	}
-	healthy.SchedHealthEvery = 10_000
-
-	cfg := config.Baseline()
-	for _, a := range SchedArrivalPoints()[:2] {
-		for _, alloc := range SchedAllocs {
-			c := campaign.Cell{
-				Cfg: cfg,
-				WID: schedWID(schedContexts, a, schedBudget),
-				Pol: SchedPickers[0] + "+" + string(alloc),
-			}
-			ref, err := plain.RunCell(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := healthy.RunCell(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("sched cell %s diverges under the health layer:\nplain:   %+v\nhealthy: %+v", c, ref, got)
-			}
-		}
 	}
 }

@@ -150,19 +150,17 @@ func (s *Suite) computeSchedCell(c campaign.Cell) (sim.Result, error) {
 		return sim.Result{}, fmt.Errorf("experiments: sched cell %s: unknown allocation policy %q", c, allocName)
 	}
 	trial, err := sched.Run(sched.Config{
-		Machine:     c.Cfg,
-		Contexts:    contexts,
-		Alloc:       func() cpu.Policy { return newPolicy(pn, c.Cfg) },
-		Picker:      picker,
-		Arrivals:    arr,
-		Benches:     SchedServiceMix,
-		Budget:      budget,
-		Seed:        s.Runner.Seed,
-		MaxCycles:   schedMaxCycles(s),
-		Pool:        s.Runner.Pool,
-		Obs:         s.Runner.Obs,
-		SLOs:        s.SchedSLOs,
-		HealthEvery: s.SchedHealthEvery,
+		Machine:   c.Cfg,
+		Contexts:  contexts,
+		Alloc:     func() cpu.Policy { return newPolicy(pn, c.Cfg) },
+		Picker:    picker,
+		Arrivals:  arr,
+		Benches:   SchedServiceMix,
+		Budget:    budget,
+		Seed:      s.Runner.Seed,
+		MaxCycles: schedMaxCycles(s),
+		Pool:      s.Runner.Pool,
+		Obs:       s.Runner.Obs,
 	})
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: sched cell %s: %w", c, err)

@@ -21,7 +21,6 @@ import (
 	"dcra/internal/metrics"
 	"dcra/internal/obs"
 	"dcra/internal/policy"
-	"dcra/internal/sched"
 	"dcra/internal/sim"
 	"dcra/internal/singleflight"
 	"dcra/internal/trace"
@@ -158,16 +157,6 @@ type Suite struct {
 	// needs it: a sampled cell without a schedule fails to run (its key is
 	// where the retired fixed 7-window protocol stored its results).
 	Sampling config.SamplingConfig
-
-	// SchedSLOs and SchedHealthEvery attach the fleet-health layer to
-	// "sched:" trial cells: declarative turnaround objectives and the
-	// health-ring tick interval, forwarded into sched.Config. Health ticks
-	// never perturb a trial (TestSchedHealthBitIdentical, and
-	// TestSchedExperimentBitIdenticalWithHealth here), and the health
-	// report travels outside sim.Result, so neither field joins a cell's
-	// content key — store results stay health-agnostic.
-	SchedSLOs        []sched.SLOSpec
-	SchedHealthEvery uint64
 
 	// RequireStore, with Store set, turns a store miss into ErrMissingCell
 	// instead of simulating the cell. Renders that must reflect exactly what

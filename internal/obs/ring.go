@@ -6,9 +6,8 @@ import (
 )
 
 // Interval is one recorded slot of a Ring: a cumulative registry snapshot
-// stamped with the tick it was taken at. The tick domain is the caller's:
-// simulation-side rings record cycle counts (deterministic for a given
-// seed), fleet-side rings record wall-clock milliseconds.
+// stamped with the tick it was taken at. The tick domain is the caller's;
+// the coordinator's health ring records wall-clock milliseconds.
 type Interval struct {
 	At   int64    `json:"at"`
 	Snap Snapshot `json:"snap"`
@@ -63,16 +62,6 @@ func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.n
-}
-
-// Dropped returns how many intervals have been overwritten; 0 on a nil ring.
-func (r *Ring) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // Intervals returns a copy of the held intervals, oldest first. Nil on a nil
@@ -131,34 +120,6 @@ func (r *Ring) Window(k int) (delta Snapshot, fromAt, toAt int64, ok bool) {
 	}
 	base := iv[len(iv)-1-k]
 	return Delta(newest.Snap, base.Snap), base.At, newest.At, true
-}
-
-// SeriesPoint is one interval of a derived counter series: the counter's
-// delta over the interval and its rate per tick unit.
-type SeriesPoint struct {
-	At    int64   `json:"at"`
-	Delta int64   `json:"delta"`
-	Rate  float64 `json:"rate"`
-}
-
-// CounterSeries derives the named counter's per-interval deltas and rates
-// from adjacent snapshot pairs: len(Intervals())-1 points, oldest first.
-// Nil on a nil ring or when fewer than two intervals are held.
-func (r *Ring) CounterSeries(name string) []SeriesPoint {
-	iv := r.Intervals()
-	if len(iv) < 2 {
-		return nil
-	}
-	out := make([]SeriesPoint, 0, len(iv)-1)
-	for i := 1; i < len(iv); i++ {
-		d := iv[i].Snap.Counters[name] - iv[i-1].Snap.Counters[name]
-		p := SeriesPoint{At: iv[i].At, Delta: d}
-		if span := iv[i].At - iv[i-1].At; span > 0 {
-			p.Rate = float64(d) / float64(span)
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // Delta returns cur minus prev: counters and histogram counts/sums subtract

@@ -19,8 +19,8 @@ func TestRingWraparound(t *testing.T) {
 	if got := r.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
 	}
-	if got := r.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
+	if got := r.dropped; got != 6 {
+		t.Fatalf("dropped = %d, want 6", got)
 	}
 	iv := r.Intervals()
 	wantAt := []int64{700, 800, 900, 1000}
@@ -60,7 +60,7 @@ func TestRingWindowBeforeWraparound(t *testing.T) {
 func TestRingEmptyAndNil(t *testing.T) {
 	var nilRing *Ring
 	nilRing.Record(1, Snapshot{}) // must not panic
-	if nilRing.Len() != 0 || nilRing.Intervals() != nil || nilRing.CounterSeries("x") != nil {
+	if nilRing.Len() != 0 || nilRing.Intervals() != nil {
 		t.Error("nil ring should be empty")
 	}
 	if _, _, _, ok := nilRing.Window(1); ok {
@@ -73,27 +73,6 @@ func TestRingEmptyAndNil(t *testing.T) {
 	empty := NewRing(4)
 	if _, _, _, ok := empty.Window(0); ok {
 		t.Error("empty ring Window should not be ok")
-	}
-}
-
-func TestRingCounterSeries(t *testing.T) {
-	r := NewRing(8)
-	vals := []int64{0, 3, 3, 10}
-	for i, v := range vals {
-		r.Record(int64(i)*50, snapWithCounter("c", v))
-	}
-	s := r.CounterSeries("c")
-	if len(s) != 3 {
-		t.Fatalf("series length %d, want 3", len(s))
-	}
-	wantDelta := []int64{3, 0, 7}
-	for i, w := range wantDelta {
-		if s[i].Delta != w {
-			t.Errorf("series[%d].Delta = %d, want %d", i, s[i].Delta, w)
-		}
-		if want := float64(w) / 50; math.Abs(s[i].Rate-want) > 1e-12 {
-			t.Errorf("series[%d].Rate = %g, want %g", i, s[i].Rate, want)
-		}
 	}
 }
 
@@ -290,7 +269,7 @@ func TestRingConcurrentHammer(t *testing.T) {
 			r.Record(at, reg.Snapshot())
 			r.Window(8)
 			r.EvalSLO(SLO{Metric: "lat", Quantile: 0.99, Target: 1_000, Window: 8})
-			r.CounterSeries("ops")
+			r.Intervals()
 		}
 	}()
 	observers.Wait()

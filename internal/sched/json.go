@@ -30,10 +30,6 @@ type RunStats struct {
 	// Probe carries the periodic per-thread IPC / ROB-occupancy series when
 	// the run was probed (`smtsim -probe N`).
 	Probe *obs.ProbeSeries `json:"probe,omitempty"`
-
-	// Health carries the SLO layer's verdict when the trial declared
-	// latency objectives or a health interval.
-	Health *HealthReport `json:"health,omitempty"`
 }
 
 // ThreadRunStats is the per-hardware-context slice of RunStats.
@@ -95,6 +91,5 @@ func (t *Trial) RunStats() RunStats {
 		Threads:    threadRunStats(t.Stats, labels),
 		Sched:      t.Summary(),
 		Jobs:       t.Jobs,
-		Health:     t.Health,
 	}
 }

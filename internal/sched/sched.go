@@ -116,20 +116,6 @@ type Config struct {
 	// touches the event log or any scheduling decision.
 	Obs    *obs.Registry
 	Tracer *obs.Tracer
-
-	// SLOs declares turnaround latency objectives evaluated every
-	// HealthEvery cycles over a sliding window of health intervals.
-	// HealthEvery defaults to MaxCycles/128 when SLOs are set; setting it
-	// alone (no SLOs) still records the health ring. The health layer is
-	// cycle-domain telemetry: it adds extra stop boundaries to the detailed
-	// loop but never changes a scheduling decision, the event log or the
-	// trial stats (guarded by TestSchedHealthBitIdentical).
-	SLOs        []SLOSpec
-	HealthEvery uint64
-
-	// Flight, when set, receives an event per SLO-breach interval; shared
-	// with the caller's abort paths so breaches show up in postmortems.
-	Flight *obs.FlightRecorder
 }
 
 // Trial is the outcome of one scheduling run.
@@ -148,10 +134,6 @@ type Trial struct {
 	EventLog []string
 
 	Stats *stats.Stats
-
-	// Health is the SLO layer's verdict; nil unless the config declared
-	// SLOs or a health interval.
-	Health *HealthReport
 }
 
 // ErrConfig tags every trial-validation failure, so callers sweeping over
@@ -223,10 +205,6 @@ func Run(c Config) (*Trial, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	h, err := c.newHealth()
-	if err != nil {
-		return nil, err
-	}
 	jobs, err := c.makeJobs()
 	if err != nil {
 		return nil, err
@@ -296,7 +274,6 @@ func Run(c Config) (*Trial, error) {
 
 	for {
 		now := m.Cycle()
-		h.advance(now)
 
 		// Admit every job that has arrived by now, in arrival order.
 		for nextArr < len(jobs) && jobs[nextArr].Arrival <= now {
@@ -376,7 +353,6 @@ func Run(c Config) (*Trial, error) {
 				tr.Completed++
 				completed.Inc()
 				turnaround.Observe(int64(j.Turnaround()))
-				h.observe(j)
 				jobSpan(j)
 				if ffDrainEnd < fin {
 					ffDrainEnd = fin
@@ -392,10 +368,6 @@ func Run(c Config) (*Trial, error) {
 		if nextArr < len(jobs) && jobs[nextArr].Arrival < stop {
 			stop = jobs[nextArr].Arrival
 		}
-		// Health intervals add stop boundaries so the ring ticks on time;
-		// RunToTargets steps cycle by cycle either way, so the extra
-		// boundary cannot change what any cycle computes.
-		stop = h.stopBound(stop)
 		// stop > now: arrivals at <= now were admitted above and the
 		// horizon check would have broken the loop.
 		if active > 0 {
@@ -415,7 +387,6 @@ func Run(c Config) (*Trial, error) {
 			tr.Completed++
 			completed.Inc()
 			turnaround.Observe(int64(j.Turnaround()))
-			h.observe(j)
 			jobSpan(j)
 			m.ParkThread(ctx)
 			running[ctx] = nil
@@ -431,7 +402,6 @@ func Run(c Config) (*Trial, error) {
 	}
 	tr.Jobs = jobs
 	tr.Stats = m.Stats()
-	tr.Health = h.report(tr.Cycles)
 	logf("@%d end completed=%d/%d", tr.Cycles, tr.Completed, len(jobs))
 	c.Pool.Put(m) // nil-safe; Stats stay valid after reuse
 	return tr, nil
