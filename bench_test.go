@@ -337,7 +337,7 @@ func BenchmarkSimulatorSpeedTelemetryOn(b *testing.B) {
 }
 
 // BenchmarkSimulatorSpeedProbed prices the opt-in per-commit probe
-// (`smtsim -probe N`, Runner.ProbeInterval): every committed uop crosses the
+// (`smtsim -probe N`, sim.ProbeRun): every committed uop crosses the
 // CommitObserver seam, so this is the one telemetry path that is NOT free —
 // expect tens of percent, which is why probing never rides along silently.
 func BenchmarkSimulatorSpeedProbed(b *testing.B) {

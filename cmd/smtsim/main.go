@@ -189,7 +189,7 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 
 // baselineWithMemLatency returns the baseline configuration, optionally
 // re-latencied: a -mem-latency override pairs the L2 latency per the paper's
-// Section 5.3 points (100/10, 300/20, 500/25), keeping the baseline L2
+// Section 5.3 points (config.PaperLatencies), keeping the baseline L2
 // latency for other values. Shared by the static and serve modes so both
 // build the same machine for the same flag.
 func baselineWithMemLatency(memLatency int) dcra.Config {
@@ -197,11 +197,7 @@ func baselineWithMemLatency(memLatency int) dcra.Config {
 	if memLatency <= 0 {
 		return cfg
 	}
-	l2 := map[int]int{100: 10, 300: 20, 500: 25}[memLatency]
-	if l2 == 0 {
-		l2 = cfg.L2.Latency
-	}
-	return cfg.WithMemLatency(memLatency, l2)
+	return cfg.WithPaperMemLatency(memLatency)
 }
 
 // flushTrace writes a recorded span trace; nil tracer means -trace was not

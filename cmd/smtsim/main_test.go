@@ -36,6 +36,12 @@ func TestGolden(t *testing.T) {
 		// must not leak into the thread labels.
 		{"bench-text-spaced", "static.golden.txt", append([]string{"-bench", "mcf, gzip"}, static...)},
 		{"bench-json-spaced", "static.golden.json", append([]string{"-bench", " mcf , gzip", "-json"}, static...)},
+		// -policy and -mem-latency resolve through the policy table and the
+		// paper's memory/L2 latency pairs.
+		{"bench-rr-mem500", "static_rr_mem500.golden.txt", []string{"-bench", "mcf,gzip", "-policy", "RR",
+			"-mem-latency", "500", "-warmup", "5000", "-cycles", "20000"}},
+		{"workload-sra-mem300-json", "mix32_sra_mem300.golden.json", []string{"-workload", "MIX3.2", "-policy", "SRA",
+			"-mem-latency", "300", "-warmup", "5000", "-cycles", "20000", "-json"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout bytes.Buffer

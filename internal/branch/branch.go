@@ -70,17 +70,6 @@ func (p *Predictor) Reset() {
 	p.Lookups, p.Mispredict = 0, 0
 }
 
-// Shape reports whether the predictor's tables match the geometry cfg and
-// thread count ask for, i.e. whether Reset can stand in for reconstruction.
-func (p *Predictor) Shape(cfg config.Config, threads int) bool {
-	return len(p.pht) == cfg.GshareEntries &&
-		len(p.history) == threads &&
-		len(p.btb.sets) == cfg.BTBEntries &&
-		p.btb.assoc == cfg.BTBAssoc &&
-		len(p.ras) == threads &&
-		(threads == 0 || p.ras[0].size == cfg.RASEntries)
-}
-
 // histBits bounds the global-history contribution to the PHT index. The
 // synthetic branch outcomes are per-site Bernoulli draws with no real
 // cross-branch correlation, so long histories cannot help prediction — they

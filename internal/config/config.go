@@ -275,11 +275,31 @@ func (c Config) Validate() error {
 }
 
 // WithMemLatency returns a copy with main-memory and L2 latency set, used by
-// the Figure 7 sweep (paper pairs 100/300/500 memory with 10/20/25 L2).
+// the Figure 7 sweep (PaperLatencies).
 func (c Config) WithMemLatency(mem, l2 int) Config {
 	c.MemLatency = mem
 	c.L2.Latency = l2
 	return c
+}
+
+// LatencyPair is a main-memory latency and the L2 latency paired with it.
+type LatencyPair struct{ Mem, L2 int }
+
+// PaperLatencies are the paper's memory-latency points (Section 5.3),
+// shortest first: Figure 7 sweeps them.
+var PaperLatencies = []LatencyPair{{100, 10}, {300, 20}, {500, 25}}
+
+// WithPaperMemLatency returns a copy with main-memory latency mem and, when
+// mem is one of PaperLatencies, the L2 latency the paper pairs with it; any
+// other mem keeps the L2 latency.
+func (c Config) WithPaperMemLatency(mem int) Config {
+	l2 := c.L2.Latency
+	for _, p := range PaperLatencies {
+		if p.Mem == mem {
+			l2 = p.L2
+		}
+	}
+	return c.WithMemLatency(mem, l2)
 }
 
 // WithPhysRegs returns a copy with the physical register file size set (per

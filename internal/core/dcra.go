@@ -106,11 +106,6 @@ type DCRA struct {
 	// limits[r] is E_slow for resource r this cycle (0 when no slow-active
 	// thread competes for r).
 	limits [cpu.NumResources]int
-
-	// GateCounts[r] counts thread-cycles gated because resource r exceeded
-	// its bound (diagnostics; a thread may trip several in one cycle but
-	// only the first is counted).
-	GateCounts [cpu.NumResources]uint64
 }
 
 // New returns a DCRA policy with the given options.
@@ -231,7 +226,6 @@ func (d *DCRA) Tick(m *cpu.Machine) {
 		for _, r := range cpu.DCRAResources {
 			if d.active[t][r] && d.limits[r] > 0 && m.Usage(t, r) > d.limits[r] {
 				d.gated[t] = true
-				d.GateCounts[r]++
 				break
 			}
 		}

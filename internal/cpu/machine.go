@@ -207,71 +207,60 @@ func ShapeOf(cfg config.Config, threads int) Shape {
 }
 
 // New builds a Machine running one Stream per profile under the given
-// policy. The seed fixes all synthetic-workload randomness.
+// policy. The seed fixes all synthetic-workload randomness. New is Reinit on
+// a zero Machine, whose shape matches no cell's: there is one
+// initialisation, and a fresh machine and a reused one differ only in where
+// their backing arrays came from.
 func New(cfg config.Config, profiles []trace.Profile, pol Policy, seed uint64) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	m := new(Machine)
+	if err := m.Reinit(cfg, profiles, pol, seed); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
+
+// alloc gives the machine fresh backing arrays for cfg's shape with one
+// thread per profile, keeping its checkpoint store. What alloc leaves in
+// them does not matter: Reinit sets every field afterwards, on fresh and
+// reused arrays alike.
+func (m *Machine) alloc(cfg config.Config, profiles []trace.Profile, seed uint64) {
 	nt := len(profiles)
-	if nt == 0 {
-		return nil, fmt.Errorf("cpu: no threads")
-	}
-	rename := cfg.RenameRegs(nt)
-	if rename <= 0 {
-		return nil, fmt.Errorf("cpu: %d physical registers cannot support %d threads",
-			cfg.PhysRegs, nt)
-	}
+	m.nt = nt
+	m.hier = cache.NewHierarchy(cfg)
+	m.pred = branch.New(cfg, nt)
 
-	m := &Machine{
-		cfg:  cfg,
-		nt:   nt,
-		pol:  pol,
-		hier: cache.NewHierarchy(cfg),
-		pred: branch.New(cfg, nt),
-
-		threads: make([]threadState, nt),
-		fe:      make([]frontEnd, nt),
-		rob:     make([]*threadROB, nt),
-		prod:    make([][]prodEntry, nt),
-
-		iqCount:    make([][3]int, nt),
-		regCount:   make([][2]int, nt),
-		robCount:   make([]int, nt),
-		pendingL1D: make([]int, nt),
-		pendingL2:  make([]int, nt),
-		allocFlags: make([][NumResources]bool, nt),
-
-		commitBuf: make([]int32, 0, nt),
-		dispBuf:   make([]int32, 0, nt),
-		capBuf:    make([][NumResources]int, nt),
-		ffBuf:     make([]uint64, 0, nt),
-
-		st:      stats.New(nt),
-		rankBuf: make([]int, 0, nt),
-		events:  newEventQueue(),
-	}
-	m.bindPolicy(pol)
-
+	m.threads = make([]threadState, nt)
+	m.fe = make([]frontEnd, nt)
+	m.rob = make([]*threadROB, nt)
+	m.prod = make([][]prodEntry, nt)
 	for t := 0; t < nt; t++ {
 		m.threads[t].stream = trace.NewStream(profiles[t], t, seed)
+		m.threads[t].stream.UseCheckpoints(m.ckpts)
 		m.fe[t] = newFrontEnd(cfg.FrontEndBuffer)
 		m.rob[t] = newThreadROB(cfg.ROBSize)
 		m.prod[t] = make([]prodEntry, prodRingSize)
-		for i := range m.prod[t] {
-			m.prod[t][i].idx = ^uint64(0)
-		}
 	}
-	m.prewarm()
 
+	m.iqCount = make([][3]int, nt)
+	m.regCount = make([][2]int, nt)
+	m.robCount = make([]int, nt)
+	m.pendingL1D = make([]int, nt)
+	m.pendingL2 = make([]int, nt)
+	m.allocFlags = make([][NumResources]bool, nt)
+
+	m.commitBuf = make([]int32, 0, nt)
+	m.dispBuf = make([]int32, 0, nt)
+	m.capBuf = make([][NumResources]int, nt)
+	m.ffBuf = make([]uint64, 0, nt)
+	m.rankBuf = make([]int, 0, nt)
+	m.events = newEventQueue()
+
+	rename := cfg.RenameRegs(nt)
 	m.iqs[isa.QInt] = newIssueQueue(cfg.IntQueue)
 	m.iqs[isa.QFP] = newIssueQueue(cfg.FPQueue)
 	m.iqs[isa.QLoadStore] = newIssueQueue(cfg.LSQueue)
 	m.regs[0] = newRegFile(rename)
 	m.regs[1] = newRegFile(rename)
-
-	m.setTotals(rename)
-
-	return m, nil
 }
 
 // bindPolicy installs pol and rebinds the optional observer interfaces.
@@ -320,10 +309,9 @@ func (m *Machine) Shape() Shape { return ShapeOf(m.cfg, m.nt) }
 
 // Reinit rebinds the machine to a new (cfg, profiles, pol, seed) cell,
 // reusing every backing allocation when the new cell's Shape matches the
-// machine's and falling back to fresh construction (replacing *m wholesale)
-// otherwise. After Reinit the machine is observationally identical to
-// New(cfg, profiles, pol, seed): the reuse-bit-identity tests assert equal
-// statistics cycle for cycle.
+// machine's and reallocating them (alloc) otherwise. After Reinit the machine
+// is observationally identical to New(cfg, profiles, pol, seed): the
+// reuse-bit-identity tests assert equal statistics cycle for cycle.
 //
 // The machine's previous Stats are abandoned, never mutated, so results
 // extracted from an earlier run remain valid after the machine is reused.
@@ -341,31 +329,17 @@ func (m *Machine) Reinit(cfg config.Config, profiles []trace.Profile, pol Policy
 			cfg.PhysRegs, nt)
 	}
 	if ShapeOf(cfg, nt) != m.Shape() {
-		nm, err := New(cfg, profiles, pol, seed)
-		if err != nil {
-			return err
-		}
-		ckpts := m.ckpts
-		*m = *nm
-		m.SetCheckpoints(ckpts)
-		return nil
+		m.alloc(cfg, profiles, seed)
 	}
 
-	// In-place reuse. This mirrors New's initialisation order exactly:
-	// hierarchy and predictor first, per-thread state, prewarm, then the
-	// shared back-end pools and counters.
+	// prewarm fills the reset hierarchy from the rebound streams'
+	// footprints, so it runs after both.
 	m.cfg = cfg
 	m.bindPolicy(pol)
 	if !m.hier.Reinit(cfg) {
-		// Shape covers every geometry input, so this cannot fire; rebuilding
-		// beats simulating on a half-reset hierarchy if it ever does.
-		m.hier = cache.NewHierarchy(cfg)
+		panic("cpu: Shape does not cover the cache geometry")
 	}
-	if m.pred.Shape(cfg, nt) {
-		m.pred.Reset()
-	} else {
-		m.pred = branch.New(cfg, nt)
-	}
+	m.pred.Reset()
 
 	for t := 0; t < nt; t++ {
 		m.threads[t] = threadState{stream: m.threads[t].stream}
@@ -487,24 +461,4 @@ func (m *Machine) Run(n uint64) {
 	for i := uint64(0); i < n; i++ {
 		m.step()
 	}
-}
-
-// RunUntilCommit advances until every thread has committed at least n uops
-// (or maxCycles elapse). It returns the cycles consumed. Used by tests.
-func (m *Machine) RunUntilCommit(n uint64, maxCycles uint64) uint64 {
-	start := m.cycle
-	for m.cycle-start < maxCycles {
-		m.step()
-		done := true
-		for t := range m.st.Threads {
-			if m.st.Threads[t].Committed < n {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-	}
-	return m.cycle - start
 }

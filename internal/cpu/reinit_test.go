@@ -41,7 +41,7 @@ func runCell(t *testing.T, m *Machine, cycles uint64) *Machine {
 // statistics deep-equal to running each cell on a freshly constructed
 // machine. The sequence deliberately crosses shapes (2-thread vs 4-thread,
 // different register-file sizes) to exercise both the in-place path and the
-// fresh-construction fallback.
+// reallocating one.
 func TestReinitBitIdentical(t *testing.T) {
 	const cycles = 20_000
 	cells := reinitCells()
@@ -84,8 +84,8 @@ func TestReinitBitIdentical(t *testing.T) {
 }
 
 // TestReinitShapeFallback checks the explicit contract: a shape change
-// rebuilds the machine rather than erroring, and the rebuilt machine carries
-// the new configuration.
+// reallocates the machine rather than erroring, and the reallocated machine
+// carries the new configuration.
 func TestReinitShapeFallback(t *testing.T) {
 	m := newTestMachine(t, "gzip", "mcf")
 	oldShape := m.Shape()

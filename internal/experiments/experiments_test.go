@@ -5,6 +5,7 @@ import (
 
 	"dcra/internal/config"
 	"dcra/internal/cpu"
+	"dcra/internal/policy"
 	"dcra/internal/workload"
 )
 
@@ -31,13 +32,17 @@ func TestTable1Golden(t *testing.T) {
 	}
 }
 
+// TestNewPolicyCoversAll checks that every policy the experiments name
+// builds through the policy table under its own name.
 func TestNewPolicyCoversAll(t *testing.T) {
 	cfg := config.Baseline()
 	for _, pn := range []PolicyName{PolICount, PolStall, PolFlush, PolFlushPP,
 		PolDG, PolPDG, PolSRA, PolDCRA} {
-		p := newPolicy(pn, cfg)
-		if p == nil {
-			t.Errorf("%s: nil policy", pn)
+		p, err := policy.New(string(pn), cfg)
+		if err != nil {
+			t.Errorf("%s: %v", pn, err)
+		} else if p.Name() != string(pn) {
+			t.Errorf("%s: built a policy named %q", pn, p.Name())
 		}
 	}
 }

@@ -52,11 +52,11 @@ func Figure4(s *Suite) (Figure4Result, error) {
 	var tps, hms []float64
 	for _, n := range threadCounts {
 		for _, kind := range workload.Kinds {
-			dTP, dHM, err := s.kindAverages(cfg, n, kind, PolDCRA)
+			dTP, dHM, err := s.averages(cfg, workload.Groups(n, kind), PolDCRA)
 			if err != nil {
 				return res, err
 			}
-			sTP, sHM, err := s.kindAverages(cfg, n, kind, PolSRA)
+			sTP, sHM, err := s.averages(cfg, workload.Groups(n, kind), PolSRA)
 			if err != nil {
 				return res, err
 			}

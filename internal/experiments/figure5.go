@@ -70,7 +70,7 @@ func Figure5(s *Suite) (Figure5Result, error) {
 				Hmean:      make(map[PolicyName]float64),
 			}
 			for _, pn := range Figure5Policies {
-				tp, hm, err := s.kindAverages(cfg, n, kind, pn)
+				tp, hm, err := s.averages(cfg, workload.Groups(n, kind), pn)
 				if err != nil {
 					return res, err
 				}

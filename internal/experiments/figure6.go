@@ -7,6 +7,7 @@ import (
 	"dcra/internal/config"
 	"dcra/internal/metrics"
 	"dcra/internal/report"
+	"dcra/internal/workload"
 )
 
 // Figure6RegSizes are the register-pool sizes swept in the paper.
@@ -15,42 +16,48 @@ var Figure6RegSizes = []int{320, 352, 384}
 // Figure6Policies are the comparison points of Figures 6 and 7.
 var Figure6Policies = []PolicyName{PolICount, PolFlushPP, PolDG, PolSRA}
 
-// Figure6Result maps each comparison policy to DCRA's average Hmean
-// improvement (%) at each register-pool size, over all 36 workloads.
-type Figure6Result struct {
-	Improvement map[PolicyName][]float64 // indexed like Figure6RegSizes
+// gainPoint is one configuration of a Figure 6 or 7 sweep, with the label
+// of its report column.
+type gainPoint struct {
+	label string
+	cfg   config.Config
 }
 
-// Figure6Sweep declares the figure's cells: all 36 workloads under DCRA and
-// each comparison policy, at each register-pool size.
-func Figure6Sweep() campaign.Sweep {
-	s := campaign.Sweep{Name: "fig6"}
-	for _, regs := range Figure6RegSizes {
-		cfg := config.Baseline().WithPhysRegs(regs)
-		s.Cells = append(s.Cells, allWorkloadCells(cfg,
+// GainCurve is DCRA's average Hmean improvement (%) over each of
+// Figure6Policies at each point of a configuration sweep, over all 36
+// workloads: the result of Figures 6 and 7.
+type GainCurve struct {
+	Improvement map[PolicyName][]float64 // indexed like the sweep's points
+
+	title, note string
+	points      []gainPoint
+}
+
+// gainCells enumerates the cells of a gain curve: all 36 workloads under
+// DCRA and each comparison policy, at each point.
+func gainCells(points []gainPoint) []campaign.Cell {
+	var cells []campaign.Cell
+	for _, pt := range points {
+		cells = append(cells, allWorkloadCells(pt.cfg,
 			append([]PolicyName{PolDCRA}, Figure6Policies...)...)...)
 	}
-	return s
+	return cells
 }
 
-// Figure6 reproduces the paper's Figure 6: DCRA's Hmean advantage as the
-// physical register file grows. Paper shape: the advantage over SRA and
-// ICOUNT shrinks with more registers (starvation gets rarer), while the
-// advantage over DG and FLUSH++ grows (their deallocation/stall become
-// needless waste when resources are plentiful).
-func Figure6(s *Suite) (Figure6Result, error) {
-	if err := s.Prefetch(Figure6Sweep().Cells); err != nil {
-		return Figure6Result{}, err
+// gainCurve computes the gain curve over points; title and note head and
+// close its report.
+func (s *Suite) gainCurve(points []gainPoint, title, note string) (GainCurve, error) {
+	if err := s.Prefetch(gainCells(points)); err != nil {
+		return GainCurve{}, err
 	}
-	res := Figure6Result{Improvement: make(map[PolicyName][]float64)}
-	for _, regs := range Figure6RegSizes {
-		cfg := config.Baseline().WithPhysRegs(regs)
-		_, dcraHM, err := s.allWorkloadAverages(cfg, PolDCRA)
+	res := GainCurve{Improvement: make(map[PolicyName][]float64), title: title, note: note, points: points}
+	for _, pt := range points {
+		_, dcraHM, err := s.averages(pt.cfg, workload.All(), PolDCRA)
 		if err != nil {
 			return res, err
 		}
 		for _, pn := range Figure6Policies {
-			_, hm, err := s.allWorkloadAverages(cfg, pn)
+			_, hm, err := s.averages(pt.cfg, workload.All(), pn)
 			if err != nil {
 				return res, err
 			}
@@ -61,20 +68,50 @@ func Figure6(s *Suite) (Figure6Result, error) {
 	return res, nil
 }
 
-// Report renders the figure.
-func (f Figure6Result) Report() *report.Table {
+// Report renders the curve: one row per comparison policy, one column per
+// point.
+func (g GainCurve) Report() *report.Table {
 	cols := []string{"vs policy"}
-	for _, r := range Figure6RegSizes {
-		cols = append(cols, fmt.Sprintf("%d regs", r))
+	for _, pt := range g.points {
+		cols = append(cols, pt.label)
 	}
-	t := report.NewTable("Figure 6: DCRA Hmean improvement (%) vs register pool size", cols...)
+	t := report.NewTable(g.title, cols...)
 	for _, pn := range Figure6Policies {
 		row := []any{string(pn)}
-		for _, v := range f.Improvement[pn] {
+		for _, v := range g.Improvement[pn] {
 			row = append(row, v)
 		}
 		t.AddRow(row...)
 	}
-	t.AddNote("paper shape: advantage over SRA/ICOUNT shrinks with more registers; over DG/FLUSH++ it grows")
+	t.AddNote("%s", g.note)
 	return t
+}
+
+// figure6Points are Figure 6's configurations, one per register-pool size.
+func figure6Points() []gainPoint {
+	var points []gainPoint
+	for _, regs := range Figure6RegSizes {
+		points = append(points, gainPoint{
+			label: fmt.Sprintf("%d regs", regs),
+			cfg:   config.Baseline().WithPhysRegs(regs),
+		})
+	}
+	return points
+}
+
+// Figure6Sweep declares the figure's cells: all 36 workloads under DCRA and
+// each comparison policy, at each register-pool size.
+func Figure6Sweep() campaign.Sweep {
+	return campaign.Sweep{Name: "fig6", Cells: gainCells(figure6Points())}
+}
+
+// Figure6 reproduces the paper's Figure 6: DCRA's Hmean advantage as the
+// physical register file grows. Paper shape: the advantage over SRA and
+// ICOUNT shrinks with more registers (starvation gets rarer), while the
+// advantage over DG and FLUSH++ grows (their deallocation/stall become
+// needless waste when resources are plentiful).
+func Figure6(s *Suite) (GainCurve, error) {
+	return s.gainCurve(figure6Points(),
+		"Figure 6: DCRA Hmean improvement (%) vs register pool size",
+		"paper shape: advantage over SRA/ICOUNT shrinks with more registers; over DG/FLUSH++ it grows")
 }

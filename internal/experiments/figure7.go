@@ -5,40 +5,25 @@ import (
 
 	"dcra/internal/campaign"
 	"dcra/internal/config"
-	"dcra/internal/metrics"
-	"dcra/internal/report"
 )
 
-// Figure7Point is one memory-latency configuration of the paper's sweep
-// (main memory / L2 latency pairs).
-type Figure7Point struct {
-	MemLatency int
-	L2Latency  int
-}
-
-// Figure7Points are the paper's three latency settings.
-var Figure7Points = []Figure7Point{
-	{100, 10},
-	{300, 20},
-	{500, 25},
-}
-
-// Figure7Result maps each comparison policy to DCRA's average Hmean
-// improvement (%) at each latency point, over all 36 workloads.
-type Figure7Result struct {
-	Improvement map[PolicyName][]float64 // indexed like Figure7Points
+// figure7Points are Figure 7's configurations, one per paper memory-latency
+// point (config.PaperLatencies).
+func figure7Points() []gainPoint {
+	var points []gainPoint
+	for _, lat := range config.PaperLatencies {
+		points = append(points, gainPoint{
+			label: fmt.Sprintf("lat %d/%d", lat.Mem, lat.L2),
+			cfg:   config.Baseline().WithMemLatency(lat.Mem, lat.L2),
+		})
+	}
+	return points
 }
 
 // Figure7Sweep declares the figure's cells: all 36 workloads under DCRA and
 // each comparison policy, at each latency point.
 func Figure7Sweep() campaign.Sweep {
-	s := campaign.Sweep{Name: "fig7"}
-	for _, pt := range Figure7Points {
-		cfg := config.Baseline().WithMemLatency(pt.MemLatency, pt.L2Latency)
-		s.Cells = append(s.Cells, allWorkloadCells(cfg,
-			append([]PolicyName{PolDCRA}, Figure6Policies...)...)...)
-	}
-	return s
+	return campaign.Sweep{Name: "fig7", Cells: gainCells(figure7Points())}
 }
 
 // Figure7 reproduces the paper's Figure 7: DCRA's Hmean advantage as memory
@@ -47,43 +32,8 @@ func Figure7Sweep() campaign.Sweep {
 // latency (no memory awareness), DG's gap widens, FLUSH++ is the only
 // policy that closes on DCRA at 500 cycles (deallocating on a miss pays off
 // when misses pin resources for longer).
-func Figure7(s *Suite) (Figure7Result, error) {
-	if err := s.Prefetch(Figure7Sweep().Cells); err != nil {
-		return Figure7Result{}, err
-	}
-	res := Figure7Result{Improvement: make(map[PolicyName][]float64)}
-	for _, pt := range Figure7Points {
-		cfg := config.Baseline().WithMemLatency(pt.MemLatency, pt.L2Latency)
-		_, dcraHM, err := s.allWorkloadAverages(cfg, PolDCRA)
-		if err != nil {
-			return res, err
-		}
-		for _, pn := range Figure6Policies {
-			_, hm, err := s.allWorkloadAverages(cfg, pn)
-			if err != nil {
-				return res, err
-			}
-			res.Improvement[pn] = append(res.Improvement[pn],
-				metrics.Improvement(dcraHM, hm))
-		}
-	}
-	return res, nil
-}
-
-// Report renders the figure.
-func (f Figure7Result) Report() *report.Table {
-	cols := []string{"vs policy"}
-	for _, pt := range Figure7Points {
-		cols = append(cols, fmt.Sprintf("lat %d/%d", pt.MemLatency, pt.L2Latency))
-	}
-	t := report.NewTable("Figure 7: DCRA Hmean improvement (%) vs memory latency", cols...)
-	for _, pn := range Figure6Policies {
-		row := []any{string(pn)}
-		for _, v := range f.Improvement[pn] {
-			row = append(row, v)
-		}
-		t.AddRow(row...)
-	}
-	t.AddNote("paper shape: ICOUNT gap widens sharply with latency; FLUSH++ is the only policy closing on DCRA at 500 cycles")
-	return t
+func Figure7(s *Suite) (GainCurve, error) {
+	return s.gainCurve(figure7Points(),
+		"Figure 7: DCRA Hmean improvement (%) vs memory latency",
+		"paper shape: ICOUNT gap widens sharply with latency; FLUSH++ is the only policy closing on DCRA at 500 cycles")
 }

@@ -282,6 +282,42 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 	}
 }
 
+// TestRunCellRejectsModeMismatch: the runner picks a workload cell's
+// protocol from cfg.Sampling alone, so RunCell refuses a cell whose Mode
+// names the other protocol, or no known one, before the kernel runs. An
+// exact cell carrying a schedule would otherwise run sampled under an exact
+// key.
+func TestRunCellRejectsModeMismatch(t *testing.T) {
+	w, err := workload.Get(2, workload.MEM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := cellOf(config.Baseline(), w, PolDCRA)
+	scheduled := sampledDeterminismSuite(1).applyCellMode(exact)
+	scheduled.Mode = campaign.ModeExact
+	unknown := exact
+	unknown.Mode = "bogus"
+	for _, tc := range []struct {
+		name string
+		cell campaign.Cell
+		msg  string
+	}{
+		{"exact-with-schedule", scheduled, "carries a sampling schedule"},
+		{"sampled-without-schedule", exact.Sampled(), "no sampling schedule"},
+		{"unknown-mode", unknown, `unknown mode "bogus"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := determinismSuite(1)
+			if _, err := s.RunCell(tc.cell); err == nil || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("RunCell(%s): err = %v, want one mentioning %q", tc.cell, err, tc.msg)
+			}
+			if s.Simulated() != 0 {
+				t.Errorf("refused cell was simulated")
+			}
+		})
+	}
+}
+
 // TestSampledRenderPrefersStoredExact: a sampled suite with a stamped
 // schedule renders from exact results already in its store — the "renders
 // prefer exact when present" rule — without simulating anything.

@@ -8,6 +8,7 @@ import (
 	"dcra/internal/campaign"
 	"dcra/internal/config"
 	"dcra/internal/cpu"
+	"dcra/internal/policy"
 	"dcra/internal/report"
 	"dcra/internal/sched"
 	"dcra/internal/sim"
@@ -145,14 +146,14 @@ func (s *Suite) computeSchedCell(c campaign.Cell) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: sched cell %s: %w", c, err)
 	}
-	pn := PolicyName(allocName)
-	if !multithreadPolicies[pn] {
-		return sim.Result{}, fmt.Errorf("experiments: sched cell %s: unknown allocation policy %q", c, allocName)
+	alloc, err := policy.New(allocName, c.Cfg)
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("experiments: sched cell %s: allocation %w", c, err)
 	}
 	trial, err := sched.Run(sched.Config{
 		Machine:   c.Cfg,
 		Contexts:  contexts,
-		Alloc:     func() cpu.Policy { return newPolicy(pn, c.Cfg) },
+		Alloc:     func() cpu.Policy { return alloc },
 		Picker:    picker,
 		Arrivals:  arr,
 		Benches:   SchedServiceMix,

@@ -16,7 +16,6 @@ import (
 
 	"dcra/internal/campaign"
 	"dcra/internal/config"
-	"dcra/internal/core"
 	"dcra/internal/cpu"
 	"dcra/internal/metrics"
 	"dcra/internal/obs"
@@ -41,36 +40,6 @@ const (
 	PolSRA     PolicyName = "SRA"
 	PolDCRA    PolicyName = "DCRA"
 )
-
-// multithreadPolicies lists every policy newPolicy can build.
-var multithreadPolicies = map[PolicyName]bool{
-	PolICount: true, PolStall: true, PolFlush: true, PolFlushPP: true,
-	PolDG: true, PolPDG: true, PolSRA: true, PolDCRA: true,
-}
-
-// newPolicy builds a fresh policy instance. DCRA's sharing factor follows
-// the paper's latency tuning (Section 5.3), so it depends on cfg.
-func newPolicy(name PolicyName, cfg config.Config) cpu.Policy {
-	switch name {
-	case PolICount:
-		return policy.NewICount()
-	case PolStall:
-		return policy.NewStall()
-	case PolFlush:
-		return policy.NewFlush()
-	case PolFlushPP:
-		return policy.NewFlushPP()
-	case PolDG:
-		return policy.NewDG()
-	case PolPDG:
-		return policy.NewPDG()
-	case PolSRA:
-		return policy.NewSRA()
-	case PolDCRA:
-		return core.New(core.OptionsForLatency(cfg.MemLatency))
-	}
-	panic("experiments: unknown policy " + string(name))
-}
 
 // Single-thread cell vocabulary: campaign cells whose WID is "bench:<name>"
 // run one benchmark alone. Pol selects the run protocol:
@@ -194,7 +163,7 @@ func NewQuickSuite() *Suite {
 
 // Instrument attaches a metrics registry and span tracer to every layer the
 // suite drives: the engine (per-cell counters and spans), the runner
-// (sampled-run and probe telemetry), the machine pool (reuse hit rate) and
+// (sampled-run telemetry), the machine pool (reuse hit rate) and
 // the persistent store, when one is attached (puts, gets, quarantines).
 // Either argument may be nil; attach the Store before calling so it is
 // covered. Telemetry never alters results — the instrumented paths feed the
@@ -244,11 +213,10 @@ func (s *Suite) RunCell(c campaign.Cell) (sim.Result, error) {
 // requested set reflects what rendering consumed, not what the sweep
 // submitted.
 func (s *Suite) runCell(c campaign.Cell) (sim.Result, error) {
-	if c.Mode == campaign.ModeSampled && !c.Cfg.Sampling.Enabled() {
-		// Checked before the store: old stores hold fixed-protocol results
-		// under exactly this key.
-		return sim.Result{}, fmt.Errorf("experiments: sampled cell %s carries no sampling schedule "+
-			"(stamp one, e.g. sample.DeriveAdaptive(warmup, measure).Config(), via Suite.Sampling)", c)
+	// Checked before the store: old stores hold fixed-protocol results under
+	// the key of a sampled cell without a schedule.
+	if err := checkMode(c); err != nil {
+		return sim.Result{}, err
 	}
 	return s.memo.Do(c, func() (sim.Result, error) {
 		if s.Store == nil {
@@ -278,6 +246,22 @@ func (s *Suite) runCell(c campaign.Cell) (sim.Result, error) {
 	})
 }
 
+// checkMode rejects a cell whose execution mode is unknown or disagrees with
+// its config: the runner picks a cell's protocol from cfg.Sampling alone, so
+// a sampled cell must carry a schedule and an exact one must not.
+func checkMode(c campaign.Cell) error {
+	switch {
+	case c.Mode != campaign.ModeExact && c.Mode != campaign.ModeSampled:
+		return fmt.Errorf("experiments: cell %s: unknown mode %q", c, c.Mode)
+	case c.Mode == campaign.ModeSampled && !c.Cfg.Sampling.Enabled():
+		return fmt.Errorf("experiments: sampled cell %s carries no sampling schedule "+
+			"(stamp one, e.g. sample.DeriveAdaptive(warmup, measure).Config(), via Suite.Sampling)", c)
+	case c.Mode == campaign.ModeExact && c.Cfg.Sampling.Enabled():
+		return fmt.Errorf("experiments: exact cell %s carries a sampling schedule", c)
+	}
+	return nil
+}
+
 // RequestedCells returns the set of cells demanded through RunCell (i.e. by
 // render loops), for sweep/enumeration parity checks.
 func (s *Suite) RequestedCells() map[campaign.Cell]struct{} {
@@ -291,8 +275,8 @@ func (s *Suite) RequestedCells() map[campaign.Cell]struct{} {
 }
 
 // computeCell simulates one cell: a multiprogrammed Table 4 workload under a
-// named policy, a "bench:" single-thread protocol cell, or a "sched:"
-// open-system job-stream trial.
+// named policy, in the mode checkMode has matched to its config, a "bench:"
+// single-thread protocol cell, or a "sched:" open-system job-stream trial.
 func (s *Suite) computeCell(c campaign.Cell) (sim.Result, error) {
 	if name, ok := strings.CutPrefix(c.WID, benchPrefix); ok {
 		if c.Mode != campaign.ModeExact {
@@ -310,19 +294,11 @@ func (s *Suite) computeCell(c campaign.Cell) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	pn := PolicyName(c.Pol)
-	if !multithreadPolicies[pn] {
-		return sim.Result{}, fmt.Errorf("experiments: cell %s: unknown policy %q", c, c.Pol)
+	pol, err := policy.New(c.Pol, c.Cfg)
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("experiments: cell %s: %w", c, err)
 	}
-	mk := func() cpu.Policy { return newPolicy(pn, c.Cfg) }
-	switch c.Mode {
-	case campaign.ModeExact:
-		return s.Runner.RunWorkload(c.Cfg, w, mk)
-	case campaign.ModeSampled:
-		return s.Runner.RunWorkloadSampled(c.Cfg, w, mk)
-	default:
-		return sim.Result{}, fmt.Errorf("experiments: cell %s: unknown mode %q", c, c.Mode)
-	}
+	return s.Runner.RunWorkload(c.Cfg, w, func() cpu.Policy { return pol }) // one run, one instance
 }
 
 // computeBenchCell runs one benchmark alone under a single-thread protocol
@@ -425,25 +401,12 @@ func allWorkloadCells(cfg config.Config, pns ...PolicyName) []campaign.Cell {
 	return cells
 }
 
-// kindAverages runs all four groups of (threads, kind) under pn and returns
-// the mean throughput and mean Hmean, the paper's per-workload-type summary.
-func (s *Suite) kindAverages(cfg config.Config, threads int, kind workload.Kind, pn PolicyName) (tp, hm float64, err error) {
+// averages runs every workload of ws under pn and returns the mean
+// throughput and mean Hmean: over the four groups of one (threads, kind)
+// type, the paper's per-workload-type summary, or over all 36 workloads.
+func (s *Suite) averages(cfg config.Config, ws []workload.Workload, pn PolicyName) (tp, hm float64, err error) {
 	var tps, hms []float64
-	for _, w := range workload.Groups(threads, kind) {
-		r, err := s.run(cfg, w, pn)
-		if err != nil {
-			return 0, 0, err
-		}
-		tps = append(tps, r.Throughput)
-		hms = append(hms, r.Hmean)
-	}
-	return metrics.Mean(tps), metrics.Mean(hms), nil
-}
-
-// allWorkloadAverages averages throughput/Hmean over all 36 workloads.
-func (s *Suite) allWorkloadAverages(cfg config.Config, pn PolicyName) (tp, hm float64, err error) {
-	var tps, hms []float64
-	for _, w := range workload.All() {
+	for _, w := range ws {
 		r, err := s.run(cfg, w, pn)
 		if err != nil {
 			return 0, 0, err

@@ -18,15 +18,6 @@ type ActivityResult struct {
 	FetchedDCRA    uint64
 }
 
-// activityConfig is the configuration measured at one latency point.
-func activityConfig(memLatency int) config.Config {
-	l2 := map[int]int{100: 10, 300: 20, 500: 25}[memLatency]
-	if l2 == 0 {
-		l2 = config.Baseline().L2.Latency
-	}
-	return config.Baseline().WithMemLatency(memLatency, l2)
-}
-
 // ActivityLatencies are the latency points of the paper's front-end
 // activity measurement.
 var ActivityLatencies = []int{300, 500}
@@ -36,7 +27,7 @@ var ActivityLatencies = []int{300, 500}
 func ActivitySweep() campaign.Sweep {
 	s := campaign.Sweep{Name: "activity"}
 	for _, lat := range ActivityLatencies {
-		s.Cells = append(s.Cells, allWorkloadCells(activityConfig(lat), PolFlushPP, PolDCRA)...)
+		s.Cells = append(s.Cells, allWorkloadCells(config.Baseline().WithPaperMemLatency(lat), PolFlushPP, PolDCRA)...)
 	}
 	return s
 }
@@ -45,7 +36,7 @@ func ActivitySweep() campaign.Sweep {
 // squashes, summed over all 36 workloads, at the given memory latency
 // (paired with the paper's matching L2 latency).
 func FrontEndActivity(s *Suite, memLatency int) (ActivityResult, error) {
-	cfg := activityConfig(memLatency)
+	cfg := config.Baseline().WithPaperMemLatency(memLatency)
 	if err := s.Prefetch(allWorkloadCells(cfg, PolFlushPP, PolDCRA)); err != nil {
 		return ActivityResult{MemLatency: memLatency}, err
 	}

@@ -1,5 +1,5 @@
 // Package obs is the telemetry layer: a low-overhead metrics registry
-// (atomic counters, gauges, fixed-bucket histograms), a span recorder
+// (atomic counters, fixed-bucket histograms), a span recorder
 // emitting Chrome trace-event JSON, and probe series types for sampled
 // machine introspection.
 //
@@ -10,9 +10,9 @@
 // and nothing else (no allocation, no atomics, no branches taken).
 //
 // Telemetry must never perturb results: instruments only ever *read*
-// simulation state, all histogram values are integers so that merges
-// are exact and order-independent, and nothing here touches the
-// simulation's RNG or event ordering.
+// simulation state, all histogram values are integers so that window
+// deltas are exact, and nothing here touches the simulation's RNG or
+// event ordering.
 package obs
 
 import (
@@ -43,38 +43,10 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic instantaneous level (queue depth, leases held).
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n. No-op on a nil gauge.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adjusts the level by n. No-op on a nil gauge.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current level; 0 on a nil gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram is a fixed-bucket histogram over int64 observations.
 // Bucket i counts observations v with v <= bounds[i] (and greater than
 // bounds[i-1]); the final bucket is unbounded. All state is integer, so
-// snapshots merge by exact elementwise addition — deterministic under
-// any merge order, unlike float sums.
+// snapshots subtract exactly (Delta), unlike float sums.
 type Histogram struct {
 	bounds []int64
 	counts []atomic.Int64 // len(bounds)+1; last is the overflow bucket
@@ -127,7 +99,6 @@ var (
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -135,7 +106,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -154,22 +124,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil
-// on a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -17,13 +15,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if r.Counter("c") != c {
 		t.Fatal("second resolution returned a different counter")
-	}
-
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
 	}
 
 	h := r.Histogram("h", []int64{10, 100})
@@ -49,22 +40,19 @@ func TestCounterGaugeHistogram(t *testing.T) {
 func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
 	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h", DurationBounds)
-	if c != nil || g != nil || h != nil {
+	if c != nil || h != nil {
 		t.Fatal("nil registry must resolve nil instruments")
 	}
 	// Every operation must be a safe no-op.
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(2)
 	h.Observe(42)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	s := r.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+	if len(s.Counters)+len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 }
@@ -75,73 +63,16 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	var r *Registry
 	var tr *Tracer
 	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h", DurationBounds)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
-		g.Set(3)
-		g.Add(1)
 		h.Observe(7)
 		end := tr.Span(0, 0, "s", "cat")
 		end()
 		tr.CompleteAt(0, 0, "x", "cat", 0, 1)
 	}); n != 0 {
 		t.Fatalf("disabled telemetry allocated %.1f allocs/op, want 0", n)
-	}
-}
-
-// TestSnapshotMergeDeterministic is the shard-merge determinism
-// contract: merging per-shard snapshots yields identical serialized
-// bytes under every shard-order permutation.
-func TestSnapshotMergeDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	shards := make([]Snapshot, 4)
-	for i := range shards {
-		r := NewRegistry()
-		c := r.Counter("cells.done")
-		h := r.Histogram("cell.us", DurationBounds)
-		h2 := r.Histogram("turnaround.cycles", CycleBounds)
-		for j := 0; j < 50; j++ {
-			c.Inc()
-			h.Observe(rng.Int63n(200_000_000))
-			h2.Observe(rng.Int63n(20_000_000))
-		}
-		r.Gauge("depth").Set(int64(i))
-		shards[i] = r.Snapshot()
-	}
-	perms := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}}
-	var ref []byte
-	for _, p := range perms {
-		var merged Snapshot
-		var err error
-		for _, i := range p {
-			merged, err = Merge(merged, shards[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := merged.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(ref, buf.Bytes()) {
-			t.Fatalf("merge order %v produced different bytes:\n%s\nvs\n%s", p, ref, buf.Bytes())
-		}
-	}
-}
-
-func TestMergeBoundsMismatch(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Histogram("h", []int64{1, 2}).Observe(1)
-	r2 := NewRegistry()
-	r2.Histogram("h", []int64{1, 2, 3}).Observe(1)
-	if _, err := Merge(r1.Snapshot(), r2.Snapshot()); err == nil {
-		t.Fatal("merging histograms with different bounds must error")
 	}
 }
 
@@ -159,7 +90,6 @@ func TestObsConcurrent(t *testing.T) {
 			h := r.Histogram("hist", CycleBounds)
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				r.Gauge("depth").Add(1)
 				h.Observe(int64(i))
 				end := tr.Span(0, w, "op", "test")
 				end()

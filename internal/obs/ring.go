@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -88,9 +89,8 @@ func (r *Ring) intervalsLocked() []Interval {
 }
 
 // Window returns the delta snapshot spanning the most recent k intervals:
-// the newest snapshot minus the snapshot k intervals back. Counters and
-// histogram counts/sums subtract; gauges keep their newest level (a gauge is
-// an instantaneous reading, not an accumulation). When the ring holds fewer
+// the newest snapshot minus the snapshot k intervals back: counters and
+// histogram counts/sums subtract. When the ring holds fewer
 // than k+1 intervals the window reaches back to the oldest held interval —
 // and, if nothing has been dropped yet, all the way to the zero baseline, so
 // the delta is the newest cumulative snapshot itself. k <= 0 means "the
@@ -123,22 +123,15 @@ func (r *Ring) Window(k int) (delta Snapshot, fromAt, toAt int64, ok bool) {
 }
 
 // Delta returns cur minus prev: counters and histogram counts/sums subtract
-// elementwise, gauges carry cur's level unchanged. Histograms present in cur
-// but absent from prev (or with different bounds — a re-registered
-// instrument) are taken whole. Like Merge, every quantity is an integer, so
-// the result is exact.
+// elementwise. Histograms present in cur but absent from prev (or with
+// different bounds — a re-registered instrument) are taken whole. Every
+// quantity is an integer, so the result is exact.
 func Delta(cur, prev Snapshot) Snapshot {
 	var out Snapshot
 	if len(cur.Counters) > 0 {
 		out.Counters = make(map[string]int64, len(cur.Counters))
 		for k, v := range cur.Counters {
 			out.Counters[k] = v - prev.Counters[k]
-		}
-	}
-	if len(cur.Gauges) > 0 {
-		out.Gauges = make(map[string]int64, len(cur.Gauges))
-		for k, v := range cur.Gauges {
-			out.Gauges[k] = v
 		}
 	}
 	if len(cur.Histograms) > 0 {
@@ -150,7 +143,7 @@ func Delta(cur, prev Snapshot) Snapshot {
 				Sum:    h.Sum,
 				Count:  h.Count,
 			}
-			if p, ok := prev.Histograms[name]; ok && boundsEqual(p.Bounds, h.Bounds) {
+			if p, ok := prev.Histograms[name]; ok && slices.Equal(p.Bounds, h.Bounds) {
 				for i := range d.Counts {
 					d.Counts[i] -= p.Counts[i]
 				}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -19,7 +18,6 @@ type HistogramSnapshot struct {
 // deterministic for a given state regardless of registration order.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -39,12 +37,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[name] = c.Value()
 		}
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
-	}
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
 		for name, h := range r.hists {
@@ -61,69 +53,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Merge folds other into s and returns the result: counters and gauges
-// add, histograms add elementwise. Because every quantity is an
-// integer, the result is exact and independent of merge order — merging
-// N shard snapshots yields identical bytes under any permutation.
-// Histograms sharing a name must share bounds.
-func Merge(s, other Snapshot) (Snapshot, error) {
-	out := Snapshot{}
-	addAll := func(dst *map[string]int64, src map[string]int64) {
-		if len(src) == 0 {
-			return
-		}
-		if *dst == nil {
-			*dst = make(map[string]int64, len(src))
-		}
-		for k, v := range src {
-			(*dst)[k] += v
-		}
-	}
-	addAll(&out.Counters, s.Counters)
-	addAll(&out.Counters, other.Counters)
-	addAll(&out.Gauges, s.Gauges)
-	addAll(&out.Gauges, other.Gauges)
-	for _, src := range []map[string]HistogramSnapshot{s.Histograms, other.Histograms} {
-		for name, h := range src {
-			if out.Histograms == nil {
-				out.Histograms = make(map[string]HistogramSnapshot)
-			}
-			cur, ok := out.Histograms[name]
-			if !ok {
-				out.Histograms[name] = HistogramSnapshot{
-					Bounds: append([]int64(nil), h.Bounds...),
-					Counts: append([]int64(nil), h.Counts...),
-					Sum:    h.Sum,
-					Count:  h.Count,
-				}
-				continue
-			}
-			if !boundsEqual(cur.Bounds, h.Bounds) {
-				return Snapshot{}, fmt.Errorf("obs: histogram %q bounds mismatch in merge", name)
-			}
-			for i := range cur.Counts {
-				cur.Counts[i] += h.Counts[i]
-			}
-			cur.Sum += h.Sum
-			cur.Count += h.Count
-			out.Histograms[name] = cur
-		}
-	}
-	return out, nil
-}
-
-func boundsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteJSON writes the snapshot as indented JSON. Deterministic for a

@@ -5,13 +5,47 @@
 // Each policy implements cpu.Policy; some additionally implement
 // cpu.Partitioner (SRA), cpu.FetchObserver or cpu.LoadObserver (PDG).
 // The DCRA policy itself — the paper's contribution — lives in
-// internal/core.
+// internal/core; New builds every policy, DCRA included, by name.
 package policy
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+
+	"dcra/internal/config"
+	"dcra/internal/core"
 	"dcra/internal/cpu"
 	"dcra/internal/isa"
 )
+
+// builders maps each policy name to its constructor.
+var builders = map[string]func(cfg config.Config) cpu.Policy{
+	"RR":      func(config.Config) cpu.Policy { return NewRoundRobin() },
+	"ICOUNT":  func(config.Config) cpu.Policy { return NewICount() },
+	"STALL":   func(config.Config) cpu.Policy { return NewStall() },
+	"FLUSH":   func(config.Config) cpu.Policy { return NewFlush() },
+	"FLUSH++": func(config.Config) cpu.Policy { return NewFlushPP() },
+	"DG":      func(config.Config) cpu.Policy { return NewDG() },
+	"PDG":     func(config.Config) cpu.Policy { return NewPDG() },
+	"SRA":     func(config.Config) cpu.Policy { return NewSRA() },
+	// DCRA's sharing factor follows the paper's latency tuning (Section
+	// 5.3), so it depends on cfg.
+	"DCRA": func(cfg config.Config) cpu.Policy { return core.New(core.OptionsForLatency(cfg.MemLatency)) },
+}
+
+// New builds a fresh instance of the named policy for a machine built from
+// cfg. Policies carry per-run state: build one per machine.
+func New(name string, cfg config.Config) (cpu.Policy, error) {
+	mk, ok := builders[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown policy %q (have %v)", name, Names())
+	}
+	return mk(cfg), nil
+}
+
+// Names lists every policy New builds, sorted.
+func Names() []string { return slices.Sorted(maps.Keys(builders)) }
 
 // RoundRobin fetches from all threads alternately, disregarding resource
 // use (Tullsen et al., ISCA'95).

@@ -12,10 +12,11 @@ import (
 // MachinePool recycles cpu.Machine allocations across simulation cells.
 // Machines are bucketed by cpu.Shape (the allocation geometry), so a pooled
 // machine is always rebound via the cheap in-place Reinit path; cells whose
-// shape has never been seen build fresh machines. The pool is safe for
-// concurrent use by the engine's workers: each bucket is a sync.Pool, whose
-// per-P caches make Get/Put contention-free on the hot path, and whose GC
-// integration keeps idle campaigns from pinning retired machine arenas.
+// shape has never been seen Reinit a zero machine, which allocates. The pool
+// is safe for concurrent use by the engine's workers: each bucket is a
+// sync.Pool, whose per-P caches make Get/Put contention-free on the hot
+// path, and whose GC integration keeps idle campaigns from pinning retired
+// machine arenas.
 //
 // The pool also owns the canonical-stream checkpoint store its machines
 // share (trace.Checkpoints): a sampled cell's fast-forward skims restore
@@ -31,8 +32,8 @@ type MachinePool struct {
 	pools map[cpu.Shape]*sync.Pool
 	ckpts *trace.Checkpoints
 
-	hits   *obs.Counter // Get served by a pooled machine (Reinit path)
-	misses *obs.Counter // Get built a fresh machine
+	hits   *obs.Counter // Get served by a pooled machine
+	misses *obs.Counter // Get allocated a fresh machine
 }
 
 // NewMachinePool returns an empty pool.
@@ -62,28 +63,24 @@ func (p *MachinePool) bucket(sh cpu.Shape) *sync.Pool {
 	return sp
 }
 
-// Get returns a machine initialised for (cfg, profiles, pol, seed), reusing
-// a pooled machine of the matching shape when one is available and building
-// fresh otherwise. Either way the machine is observationally identical to
-// cpu.New(cfg, profiles, pol, seed) — Reinit guarantees bit-identical
-// simulation — so callers need not know which path served them.
+// Get returns a machine initialised for (cfg, profiles, pol, seed): a pooled
+// machine of the matching shape when one is available, a zero one otherwise.
+// Either way Reinit initialises it, so it is observationally identical to
+// cpu.New(cfg, profiles, pol, seed) and callers need not know which path
+// served them.
 func (p *MachinePool) Get(cfg config.Config, profiles []trace.Profile, pol cpu.Policy, seed uint64) (*cpu.Machine, error) {
 	if p == nil {
 		return cpu.New(cfg, profiles, pol, seed)
 	}
-	sh := cpu.ShapeOf(cfg, len(profiles))
-	m, ok := p.bucket(sh).Get().(*cpu.Machine)
+	m, ok := p.bucket(cpu.ShapeOf(cfg, len(profiles))).Get().(*cpu.Machine)
 	if ok {
-		if err := m.Reinit(cfg, profiles, pol, seed); err != nil {
-			return nil, err
-		}
 		p.hits.Inc()
 	} else {
 		p.misses.Inc()
-		var err error
-		if m, err = cpu.New(cfg, profiles, pol, seed); err != nil {
-			return nil, err
-		}
+		m = new(cpu.Machine)
+	}
+	if err := m.Reinit(cfg, profiles, pol, seed); err != nil {
+		return nil, err
 	}
 	m.SetCheckpoints(p.ckpts)
 	return m, nil

@@ -1,74 +1,55 @@
 package sim
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
 	"dcra/internal/config"
 	"dcra/internal/cpu"
+	"dcra/internal/obs"
 	"dcra/internal/policy"
 	"dcra/internal/workload"
 )
 
-// TestProbedRunBitIdentical is the probe's correctness contract: sampling a
-// run through the CommitObserver seam must not change a single committed
-// statistic relative to the same run unprobed, and the unprobed result must
-// serialize byte-identically to one from a runner that never heard of
-// probing (Probe is omitempty).
+// TestProbedRunBitIdentical is the probe's correctness contract, on the path
+// `smtsim -probe` takes: sampling a measured window through the
+// CommitObserver seam must not change a single statistic relative to the
+// same window run with a plain Machine.Run.
 func TestProbedRunBitIdentical(t *testing.T) {
 	w, err := workload.Get(2, workload.MEM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func() cpu.Policy { return policy.NewFlushPP() }
+	const warmup, measure, interval = 10_000, 40_000, 7_000 // interval deliberately not a divisor
+	run := func(probe bool) (*cpu.Machine, *obs.ProbeSeries) {
+		m, err := cpu.New(config.Baseline(), w.Profiles(), policy.NewFlushPP(), 0x5eeddc2a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run(warmup)
+		m.ResetStats()
+		if !probe {
+			m.Run(measure)
+			return m, nil
+		}
+		return m, ProbeRun(m, measure, interval)
+	}
+	plain, _ := run(false)
+	probed, series := run(true)
 
-	plain := quickRunner()
-	ref, err := plain.RunWorkload(config.Baseline(), w, mk)
-	if err != nil {
-		t.Fatal(err)
+	wantSamples := int((measure + interval - 1) / interval)
+	if len(series.Samples) != wantSamples {
+		t.Errorf("probe has %d samples, want %d", len(series.Samples), wantSamples)
 	}
-
-	probed := quickRunner()
-	probed.ProbeInterval = 7_000 // deliberately not a divisor of Measure
-	got, err := probed.RunWorkload(config.Baseline(), w, mk)
-	if err != nil {
-		t.Fatal(err)
+	if last := series.Samples[len(series.Samples)-1]; last.Cycle != measure {
+		t.Errorf("last sample at cycle %d, want %d", last.Cycle, measure)
 	}
-
-	if got.Probe == nil {
-		t.Fatal("probed run carries no probe series")
-	}
-	wantSamples := int((probed.Measure + probed.ProbeInterval - 1) / probed.ProbeInterval)
-	if len(got.Probe.Samples) != wantSamples {
-		t.Errorf("probe has %d samples, want %d", len(got.Probe.Samples), wantSamples)
-	}
-	last := got.Probe.Samples[len(got.Probe.Samples)-1]
-	if last.Cycle != probed.Measure {
-		t.Errorf("last sample at cycle %d, want %d", last.Cycle, probed.Measure)
-	}
-	for _, s := range got.Probe.Samples {
+	for _, s := range series.Samples {
 		if len(s.IPC) != 2 || len(s.ROBOcc) != 2 {
 			t.Fatalf("sample %d has %d IPCs / %d ROB entries, want 2/2", s.Cycle, len(s.IPC), len(s.ROBOcc))
 		}
 	}
-
-	// The probe rides outside the measurement: strip it and the results
-	// must match exactly, including every raw counter in Stats.
-	got.Probe = nil
-	if !reflect.DeepEqual(ref, got) {
-		t.Errorf("probed run diverged from plain run:\nplain:  %+v\nprobed: %+v", ref, got)
-	}
-
-	refJSON, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(refJSON) != string(gotJSON) {
-		t.Error("probed result (probe stripped) serializes differently from plain result")
+	if !reflect.DeepEqual(plain.Stats(), probed.Stats()) {
+		t.Errorf("probed run diverged from plain run:\nplain:  %vprobed: %v", plain.Stats(), probed.Stats())
 	}
 }

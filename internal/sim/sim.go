@@ -5,6 +5,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"dcra/internal/config"
@@ -43,12 +44,6 @@ type Result struct {
 	// execution mode; nil for exact runs. For sampled runs, IPCs/Throughput
 	// are the window means and Stats aggregates the measured windows only.
 	Sampled *sample.Summary `json:"Sampled,omitempty"`
-
-	// Probe carries the periodic machine probe's per-thread IPC and ROB
-	// occupancy time-series when the runner had ProbeInterval set; nil
-	// (and absent from serialized results) otherwise, so unprobed runs
-	// keep their exact stored bytes.
-	Probe *obs.ProbeSeries `json:"Probe,omitempty"`
 }
 
 // SchedSummary is the open-system slice of a Result: the per-trial metrics
@@ -92,6 +87,10 @@ type baselineKey struct {
 // needing the same baseline compute it exactly once (single-flight) and all
 // observe the identical value.
 //
+// RunWorkload and SingleIPC run the protocol their config names: the exact
+// warmup+measure window when cfg.Sampling is off, the SMARTS schedule it
+// carries otherwise (see measure).
+//
 // The window/seed fields must not be mutated while runs are in flight: every
 // run snapshots them at start and re-checks at completion, panicking on a
 // mid-flight change instead of silently mixing results measured under
@@ -114,15 +113,8 @@ type Runner struct {
 	// window fields it must not change while runs are in flight.
 	Obs *obs.Registry
 
-	// ProbeInterval, when non-zero, makes RunWorkload sample the machine
-	// every ProbeInterval cycles of the measured window (per-thread IPC
-	// and ROB occupancy) into Result.Probe. The probed run commits a
-	// bit-identical stream — the probe only reads counters.
-	ProbeInterval uint64
-
-	baseline        singleflight.Memo[baselineKey, float64]
-	baselineSampled singleflight.Memo[baselineKey, float64]
-	inFlight        atomic.Int64
+	baseline singleflight.Memo[baselineKey, float64]
+	inFlight atomic.Int64
 }
 
 // NewRunner returns a Runner with the default windows used throughout the
@@ -156,36 +148,20 @@ func (r *Runner) endRun(snap protocol) {
 func (r *Runner) InFlight() int64 { return r.inFlight.Load() }
 
 // RunMachine builds (or draws from the pool) a machine for (cfg, profiles,
-// policy) and runs the warmup+measure protocol, returning the machine for
-// inspection. Callers that extract what they need should hand the machine
-// back via Recycle; keeping it (or dropping it) is also safe.
+// policy) and runs the exact warmup+measure protocol, returning the machine
+// for inspection. Callers that extract what they need should hand the
+// machine back via Recycle; keeping it (or dropping it) is also safe.
 func (r *Runner) RunMachine(cfg config.Config, profiles []trace.Profile, pol cpu.Policy) (*cpu.Machine, error) {
-	m, _, err := r.runProtocol(cfg, profiles, pol, false)
-	return m, err
-}
-
-// RunMachineProbed is RunMachine with the periodic machine probe: when
-// the runner's ProbeInterval is non-zero the measured window is sampled
-// into the returned series (nil otherwise). The committed stream is
-// bit-identical to RunMachine's.
-func (r *Runner) RunMachineProbed(cfg config.Config, profiles []trace.Profile, pol cpu.Policy) (*cpu.Machine, *obs.ProbeSeries, error) {
-	return r.runProtocol(cfg, profiles, pol, true)
-}
-
-func (r *Runner) runProtocol(cfg config.Config, profiles []trace.Profile, pol cpu.Policy, probe bool) (*cpu.Machine, *obs.ProbeSeries, error) {
 	snap := r.beginRun()
 	defer r.endRun(snap)
 	m, err := r.Pool.Get(cfg, profiles, pol, r.Seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.Run(r.Warmup)
 	m.ResetStats()
-	if probe && r.ProbeInterval > 0 {
-		return m, ProbeRun(m, r.Measure, r.ProbeInterval), nil
-	}
 	m.Run(r.Measure)
-	return m, nil, nil
+	return m, nil
 }
 
 // Recycle returns a machine obtained from RunMachine to the runner's pool.
@@ -193,31 +169,68 @@ func (r *Runner) runProtocol(cfg config.Config, profiles []trace.Profile, pol cp
 // must not be touched afterwards.
 func (r *Runner) Recycle(m *cpu.Machine) { r.Pool.Put(m) }
 
-// RunWorkload executes one Table 4 workload under the policy from mk and
-// computes all metrics (Hmean uses cached single-thread baselines on the
-// same configuration).
+// measure runs profiles under pol with the protocol cfg names and returns
+// per-thread IPCs, the statistics they came from and, for a sampled run,
+// the estimator's summary. Without a sampling schedule that is RunMachine's
+// exact window. With one it is the SMARTS schedule (Wunderlich et al., ISCA
+// 2003): the IPCs are window means and the statistics aggregate the
+// measured windows. The machine goes back to the pool either way.
+func (r *Runner) measure(cfg config.Config, profiles []trace.Profile, pol cpu.Policy) ([]float64, *stats.Stats, *sample.Summary, error) {
+	if !cfg.Sampling.Enabled() {
+		m, err := r.RunMachine(cfg, profiles, pol)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		st := m.Stats()
+		r.Recycle(m) // st stays valid: reuse abandons, never clears, old stats
+		ipcs := make([]float64, len(profiles))
+		for i := range ipcs {
+			ipcs[i] = st.Threads[i].IPC(st.Cycles)
+		}
+		return ipcs, st, nil, nil
+	}
+	snap := r.beginRun()
+	defer r.endRun(snap)
+	m, err := r.Pool.Get(cfg, profiles, pol, r.Seed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer r.Recycle(m)
+	sum, st, err := sample.RunObserved(m, r.SamplePlan(cfg), r.Obs, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return slices.Clone(sum.IPC), st, sum, nil
+}
+
+// RunWorkload executes one Table 4 workload under the policy from mk, with
+// the protocol cfg names, and computes all metrics: Hmean and weighted
+// speedup divide by the single-thread baselines SingleIPC measures on the
+// same configuration. A sampled run therefore divides by *sampled*
+// baselines: sampled mode is self-contained — a sampled sweep never pays
+// for a full-length exact run, which would otherwise dominate its cost —
+// and both metric axes carry the same estimator. Its throughput is the
+// window mean. Exact cells remain the verifier for absolute numbers; the
+// parity harness compares throughput, which baselines do not touch.
 func (r *Runner) RunWorkload(cfg config.Config, w workload.Workload, mk PolicyFactory) (Result, error) {
 	pol := mk()
-	m, probe, err := r.RunMachineProbed(cfg, w.Profiles(), pol)
+	ipcs, st, sum, err := r.measure(cfg, w.Profiles(), pol)
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: workload %s under %s: %w", w.ID(), pol.Name(), err)
 	}
-	st := m.Stats()
-	r.Recycle(m) // st stays valid: reuse abandons, never clears, old stats
-	res := Result{Workload: w, Policy: pol.Name(), Stats: st, Probe: probe}
-	res.IPCs = make([]float64, len(w.Names))
+	res := Result{Workload: w, Policy: pol.Name(), Stats: st, IPCs: ipcs, Sampled: sum}
 	single := make([]float64, len(w.Names))
 	for i := range w.Names {
-		res.IPCs[i] = st.Threads[i].IPC(st.Cycles)
-		s, err := r.SingleIPC(cfg, w.Names[i])
-		if err != nil {
+		if single[i], err = r.SingleIPC(cfg, w.Names[i]); err != nil {
 			return Result{}, err
 		}
-		single[i] = s
 	}
-	res.Throughput = metrics.Throughput(res.IPCs)
-	res.Hmean = metrics.Hmean(res.IPCs, single)
-	res.WSpeedup = metrics.WeightedSpeedup(res.IPCs, single)
+	res.Throughput = metrics.Throughput(ipcs)
+	if sum != nil {
+		res.Throughput = sum.Throughput
+	}
+	res.Hmean = metrics.Hmean(ipcs, single)
+	res.WSpeedup = metrics.WeightedSpeedup(ipcs, single)
 	return res, nil
 }
 
@@ -229,87 +242,28 @@ func (r *Runner) SamplePlan(cfg config.Config) sample.Params {
 	return sample.FromConfig(cfg.Sampling)
 }
 
-// RunMachineSampled is RunMachine's sampled-mode counterpart: it draws a
-// machine and executes the SMARTS schedule instead of the single
-// warmup+measure window. The returned stats aggregate the measured windows.
-func (r *Runner) RunMachineSampled(cfg config.Config, profiles []trace.Profile, pol cpu.Policy) (*cpu.Machine, *sample.Summary, *stats.Stats, error) {
-	snap := r.beginRun()
-	defer r.endRun(snap)
-	m, err := r.Pool.Get(cfg, profiles, pol, r.Seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sum, agg, err := sample.RunObserved(m, r.SamplePlan(cfg), r.Obs, nil)
-	if err != nil {
-		r.Pool.Put(m)
-		return nil, nil, nil, err
-	}
-	return m, sum, agg, nil
-}
-
-// RunWorkloadSampled executes one workload in sampled mode and computes the
-// same metric set as RunWorkload, with per-thread IPCs and throughput taken
-// from the window means. Hmean and weighted speedup divide by *sampled*
-// single-thread baselines (SingleIPCSampled): sampled mode is self-contained
-// — a sampled sweep never pays for a full-length exact run, which would
-// otherwise dominate its cost — and both metric axes carry the same
-// estimator. Exact cells remain the verifier for absolute numbers; the
-// parity harness compares throughput, which baselines do not touch.
-func (r *Runner) RunWorkloadSampled(cfg config.Config, w workload.Workload, mk PolicyFactory) (Result, error) {
-	pol := mk()
-	m, sum, agg, err := r.RunMachineSampled(cfg, w.Profiles(), pol)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: sampled workload %s under %s: %w", w.ID(), pol.Name(), err)
-	}
-	r.Recycle(m)
-	res := Result{Workload: w, Policy: pol.Name(), Stats: agg, Sampled: sum}
-	res.IPCs = make([]float64, len(w.Names))
-	single := make([]float64, len(w.Names))
-	for i := range w.Names {
-		res.IPCs[i] = sum.IPC[i]
-		s, err := r.SingleIPCSampled(cfg, w.Names[i])
-		if err != nil {
-			return Result{}, err
-		}
-		single[i] = s
-	}
-	res.Throughput = sum.Throughput
-	res.Hmean = metrics.Hmean(res.IPCs, single)
-	res.WSpeedup = metrics.WeightedSpeedup(res.IPCs, single)
-	return res, nil
-}
-
-// SingleIPC returns the single-thread IPC of a benchmark on cfg, simulating
-// it on first use and caching thereafter. Baselines use ICOUNT (with one
-// thread every non-partitioning policy behaves identically). Concurrent
-// callers for the same (cfg, name) share one simulation.
+// SingleIPC returns the single-thread IPC of a benchmark on cfg, measured
+// with the protocol cfg names, simulating it on first use and caching
+// thereafter. Baselines use ICOUNT (with one thread every non-partitioning
+// policy behaves identically). Concurrent callers for the same (cfg, name)
+// share one simulation.
 func (r *Runner) SingleIPC(cfg config.Config, name string) (float64, error) {
 	// singleflight.Memo keeps waiters from blocking forever even if the run
 	// panics (MustProfile panics on an unknown benchmark): the panic is
 	// published as the key's error before propagating.
 	return r.baseline.Do(baselineKey{cfg: cfg, name: name}, func() (float64, error) {
-		m, err := r.RunMachine(cfg, []trace.Profile{trace.MustProfile(name)}, policy.NewICount())
+		ipcs, _, _, err := r.measure(cfg, []trace.Profile{trace.MustProfile(name)}, policy.NewICount())
 		if err != nil {
 			return 0, fmt.Errorf("sim: baseline %s: %w", name, err)
 		}
-		ipc := m.Stats().Threads[0].IPC(m.Stats().Cycles)
-		r.Recycle(m)
-		return ipc, nil
+		return ipcs[0], nil
 	})
 }
 
-// SingleIPCSampled is SingleIPC's sampled-mode counterpart: the same
-// single-thread ICOUNT baseline measured with the runner's sampling schedule
-// (window-mean IPC) instead of the full exact window, cached separately.
+// SingleIPCSampled is SingleIPC; it remains only as the name the benchmark
+// harness calls.
 func (r *Runner) SingleIPCSampled(cfg config.Config, name string) (float64, error) {
-	return r.baselineSampled.Do(baselineKey{cfg: cfg, name: name}, func() (float64, error) {
-		m, sum, _, err := r.RunMachineSampled(cfg, []trace.Profile{trace.MustProfile(name)}, policy.NewICount())
-		if err != nil {
-			return 0, fmt.Errorf("sim: sampled baseline %s: %w", name, err)
-		}
-		r.Recycle(m)
-		return sum.IPC[0], nil
-	})
+	return r.SingleIPC(cfg, name)
 }
 
 // CapPolicy is a utility policy for resource-restriction studies (the

@@ -2,9 +2,7 @@ package dcra
 
 import (
 	"fmt"
-	"sort"
 
-	"dcra/internal/core"
 	"dcra/internal/policy"
 )
 
@@ -28,36 +26,12 @@ const (
 // options for cfg's memory latency (paper Section 5.3). Policies carry
 // per-run state: construct a new instance per machine.
 func NewPolicy(name PolicyName, cfg Config) (Policy, error) {
-	switch name {
-	case PolicyRoundRobin:
-		return policy.NewRoundRobin(), nil
-	case PolicyICount:
-		return policy.NewICount(), nil
-	case PolicyStall:
-		return policy.NewStall(), nil
-	case PolicyFlush:
-		return policy.NewFlush(), nil
-	case PolicyFlushPP:
-		return policy.NewFlushPP(), nil
-	case PolicyDG:
-		return policy.NewDG(), nil
-	case PolicyPDG:
-		return policy.NewPDG(), nil
-	case PolicySRA:
-		return policy.NewSRA(), nil
-	case PolicyDCRA:
-		return core.New(core.OptionsForLatency(cfg.MemLatency)), nil
+	p, err := policy.New(string(name), cfg)
+	if err != nil {
+		return nil, fmt.Errorf("dcra: %w", err)
 	}
-	return nil, fmt.Errorf("dcra: unknown policy %q (have %v)", name, PolicyNames())
+	return p, nil
 }
 
 // PolicyNames lists every policy NewPolicy accepts, sorted.
-func PolicyNames() []string {
-	names := []string{
-		string(PolicyRoundRobin), string(PolicyICount), string(PolicyStall),
-		string(PolicyFlush), string(PolicyFlushPP), string(PolicyDG),
-		string(PolicyPDG), string(PolicySRA), string(PolicyDCRA),
-	}
-	sort.Strings(names)
-	return names
-}
+func PolicyNames() []string { return policy.Names() }
