@@ -313,8 +313,8 @@ func BenchmarkSimulatorSpeedTelemetryOff(b *testing.B) {
 // the always-on layer live — a real registry and a recording tracer, the
 // instrumentation the engine and coordinator attach per cell — and must stay
 // within 2% of BenchmarkSimulatorSpeed (PERFORMANCE.md, "Telemetry
-// overhead"). The per-commit probe is priced separately below: it is an
-// explicit opt-in, never attached by default.
+// overhead"). The probe is priced separately below: it is an explicit
+// opt-in, never attached by default.
 func BenchmarkSimulatorSpeedTelemetryOn(b *testing.B) {
 	m := benchMachine(b)
 	reg := obs.NewRegistry()
@@ -336,10 +336,10 @@ func BenchmarkSimulatorSpeedTelemetryOn(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorSpeedProbed prices the opt-in per-commit probe
-// (`smtsim -probe N`, sim.ProbeRun): every committed uop crosses the
-// CommitObserver seam, so this is the one telemetry path that is NOT free —
-// expect tens of percent, which is why probing never rides along silently.
+// BenchmarkSimulatorSpeedProbed prices the opt-in probe (`smtsim -probe N`,
+// sim.ProbeRun): the machine runs in interval-sized chunks and each tick
+// reads the committed-uop counts and ROB occupancy it already keeps, so the
+// cost is a few loads per thread per interval.
 func BenchmarkSimulatorSpeedProbed(b *testing.B) {
 	m := benchMachine(b)
 	b.ReportAllocs()

@@ -80,8 +80,8 @@ func usage() {
 
   run     -exp KEY -store DIR [-quick] [-warmup N -measure N] [-sampled]
           [-csv DIR] [-require-store] [-trace FILE]
-          [-addr HOST:PORT] [-range N -ttl D -retries N -backoff D -backoff-max D]
-          [-speculate D -deadline D -grace D -checkpoint FILE -seed N]
+          [-addr HOST:PORT] [-range N -ttl D -backoff D -deadline D -grace D]
+          [-checkpoint FILE]
           [-cell-slo-p Q -cell-slo-ms N -cell-slo-window N]
   status  -exp KEY -store DIR [-sampled] | -coordinator URL
   gc      -store DIR [-dry-run]

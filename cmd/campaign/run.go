@@ -70,14 +70,10 @@ func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
 	fs.StringVar(&o.addr, "addr", "", "serve leases over HTTP on this address to `campaign work` processes instead of computing with local workers")
 	fs.IntVar(&o.coord.RangeSize, "range", 0, "cells per lease (0 = one with local workers, the coordinator default with -addr)")
 	fs.DurationVar(&o.coord.LeaseTTL, "ttl", 0, "lease TTL; a lease with no heartbeat for this long is reclaimed (0 = default)")
-	fs.IntVar(&o.coord.RetryBudget, "retries", 0, "per-cell retry budget before a cell is declared missing (0 = default)")
 	fs.DurationVar(&o.coord.BackoffBase, "backoff", 0, "base retry backoff, doubled per attempt (0 = default)")
-	fs.DurationVar(&o.coord.BackoffMax, "backoff-max", 0, "retry backoff cap (0 = default)")
-	fs.DurationVar(&o.coord.SpeculateAfter, "speculate", 0, "re-dispatch a straggling lease to a second worker after this long (0 = default)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "campaign deadline; on expiry drain leases and report what is missing (0 = none)")
 	fs.DurationVar(&o.grace, "grace", 30*time.Second, "drain grace: how long to wait for in-flight leases, and for live remote workers to hear the campaign is over")
 	fs.StringVar(&o.coord.Checkpoint, "checkpoint", "", "coordinator checkpoint file (default <store>/coordinator-<sweep hash>.json)")
-	fs.Uint64Var(&o.coord.Seed, "seed", 1, "backoff jitter seed")
 	fs.Float64Var(&o.coord.CellSLO.Quantile, "cell-slo-p", 0.99, "cell-latency SLO quantile")
 	fs.Int64Var(&o.coord.CellSLO.TargetMs, "cell-slo-ms", 0, "cell-latency SLO target in ms; 0 disables the objective")
 	fs.IntVar(&o.coord.CellSLO.Window, "cell-slo-window", 30, "cell-latency SLO sliding window, in health intervals")

@@ -42,6 +42,11 @@ func TestGolden(t *testing.T) {
 			"-mem-latency", "500", "-warmup", "5000", "-cycles", "20000"}},
 		{"workload-sra-mem300-json", "mix32_sra_mem300.golden.json", []string{"-workload", "MIX3.2", "-policy", "SRA",
 			"-mem-latency", "300", "-warmup", "5000", "-cycles", "20000", "-json"}},
+		// -probe samples per-thread IPC and ROB occupancy every N cycles.
+		{"workload-probe", "mem21_probe.golden.txt", []string{"-workload", "MEM2.1", "-warmup", "5000", "-cycles", "40000",
+			"-probe", "5000"}},
+		{"bench-flushpp-probe-json", "static4_flushpp_probe.golden.json", []string{"-bench", "mcf,gzip,art,eon", "-policy", "FLUSH++",
+			"-warmup", "5000", "-cycles", "30000", "-probe", "3000", "-json"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout bytes.Buffer
@@ -71,6 +76,7 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{args: []string{"-no-such-flag"}, want: errUsage},
 		{args: []string{"serve", "-jobs", "many"}, want: errUsage},
+		{args: []string{"serve", "-ff-drain"}, want: errUsage},
 		{args: []string{"-h"}, want: flag.ErrHelp},
 		{args: []string{"serve", "-h"}, want: flag.ErrHelp},
 		{args: nil, msg: "specify -bench or -workload"},

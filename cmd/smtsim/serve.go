@@ -33,9 +33,7 @@ func serve(args []string, stdout, stderr io.Writer) error {
 		memLatency = fs.Int("mem-latency", 0, "override main-memory latency (pairs L2 with 10/20/25)")
 		showLog    = fs.Bool("log", false, "print the job event log")
 		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of text")
-		ffDrain    = fs.Bool("ff-drain", false,
-			"fast-forward the tail: once all jobs arrived and none queue, drain the last co-schedule functionally (event-log digest is mode-dependent)")
-		traceOut = fs.String("trace", "",
+		traceOut   = fs.String("trace", "",
 			"write a Chrome trace-event JSON file: one lane per hardware context, one span per job, in the cycle domain")
 	)
 	if err := parseFlags(fs, args); err != nil {
@@ -73,7 +71,6 @@ func serve(args []string, stdout, stderr io.Writer) error {
 		Budget:    *budget,
 		Seed:      *seed,
 		MaxCycles: *maxCycles,
-		FFDrain:   *ffDrain,
 		Tracer:    tracer,
 	})
 	if err != nil {

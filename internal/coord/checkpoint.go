@@ -101,29 +101,13 @@ func (c *Coordinator) saveCheckpointLocked() {
 	if err != nil {
 		panic(fmt.Sprintf("coord: marshalling checkpoint: %v", err))
 	}
-	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
+	// Written atomically, so a crashed coordinator never leaves a torn
+	// checkpoint.
+	err = os.MkdirAll(filepath.Dir(path), 0o755)
+	if err == nil {
+		err = campaign.WriteFileAtomic(path, append(data, '\n'))
+	}
+	if err != nil {
 		c.logf("checkpoint write failed (continuing): %v", err)
 	}
-}
-
-// writeFileAtomic writes data via a temp file and rename so a crashed
-// coordinator never leaves a torn checkpoint.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -34,21 +34,6 @@ func (m *Machine) nextCommitIndex(t int) uint64 {
 	return m.threads[t].fetchIdx
 }
 
-// FastForwardThread functionally advances thread t by n committed uops.
-// In-flight state is drained first (squashed back to the commit point, the
-// fetch cursor rewound to the next-to-commit uop), then each skipped uop
-// touches the I-cache once per line, trains the branch predictor, and
-// touches the data hierarchy for loads and stores. Timing state — cycle
-// count, bank ports, MSHRs, event calendar — does not advance; the next
-// detailed window resumes from warm contents and an empty pipeline.
-//
-// Statistics other than FastForwarded and the drain's Squashed count are
-// untouched: fast-forwarded uops are not Committed.
-func (m *Machine) FastForwardThread(t int, n uint64) {
-	m.ffRewind(t)
-	m.ffAdvance(t, n)
-}
-
 // ffRewind squashes thread t's in-flight state back to the commit point and
 // rewinds the fetch cursor to the next-to-commit uop.
 func (m *Machine) ffRewind(t int) {

@@ -8,8 +8,8 @@ import (
 )
 
 // WriteCSVs writes each rendered table as <dir>/<name>.csv, creating dir if
-// needed, and returns the paths written. The campaign CLI's `render -csv`
-// uses it to drop machine-readable artifacts next to the result store.
+// needed, and returns the paths written. `campaign run` uses it to drop
+// machine-readable artifacts next to the result store (<store>/csv).
 func WriteCSVs(dir string, tables []RenderedTable) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiments: creating CSV dir: %w", err)

@@ -63,7 +63,7 @@ func ApplyModeSampling(s campaign.Sweep, mode string, sc config.SamplingConfig) 
 // ParityRow records the exact-vs-sampled comparison of one cell: the
 // sampled estimate must land within its own reported 99.7% confidence
 // interval of the exact value (SMARTS' accuracy contract, checked per
-// Figure 5 workload by the parity tests and by cmd/benchjson).
+// Figure 5 workload by TestFigure5Parity).
 type ParityRow struct {
 	Cell    campaign.Cell `json:"cell"`
 	Exact   float64       `json:"exact"`   // exact throughput (aggregate IPC)

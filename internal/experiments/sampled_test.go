@@ -361,11 +361,11 @@ func TestSampledRenderPrefersStoredExact(t *testing.T) {
 	}
 }
 
-// TestFigure5Parity is the SMARTS accuracy contract at the quick-protocol
-// scale benchjson and CI measure: every Figure 5 cell's sampled throughput
-// must land within its reported 99.7% confidence interval of the exact
-// value. This is the most expensive test in the repo (a full exact plus a
-// full sampled quick sweep); -short skips it.
+// TestFigure5Parity is the SMARTS accuracy contract at the quick protocol
+// perfbench and CI run: every Figure 5 cell's sampled throughput must land
+// within its reported 99.7% confidence interval of the exact value. This is
+// the most expensive test in the repo (a full exact plus a full sampled
+// quick sweep); -short skips it.
 func TestFigure5Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")

@@ -11,8 +11,8 @@ type ProbeSample struct {
 }
 
 // ProbeSeries is the time-series a probed measurement window produces;
-// it rides in sim.Result behind an omitempty field so unprobed results
-// serialize byte-identically to pre-telemetry builds.
+// `smtsim -probe N` reports it in sched.RunStats behind an omitempty field,
+// so unprobed output is unchanged.
 type ProbeSeries struct {
 	Interval uint64        `json:"interval"`
 	Samples  []ProbeSample `json:"samples"`

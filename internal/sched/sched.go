@@ -96,16 +96,6 @@ type Config struct {
 	// expires count as not completed.
 	MaxCycles uint64
 
-	// FFDrain, when set, stops detailed simulation once every job has
-	// arrived and the queue is empty: the jobs still running fast-forward
-	// functionally through their remaining budgets (warming caches and
-	// predictor but skipping the pipeline) and depart at finish times
-	// estimated from their own detailed IPC so far. Tail-heavy trials get
-	// much cheaper; turnarounds of the drained jobs become estimates, and
-	// the event log — hence its digest — is mode-dependent (ffdrain events
-	// replace the tail's finish events).
-	FFDrain bool
-
 	// Pool, when non-nil, recycles machine allocations across trials
 	// (reuse is observationally invisible, exactly as for Runner cells).
 	Pool *sim.MachinePool
@@ -253,20 +243,13 @@ func Run(c Config) (*Trial, error) {
 			c.Tracer.Lane(SchedPID, t, fmt.Sprintf("ctx %d", t))
 		}
 	}
-	jobSpan := func(j *Job) {
-		if c.Tracer != nil {
-			c.Tracer.CompleteAt(SchedPID, j.Context, fmt.Sprintf("job %d %s", j.ID, j.Bench),
-				"job", float64(j.Start), float64(j.Finish-j.Start))
-		}
-	}
 
 	var (
-		queue      []*Job
-		running    = make([]*Job, c.Contexts)
-		targets    = make([]uint64, c.Contexts)
-		active     = 0
-		nextArr    = 0
-		ffDrainEnd uint64
+		queue   []*Job
+		running = make([]*Job, c.Contexts)
+		targets = make([]uint64, c.Contexts)
+		active  = 0
+		nextArr = 0
 	)
 	for t := range targets {
 		targets[t] = cpu.NoTarget
@@ -316,52 +299,6 @@ func Run(c Config) (*Trial, error) {
 			break // horizon: remaining jobs count as incomplete
 		}
 
-		// Tail drain: past this point active > 0 and now < MaxCycles, so if
-		// the arrival process is exhausted and nothing queues, the detailed
-		// loop would only be running the last co-schedule out. In FFDrain
-		// mode that tail is functional: fast-forward each remaining job
-		// through its remaining budget and estimate its finish from the IPC
-		// it achieved while simulated in detail.
-		if c.FFDrain && len(queue) == 0 && nextArr == len(jobs) {
-			for ctx, j := range running {
-				if j == nil {
-					continue
-				}
-				done := m.Stats().Threads[ctx].Committed - (targets[ctx] - j.Budget)
-				rem := j.Budget - done
-				m.FastForwardThread(ctx, rem)
-				est := rem // IPC 1.0 fallback for jobs with no detailed history
-				if done > 0 && now > j.Start {
-					est = (rem*(now-j.Start) + done - 1) / done // ceil(rem/ipc)
-				}
-				fin := now + est
-				m.ParkThread(ctx)
-				running[ctx] = nil
-				targets[ctx] = cpu.NoTarget
-				active--
-				if fin > c.MaxCycles {
-					// The estimate lands past the horizon: like the exact
-					// mode's cutoff, the job counts as incomplete.
-					logf("@%d ffcut job=%d ctx=%d est_finish=%d", now, j.ID, ctx, fin)
-					if ffDrainEnd < c.MaxCycles {
-						ffDrainEnd = c.MaxCycles
-					}
-					continue
-				}
-				j.Finish = fin
-				j.Done = true
-				tr.Completed++
-				completed.Inc()
-				turnaround.Observe(int64(j.Turnaround()))
-				jobSpan(j)
-				if ffDrainEnd < fin {
-					ffDrainEnd = fin
-				}
-				logf("@%d ffdrain job=%d ctx=%d finish=%d turnaround=%d", now, j.ID, ctx, fin, j.Turnaround())
-			}
-			break
-		}
-
 		// Advance to the next scheduling event: a job completion (detected
 		// by RunToTargets), the next arrival, or the horizon.
 		stop := c.MaxCycles
@@ -387,7 +324,10 @@ func Run(c Config) (*Trial, error) {
 			tr.Completed++
 			completed.Inc()
 			turnaround.Observe(int64(j.Turnaround()))
-			jobSpan(j)
+			if c.Tracer != nil {
+				c.Tracer.CompleteAt(SchedPID, j.Context, fmt.Sprintf("job %d %s", j.ID, j.Bench),
+					"job", float64(j.Start), float64(j.Finish-j.Start))
+			}
 			m.ParkThread(ctx)
 			running[ctx] = nil
 			targets[ctx] = cpu.NoTarget
@@ -397,9 +337,6 @@ func Run(c Config) (*Trial, error) {
 	}
 
 	tr.Cycles = m.Cycle()
-	if ffDrainEnd > tr.Cycles {
-		tr.Cycles = ffDrainEnd
-	}
 	tr.Jobs = jobs
 	tr.Stats = m.Stats()
 	logf("@%d end completed=%d/%d", tr.Cycles, tr.Completed, len(jobs))

@@ -250,40 +250,3 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("unknown bench: err = %v, want non-ErrConfig failure", err)
 	}
 }
-
-// TestFFDrainDeterminism checks the fast-forwarded tail drain is
-// deterministic and completes the same job set as the detailed drain (the
-// departures it replaces are estimates, so only completion membership and
-// reproducibility are contractual, not cycle counts).
-func TestFFDrainDeterminism(t *testing.T) {
-	ffConfig := func() Config {
-		c := testConfig(FCFS{}, nil)
-		c.FFDrain = true
-		return c
-	}
-	a, err := Run(ffConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(ffConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.EventLogSHA() != b.EventLogSHA() {
-		t.Fatalf("same-seed ffdrain trials differ:\n--- run a\n%s--- run b\n%s",
-			a.EventLogText(), b.EventLogText())
-	}
-	if !reflect.DeepEqual(a.Summary(), b.Summary()) {
-		t.Fatalf("ffdrain summaries differ: %+v vs %+v", a.Summary(), b.Summary())
-	}
-	exact, err := Run(testConfig(FCFS{}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Completed != exact.Completed {
-		t.Fatalf("ffdrain completed %d jobs, detailed drain %d", a.Completed, exact.Completed)
-	}
-	if a.EventLogSHA() == exact.EventLogSHA() {
-		t.Fatal("ffdrain event log unexpectedly identical to the detailed drain (digest is documented as mode-dependent)")
-	}
-}

@@ -39,9 +39,6 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers returns the configured parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
 // Run executes task(0..n-1) across the worker pool and waits for all of
 // them. Tasks must be independent and write only to their own slot of any
 // shared output slice. Panics propagate to the caller.

@@ -2,23 +2,22 @@ package sim
 
 import (
 	"dcra/internal/cpu"
-	"dcra/internal/isa"
 	"dcra/internal/obs"
 )
 
 // ProbeRun advances m by measure cycles in interval-sized chunks,
-// sampling per-thread IPC (over each interval, via the CommitObserver
-// seam) and instantaneous ROB occupancy at every tick. Because
-// Machine.Run is a plain step loop, chunked advancement is bit-identical
-// to one m.Run(measure) call — the probe observes the run, it never
-// steers it (TestProbedRunBitIdentical asserts this).
+// sampling per-thread IPC (over each interval, from the machine's own
+// committed-uop counts) and instantaneous ROB occupancy at every tick.
+// Because Machine.Run is a plain step loop, chunked advancement is
+// bit-identical to one m.Run(measure) call — the probe observes the run,
+// it never steers it (TestProbedRunBitIdentical asserts this).
 func ProbeRun(m *cpu.Machine, measure, interval uint64) *obs.ProbeSeries {
 	nt := m.NumThreads()
 	series := &obs.ProbeSeries{Interval: interval}
-	commits := make([]uint64, nt)
 	prev := make([]uint64, nt)
-	m.SetCommitObserver(func(t int, _ *isa.Uop) { commits[t]++ })
-	defer m.SetCommitObserver(nil)
+	for t := range prev {
+		prev[t] = m.Stats().Threads[t].Committed
+	}
 	start := m.Cycle()
 	var done uint64
 	for done < measure {
@@ -34,8 +33,9 @@ func ProbeRun(m *cpu.Machine, measure, interval uint64) *obs.ProbeSeries {
 			ROBOcc: make([]int, nt),
 		}
 		for t := 0; t < nt; t++ {
-			s.IPC[t] = float64(commits[t]-prev[t]) / float64(chunk)
-			prev[t] = commits[t]
+			committed := m.Stats().Threads[t].Committed
+			s.IPC[t] = float64(committed-prev[t]) / float64(chunk)
+			prev[t] = committed
 			s.ROBOcc[t] = m.Usage(t, cpu.RROB)
 		}
 		series.Samples = append(series.Samples, s)

@@ -12,9 +12,9 @@ import (
 )
 
 // TestProbedRunBitIdentical is the probe's correctness contract, on the path
-// `smtsim -probe` takes: sampling a measured window through the
-// CommitObserver seam must not change a single statistic relative to the
-// same window run with a plain Machine.Run.
+// `smtsim -probe` takes: sampling a measured window in interval-sized chunks
+// must not change a single statistic relative to the same window run with a
+// plain Machine.Run.
 func TestProbedRunBitIdentical(t *testing.T) {
 	w, err := workload.Get(2, workload.MEM, 1)
 	if err != nil {

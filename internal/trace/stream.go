@@ -312,54 +312,8 @@ func (s *Stream) SkipUopWarm(u *isa.Uop) {
 // skipOne synthesises the frontier uop into u and consumes it. The caller
 // has checked that no retained uops remain.
 func (s *Stream) skipOne(u *isa.Uop) {
-	p := &s.prof
-
-	s.phaseLeft--
-	if s.phaseLeft <= 0 {
-		s.slow = s.rg.Bool(p.SlowFrac)
-		s.phaseLeft = s.phaseDist.Sample(s.rg)
-	}
-
-	*u = isa.Uop{Index: s.next, PC: s.pc}
-
-	switch s.classAt(s.pc) {
-	case isa.OpLoad:
-		s.genLoad(u)
-	case isa.OpStore:
-		s.genStore(u)
-	case isa.OpBranch:
-		s.genBranch(u)
-	case isa.OpFPALU:
-		u.Class = isa.OpFPALU
-		s.genDeps(u)
-	case isa.OpFPMul:
-		u.Class = isa.OpFPMul
-		s.genDeps(u)
-	case isa.OpIntMul:
-		u.Class = isa.OpIntMul
-		s.genDeps(u)
-	default:
-		u.Class = isa.OpIntALU
-		s.genDeps(u)
-	}
-
-	if u.Class == isa.OpBranch && u.Taken {
-		s.pc = u.Target
-	} else {
-		s.pc += 4
-		if s.pc >= s.codeBase+uint64(p.CodeBytes) {
-			s.pc = s.codeBase
-		}
-	}
-
-	if u.Class == isa.OpLoad {
-		s.sinceLoad = 0
-	} else if s.sinceLoad < 1<<14 {
-		s.sinceLoad++
-	}
-
+	s.synth(u)
 	s.base++
-	s.next++
 }
 
 // classAt returns the op class of the static instruction at pc. The
@@ -415,8 +369,17 @@ func (s *Stream) classAtSlow(pc uint64) isa.OpClass {
 	}
 }
 
-// generate synthesises the next canonical uop at the frontier.
+// generate synthesises the next canonical uop at the frontier into the
+// retained window.
 func (s *Stream) generate() {
+	s.buf = append(s.buf, isa.Uop{})
+	s.synth(&s.buf[len(s.buf)-1])
+}
+
+// synth draws the frontier uop into u and advances the generator past it:
+// phase process, operand draws, PC walk. generate and skipOne differ only
+// in where u lives, so the canonical stream is the same either way.
+func (s *Stream) synth(u *isa.Uop) {
 	p := &s.prof
 
 	// Phase process.
@@ -426,27 +389,27 @@ func (s *Stream) generate() {
 		s.phaseLeft = s.phaseDist.Sample(s.rg)
 	}
 
-	u := isa.Uop{Index: s.next, PC: s.pc}
+	*u = isa.Uop{Index: s.next, PC: s.pc}
 
 	switch s.classAt(s.pc) {
 	case isa.OpLoad:
-		s.genLoad(&u)
+		s.genLoad(u)
 	case isa.OpStore:
-		s.genStore(&u)
+		s.genStore(u)
 	case isa.OpBranch:
-		s.genBranch(&u)
+		s.genBranch(u)
 	case isa.OpFPALU:
 		u.Class = isa.OpFPALU
-		s.genDeps(&u)
+		s.genDeps(u)
 	case isa.OpFPMul:
 		u.Class = isa.OpFPMul
-		s.genDeps(&u)
+		s.genDeps(u)
 	case isa.OpIntMul:
 		u.Class = isa.OpIntMul
-		s.genDeps(&u)
+		s.genDeps(u)
 	default:
 		u.Class = isa.OpIntALU
-		s.genDeps(&u)
+		s.genDeps(u)
 	}
 
 	// Advance PC: branches may jump, everything else falls through. Keep
@@ -467,7 +430,6 @@ func (s *Stream) generate() {
 		s.sinceLoad++
 	}
 
-	s.buf = append(s.buf, u)
 	s.next++
 }
 
