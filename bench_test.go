@@ -5,8 +5,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// doubles as the reproduction harness. cmd/experiments runs the same
-// experiments with full windows and prints the complete tables.
+// doubles as the reproduction harness. `campaign run -exp KEY -store DIR`
+// runs the same experiments with full windows and prints the complete
+// tables.
 package dcra_test
 
 import (
@@ -21,7 +22,7 @@ import (
 
 // quickSuite builds a reduced-window suite per benchmark iteration set.
 func quickSuite() *experiments.Suite {
-	s := experiments.NewQuickSuite()
+	s := experiments.NewSuite()
 	s.Runner.Warmup = 15_000
 	s.Runner.Measure = 60_000
 	return s
@@ -38,7 +39,7 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkFigure2 runs the resource-restriction curves on a benchmark
-// subset (one integer, one FP; full sweep in cmd/experiments).
+// subset (one integer, one FP; full sweep with `campaign run -exp fig2`).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := quickSuite()

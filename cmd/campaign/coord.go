@@ -46,8 +46,8 @@ func coordinatorStatus(url string) {
 		fmt.Println("  coordinator is draining: no new leases")
 	}
 	for _, l := range s.Leases {
-		fmt.Printf("  lease %s -> %s cells [%d,%d) age %dms expires %dms\n",
-			l.LeaseID, l.Worker, l.Range[0], l.Range[1], l.AgeMs, l.ExpireMs)
+		fmt.Printf("  lease %s -> %s cell %s age %dms expires %dms\n",
+			l.LeaseID, l.Worker, l.Key, l.AgeMs, l.ExpireMs)
 	}
 	for _, key := range s.MissingKeys {
 		fmt.Printf("  exhausted %s\n", key)
@@ -81,7 +81,7 @@ func cmdWork(args []string) {
 		ID:        *id,
 		Transport: &coord.HTTPTransport{Base: *coordinator},
 		// The grant carries the campaign's measurement protocol, so workers
-		// need no -quick/-warmup/-measure flags: they adopt whatever the
+		// need no -warmup/-measure flags: they adopt whatever the
 		// coordinator's store was opened with.
 		NewRunner:   func(p campaign.Params) (campaign.Runner, error) { return workerSuite(p), nil },
 		RetryWindow: *retryWindow,

@@ -13,12 +13,13 @@
 // `run` is the one command that computes and renders an experiment. A
 // coordinator leases the sweep's missing cells to GOMAXPROCS in-process
 // workers, then the experiment renders strictly from the store, so
-// re-running it simulates nothing (enforceable with -require-store). All
-// invocations of one campaign must agree on the measurement protocol
-// (-quick/-warmup/-measure); the store manifest refuses mismatches. With
-// -sampled, workload cells run the adaptive SMARTS-style schedule derived
-// from that protocol (sample.DeriveAdaptive), stamped into their keys. For
-// renders without a store, use cmd/experiments.
+// re-running it simulates nothing (enforceable with -require-store).
+// Experiments run into one store share the cells their sweeps have in
+// common. All invocations of one campaign must agree on the measurement
+// protocol (-warmup/-measure; the quick protocol is -warmup 15000 -measure
+// 60000); the store manifest refuses mismatches. With -sampled, workload
+// cells run the adaptive SMARTS-style schedule derived from that protocol
+// (sample.DeriveAdaptive), stamped into their keys.
 //
 // To spread a sweep across hosts, serve the coordinator instead of
 // starting local workers, and run any number of workers:
@@ -27,10 +28,10 @@
 //	campaign work -coordinator http://host:8123            # any number, anywhere
 //	campaign status -coordinator http://host:8123          # live progress, health and cell SLO
 //
-// Either way the coordinator reclaims leases whose heartbeats lapse,
-// retries failed cells with backoff, checkpoints its retry state for
-// crash-safe resumption (<store>/coordinator-<sweep hash>.json), and drains
-// on Ctrl-C or -deadline. It ticks a health ring every 2s, judged against
+// Either way the coordinator leases one cell at a time, reclaims leases
+// whose heartbeats lapse, retries failed cells with backoff, checkpoints
+// its retry state for crash-safe resumption (<store>/coordinator-<sweep
+// hash>.json), and drains on Ctrl-C or -deadline. It ticks a health ring every 2s, judged against
 // the -cell-slo-* objective, and an aborted campaign leaves its flight
 // record in <store>/flightrec.json. See EXPERIMENTS.md ("Distributed
 // campaigns", "Watching a fleet").
@@ -78,9 +79,9 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: campaign <run|status|gc|work> [flags]
 
-  run     -exp KEY -store DIR [-quick] [-warmup N -measure N] [-sampled]
+  run     -exp KEY -store DIR [-warmup N -measure N] [-sampled]
           [-csv DIR] [-require-store] [-trace FILE]
-          [-addr HOST:PORT] [-range N -ttl D -backoff D -deadline D -grace D]
+          [-addr HOST:PORT] [-ttl D -backoff D -deadline D -grace D]
           [-checkpoint FILE]
           [-cell-slo-p Q -cell-slo-ms N -cell-slo-window N]
   status  -exp KEY -store DIR [-sampled] | -coordinator URL

@@ -36,7 +36,7 @@ type runOptions struct {
 	trace        string
 
 	// The measurement protocol.
-	quick, sampled  bool
+	sampled         bool
 	warmup, measure uint64
 
 	// addr, when set, serves the coordinator over HTTP to remote workers
@@ -62,13 +62,11 @@ func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
 	fs.StringVar(&o.csv, "csv", "", "CSV artifact directory (default <store>/csv)")
 	fs.BoolVar(&o.requireStore, "require-store", false, "fail, naming the missing cells, unless the store already holds every cell")
 	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON file of the run (load in Perfetto / chrome://tracing)")
-	fs.BoolVar(&o.quick, "quick", false, "reduced measurement windows (~6x faster)")
 	fs.Uint64Var(&o.warmup, "warmup", 0, "override warmup cycles")
 	fs.Uint64Var(&o.measure, "measure", 0, "override measured cycles")
 	fs.BoolVar(&o.sampled, "sampled", false,
 		"SMARTS-style sampled execution for workload cells, schedule derived from the protocol and stamped into cell keys (bench/sched cells stay exact; stored exact results are preferred)")
 	fs.StringVar(&o.addr, "addr", "", "serve leases over HTTP on this address to `campaign work` processes instead of computing with local workers")
-	fs.IntVar(&o.coord.RangeSize, "range", 0, "cells per lease (0 = one with local workers, the coordinator default with -addr)")
 	fs.DurationVar(&o.coord.LeaseTTL, "ttl", 0, "lease TTL; a lease with no heartbeat for this long is reclaimed (0 = default)")
 	fs.DurationVar(&o.coord.BackoffBase, "backoff", 0, "base retry backoff, doubled per attempt (0 = default)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "campaign deadline; on expiry drain leases and report what is missing (0 = none)")
@@ -89,9 +87,6 @@ func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
 // suite builds the render suite for o's measurement protocol.
 func (o runOptions) suite() *experiments.Suite {
 	s := experiments.NewSuite()
-	if o.quick {
-		s = experiments.NewQuickSuite()
-	}
 	if o.warmup > 0 {
 		s.Runner.Warmup = o.warmup
 	}
@@ -117,7 +112,7 @@ func runCampaign(o runOptions, stdout, stderr io.Writer) error {
 		return err
 	}
 	if o.store == "" {
-		return errors.New("run needs -store DIR (cmd/experiments renders without a store)")
+		return errors.New("run needs -store DIR")
 	}
 	s := o.suite()
 	st, err := campaign.Open(o.store, s.StoreParams())
@@ -167,12 +162,8 @@ func runCampaign(o runOptions, stdout, stderr io.Writer) error {
 		opts.Checkpoint = filepath.Join(o.store, "coordinator-"+sweep.Hash()+".json")
 	}
 	if o.addr == "" {
-		// Loopback calls make no round trip: lease one cell at a time, and
-		// let idle workers poll often, so they leave within a poll of the
-		// campaign's end.
-		if opts.RangeSize == 0 {
-			opts.RangeSize = 1
-		}
+		// Loopback calls make no round trip: let idle workers poll often, so
+		// they leave within a poll of the campaign's end.
 		opts.PollInterval = 10 * time.Millisecond
 	}
 	opts.Logf, opts.Obs, opts.Tracer, opts.Flight = logger.Printf, reg, tracer, flight

@@ -1,9 +1,9 @@
-// Package coord is the campaign control plane: a coordinator leases
-// contiguous cell ranges of one experiment's sweep to worker processes,
+// Package coord is the campaign control plane: a coordinator leases the
+// cells of one experiment's sweep to worker processes, one cell per lease,
 // tracks lease heartbeats against deadlines, reclaims and re-leases expired
-// or failed ranges with exponential backoff and seeded jitter under a
-// per-cell retry budget, re-dispatches stragglers speculatively, and streams
-// completed cells into the campaign store as they arrive. Coordinator state
+// or failed cells with exponential backoff and seeded jitter under a
+// per-cell retry budget, re-dispatches stragglers speculatively, and stores
+// each completed cell in the campaign store as it arrives. Coordinator state
 // is checkpointed to disk so a killed coordinator resumes exactly where it
 // left off: completion is re-derived from the store itself (the durable
 // record), retry accounting from the checkpoint, and lost leases simply
@@ -28,22 +28,20 @@ import (
 
 // Options tune the coordinator. The zero value gets sensible defaults.
 type Options struct {
-	// RangeSize is the number of cells per lease (default 8).
-	RangeSize int
 	// LeaseTTL is the heartbeat deadline: a lease not heartbeated for this
-	// long is reclaimed and its incomplete cells re-leased (default 15s).
+	// long is reclaimed and its cell re-leased (default 15s).
 	LeaseTTL time.Duration
 	// RetryBudget is the per-cell attempt budget: a cell whose leases have
 	// failed or expired this many times is given up on and reported missing
 	// (default 5).
 	RetryBudget int
 	// BackoffBase/BackoffMax bound the exponential backoff applied to a
-	// range after each failure: base*2^(attempt-1), jittered to [50%,150%]
+	// cell after each failure: base*2^(attempt-1), jittered to [50%,150%]
 	// by the seeded RNG, capped at max (defaults 500ms, 30s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// SpeculateAfter re-dispatches stragglers: when an idle worker asks for
-	// work and no range is pending, a range whose sole lease has been out
+	// work and no cell is pending, a cell whose sole lease has been out
 	// longer than this is leased a second time (default 2*LeaseTTL).
 	SpeculateAfter time.Duration
 	// PollInterval is the retry hint handed to workers when nothing is
@@ -76,9 +74,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.RangeSize <= 0 {
-		o.RangeSize = 8
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 15 * time.Second
 	}
@@ -108,16 +103,13 @@ type cellState struct {
 	cell      campaign.Cell
 	key       string
 	done      bool
-	attempts  int
+	attempts  int // failed leases so far: charged to the budget, drives backoff
 	exhausted bool
+	notBefore time.Time // backoff gate; zero = leasable now
 }
 
-// rangeState tracks one contiguous lease unit of the canonical cell order.
-type rangeState struct {
-	start, end int
-	attempts   int       // failed leases so far, drives backoff
-	notBefore  time.Time // backoff gate; zero = leasable now
-}
+// pending reports whether the cell is neither done nor given up on.
+func (cs *cellState) pending() bool { return !cs.done && !cs.exhausted }
 
 // contact is a worker's latest request: when it arrived and whether it was
 // answered StateDone.
@@ -130,8 +122,7 @@ type contact struct {
 type lease struct {
 	id       string
 	worker   string
-	r        int
-	cells    []int // indices incomplete at issue time
+	cell     int // index into Coordinator.cells
 	issued   time.Time
 	deadline time.Time
 }
@@ -147,7 +138,6 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	cells    []cellState
-	ranges   []rangeState
 	leases   map[string]*lease
 	leaseSeq int
 	jitter   *rng.Source
@@ -198,15 +188,13 @@ func (c *Coordinator) traceLeaseLocked(l *lease, now time.Time, outcome string) 
 	if tr == nil {
 		return
 	}
-	name := fmt.Sprintf("lease %s r%d %s", l.id, l.r, outcome)
-	tr.CompleteAt(TracePIDLeases, c.laneForLocked(l.worker), name, "lease",
+	tr.CompleteAt(TracePIDLeases, c.laneForLocked(l.worker), "lease "+l.id+" "+outcome, "lease",
 		tr.Since(l.issued), float64(now.Sub(l.issued).Microseconds()))
 }
 
 // New builds a coordinator for one experiment sweep over the given store.
 // The sweep's distinct cells, in enumeration order, form the canonical cell
-// order ranges are cut from — deterministic, so a restarted coordinator cuts
-// identical ranges. Cells the store already covers count as done
+// order leases are handed out in. Cells the store already covers count as done
 // immediately (resumption, an earlier campaign, or for a sampled cell its
 // stored exact counterpart, which renders prefer); a sweep with no cells
 // starts complete. A checkpoint file at opts.Checkpoint, if present, must
@@ -254,15 +242,10 @@ func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*
 		c.cellByKy[cs.key] = len(c.cells)
 		c.cells = append(c.cells, cs)
 	}
-	for start := 0; start < len(c.cells); start += opts.RangeSize {
-		end := min(start+opts.RangeSize, len(c.cells))
-		c.ranges = append(c.ranges, rangeState{start: start, end: end})
-	}
 	if err := c.loadCheckpoint(); err != nil {
 		return nil, err
 	}
-	c.logf("campaign %s (%s): %d cells in %d ranges, %d already complete",
-		name, c.hash, len(c.cells), len(c.ranges), c.done)
+	c.logf("campaign %s (%s): %d cells, %d already complete", name, c.hash, len(c.cells), c.done)
 	return c, nil
 }
 
@@ -272,7 +255,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// reapLocked expires overdue leases, re-queueing their incomplete cells.
+// reapLocked expires overdue leases, re-queueing their cells.
 func (c *Coordinator) reapLocked(now time.Time) {
 	for id, l := range c.leases {
 		if l.deadline.After(now) {
@@ -281,46 +264,42 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		delete(c.leases, id)
 		c.o.leasesExpired.Inc()
 		c.traceLeaseLocked(l, now, "expired")
-		c.flightf("lease-expired", "lease %s (%s, range %d) missed its heartbeat deadline", l.id, l.worker, l.r)
+		c.flightf("lease-expired", "lease %s (%s) missed its heartbeat deadline", l.id, l.worker)
 		c.failLeaseLocked(l, now, "lease expired")
 	}
 }
 
-// failLeaseLocked charges a dead lease's incomplete cells one attempt each
-// and puts the range behind an exponential-backoff gate.
+// failLeaseLocked counts a dead lease as a retry and, unless its cell is
+// already done or given up on, charges the cell one attempt and puts it
+// behind an exponential-backoff gate.
 func (c *Coordinator) failLeaseLocked(l *lease, now time.Time, why string) {
-	incomplete := 0
-	for _, i := range l.cells {
-		cs := &c.cells[i]
-		if cs.done || cs.exhausted {
-			continue
-		}
-		incomplete++
-		cs.attempts++
-		if cs.attempts >= c.opts.RetryBudget {
-			cs.exhausted = true
-			c.exhaust++
-			c.logf("cell %s exhausted its retry budget (%d attempts)", cs.cell, cs.attempts)
-			c.flightf("cell-exhausted", "cell %s gave up after %d attempts", cs.cell, cs.attempts)
-		}
-	}
-	r := &c.ranges[l.r]
-	r.attempts++
-	backoff := c.backoffLocked(r.attempts)
-	r.notBefore = now.Add(backoff)
 	c.retries++
-	c.logf("lease %s (%s, range %d, %d cells left): %s; range backs off %v",
-		l.id, l.worker, l.r, incomplete, why, backoff)
-	c.flightf("retry", "lease %s (%s, range %d, %d cells left): %s; backoff %v",
-		l.id, l.worker, l.r, incomplete, why, backoff)
-	c.saveCheckpointLocked()
+	defer c.saveCheckpointLocked()
+	cs := &c.cells[l.cell]
+	if !cs.pending() {
+		c.logf("lease %s (%s, cell %s): %s; nothing left to retry", l.id, l.worker, cs.cell, why)
+		return
+	}
+	cs.attempts++
+	if cs.attempts >= c.opts.RetryBudget {
+		cs.exhausted = true
+		c.exhaust++
+		c.logf("lease %s (%s): %s; cell %s exhausted its retry budget (%d attempts)",
+			l.id, l.worker, why, cs.cell, cs.attempts)
+		c.flightf("cell-exhausted", "cell %s gave up after %d attempts", cs.cell, cs.attempts)
+		return
+	}
+	backoff := c.backoffLocked(cs.attempts)
+	cs.notBefore = now.Add(backoff)
+	c.logf("lease %s (%s, cell %s): %s; cell backs off %v", l.id, l.worker, cs.cell, why, backoff)
+	c.flightf("retry", "lease %s (%s, cell %s): %s; backoff %v", l.id, l.worker, cs.cell, why, backoff)
 }
 
 // closeHeldLocked closes every lease worker still holds. A worker serves
 // one lease at a time, so when it asks for the next one, any lease it still
 // holds is over: usually one a heartbeat told it to abandon (drain, or a
-// speculative twin finished the range), which it leaves without a Fail or a
-// final Complete. Closing it now rather than at its deadline keeps WaitIdle
+// speculative twin finished the cell), which it leaves without a Fail or a
+// Complete. Closing it now rather than at its deadline keeps WaitIdle
 // from waiting out its TTL. A lease with nothing left to compute is dropped
 // without charging a retry; any other is failed exactly as its expiry
 // would be.
@@ -330,27 +309,17 @@ func (c *Coordinator) closeHeldLocked(worker string, now time.Time) {
 			continue
 		}
 		delete(c.leases, id)
-		if !c.leftLocked(l) {
+		if !c.cells[l.cell].pending() {
 			c.traceLeaseLocked(l, now, "cancelled")
-			c.logf("lease %s (%s, range %d): closed at its worker's next lease request, nothing left to compute",
-				l.id, l.worker, l.r)
+			c.logf("lease %s (%s): closed at its worker's next lease request, nothing left to compute",
+				l.id, l.worker)
 			continue
 		}
 		c.o.leasesExpired.Inc()
 		c.traceLeaseLocked(l, now, "abandoned")
-		c.flightf("lease-abandoned", "lease %s (%s, range %d) abandoned by its worker", l.id, l.worker, l.r)
+		c.flightf("lease-abandoned", "lease %s (%s) abandoned by its worker", l.id, l.worker)
 		c.failLeaseLocked(l, now, "abandoned by its worker")
 	}
-}
-
-// leftLocked reports whether any of l's cells is neither done nor given up.
-func (c *Coordinator) leftLocked(l *lease) bool {
-	for _, i := range l.cells {
-		if !c.cells[i].done && !c.cells[i].exhausted {
-			return true
-		}
-	}
-	return false
 }
 
 // backoffLocked computes the jittered exponential backoff for an attempt.
@@ -360,36 +329,26 @@ func (c *Coordinator) backoffLocked(attempt int) time.Duration {
 		d *= 2
 	}
 	d = min(d, c.opts.BackoffMax)
-	// Jitter to [50%, 150%] so reclaimed ranges don't re-lease in lockstep.
+	// Jitter to [50%, 150%] so reclaimed cells don't re-lease in lockstep.
 	return d/2 + time.Duration(c.jitter.Float64()*float64(d))
 }
 
-// pendingLocked returns r's incomplete, unexhausted cell indices.
-func (c *Coordinator) pendingLocked(r rangeState) []int {
-	var idx []int
-	for i := r.start; i < r.end; i++ {
-		if !c.cells[i].done && !c.cells[i].exhausted {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// leaseCountLocked counts active leases per range index.
+// leaseCountLocked counts active leases per cell index.
 func (c *Coordinator) leaseCountLocked() map[int]int {
 	counts := make(map[int]int, len(c.leases))
 	for _, l := range c.leases {
-		counts[l.r]++
+		counts[l.cell]++
 	}
 	return counts
 }
 
-// Lease hands out the next leasable range: the first range with incomplete
-// cells, no active lease and an elapsed backoff gate. When none is pending,
-// a straggler range (sole lease older than SpeculateAfter) is speculatively
-// double-leased; otherwise the worker is told to wait or, when every cell is
-// done or given up on (or the coordinator is draining), to exit. Any lease
-// the asking worker still holds is closed first (closeHeldLocked).
+// Lease hands out the next leasable cell: the first pending cell in
+// canonical order with no active lease and an elapsed backoff gate. When
+// none is, a straggler cell (sole lease older than SpeculateAfter) is
+// speculatively double-leased; otherwise the worker is told to wait or,
+// when every cell is done or given up on (or the coordinator is draining),
+// to exit. Any lease the asking worker still holds is closed first
+// (closeHeldLocked).
 func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -408,12 +367,10 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) LeaseResponse
 	}
 
 	counts := c.leaseCountLocked()
-	for ri, r := range c.ranges {
-		if counts[ri] > 0 || r.notBefore.After(now) {
-			continue
-		}
-		if idx := c.pendingLocked(r); len(idx) > 0 {
-			return c.grantLocked(req.Worker, ri, idx, r.attempts, now)
+	for i := range c.cells {
+		cs := &c.cells[i]
+		if cs.pending() && counts[i] == 0 && !cs.notBefore.After(now) {
+			return c.grantLocked(req.Worker, i, now)
 		}
 	}
 
@@ -422,10 +379,7 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) LeaseResponse
 	// results harmless duplicates.
 	var straggler *lease
 	for _, l := range c.leases {
-		if counts[l.r] != 1 || now.Sub(l.issued) < c.opts.SpeculateAfter {
-			continue
-		}
-		if len(c.pendingLocked(c.ranges[l.r])) == 0 {
+		if counts[l.cell] != 1 || now.Sub(l.issued) < c.opts.SpeculateAfter || !c.cells[l.cell].pending() {
 			continue
 		}
 		if straggler == nil || l.issued.Before(straggler.issued) {
@@ -433,48 +387,39 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) LeaseResponse
 		}
 	}
 	if straggler != nil && straggler.worker != req.Worker {
-		r := c.ranges[straggler.r]
-		c.logf("straggler: range %d leased to %s for %v, re-dispatching to %s",
-			straggler.r, straggler.worker, now.Sub(straggler.issued), req.Worker)
+		cell := c.cells[straggler.cell].cell
+		c.logf("straggler: cell %s leased to %s for %v, re-dispatching to %s",
+			cell, straggler.worker, now.Sub(straggler.issued), req.Worker)
 		c.o.speculated.Inc()
-		c.flightf("speculate", "range %d straggling on %s for %v, re-dispatched to %s",
-			straggler.r, straggler.worker, now.Sub(straggler.issued), req.Worker)
-		return c.grantLocked(req.Worker, straggler.r, c.pendingLocked(r), r.attempts, now)
+		c.flightf("speculate", "cell %s straggling on %s for %v, re-dispatched to %s",
+			cell, straggler.worker, now.Sub(straggler.issued), req.Worker)
+		return c.grantLocked(req.Worker, straggler.cell, now)
 	}
 
 	return LeaseResponse{State: StateWait, RetryMs: c.opts.PollInterval.Milliseconds()}
 }
 
-// grantLocked issues one lease over the given cell indices.
-func (c *Coordinator) grantLocked(worker string, ri int, idx []int, attempt int, now time.Time) LeaseResponse {
+// grantLocked issues one lease over cell i.
+func (c *Coordinator) grantLocked(worker string, i int, now time.Time) LeaseResponse {
 	c.leaseSeq++
 	l := &lease{
 		id:       fmt.Sprintf("%s-%d", worker, c.leaseSeq),
 		worker:   worker,
-		r:        ri,
-		cells:    idx,
+		cell:     i,
 		issued:   now,
 		deadline: now.Add(c.opts.LeaseTTL),
 	}
 	c.leases[l.id] = l
 	c.o.leasesGranted.Inc()
-	g := &Grant{
-		LeaseID:   l.id,
-		Campaign:  c.name,
-		SweepHash: c.hash,
-		Params:    c.store.Params(),
-		Range:     [2]int{c.ranges[ri].start, c.ranges[ri].end},
-		Attempt:   attempt,
-		TTLMs:     c.opts.LeaseTTL.Milliseconds(),
-	}
-	for _, i := range idx {
-		g.Cells = append(g.Cells, c.cells[i].cell)
-	}
-	c.logf("lease %s: range %d [%d,%d) -> %s (%d cells, attempt %d)",
-		l.id, ri, g.Range[0], g.Range[1], worker, len(g.Cells), attempt)
-	c.flightf("lease", "lease %s: range %d [%d,%d) -> %s (%d cells, attempt %d)",
-		l.id, ri, g.Range[0], g.Range[1], worker, len(g.Cells), attempt)
-	return LeaseResponse{State: StateLease, Grant: g}
+	cs := &c.cells[i]
+	c.logf("lease %s: cell %s -> %s (attempt %d)", l.id, cs.cell, worker, cs.attempts)
+	c.flightf("lease", "lease %s: cell %s -> %s (attempt %d)", l.id, cs.cell, worker, cs.attempts)
+	return LeaseResponse{State: StateLease, Grant: &Grant{
+		LeaseID: l.id,
+		Params:  c.store.Params(),
+		TTLMs:   c.opts.LeaseTTL.Milliseconds(),
+		Cell:    cs.cell,
+	}}
 }
 
 // Heartbeat extends a live lease's deadline.
@@ -490,18 +435,18 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	}
 	c.o.heartbeats.Inc()
 	l.deadline = now.Add(c.opts.LeaseTTL)
-	// Cancel leases whose remaining work evaporated (a speculative twin or a
-	// late completion finished the cells) and all leases while draining.
-	return HeartbeatResponse{OK: true, Cancel: c.draining || !c.leftLocked(l)}
+	// Cancel leases whose work evaporated (a speculative twin or a late
+	// completion finished the cell) and all leases while draining.
+	return HeartbeatResponse{OK: true, Cancel: c.draining || !c.cells[l.cell].pending()}
 }
 
 // Complete verifies and stores a completion payload. Integrity is checked
 // twice: the payload digest must match (in-flight corruption) and every
 // cell's recorded key must match its recomputed content key and belong to
-// this campaign (wrong-campaign or hand-edited payloads). Valid completions
-// are accepted even from expired or unknown leases — the work is done and
-// the store write is idempotent, so late and duplicate arrivals are kept,
-// never wasted.
+// this campaign (wrong-campaign or hand-edited payloads). An accepted
+// completion ends its lease. Valid completions are accepted even from
+// expired or unknown leases — the work is done and the store write is
+// idempotent, so late and duplicate arrivals are kept, never wasted.
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -548,11 +493,9 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		c.o.cellsDone.Inc()
 		c.opts.Obs.Counter("coord.worker.cells." + req.Worker).Inc()
 	}
-	if req.Done {
-		if l, ok := c.leases[req.LeaseID]; ok {
-			c.traceLeaseLocked(l, now, "done")
-			delete(c.leases, req.LeaseID)
-		}
+	if l, ok := c.leases[req.LeaseID]; ok {
+		c.traceLeaseLocked(l, now, "done")
+		delete(c.leases, req.LeaseID)
 	}
 	return CompleteResponse{OK: true}
 }
@@ -576,8 +519,8 @@ func (c *Coordinator) traceCellLocked(req CompleteRequest, ci int, now time.Time
 		"cell "+req.Cells[ci].Cell.String(), "cell", end-float64(us), float64(us))
 }
 
-// Fail surrenders a lease: its incomplete cells are charged an attempt and
-// re-queued behind the range's backoff gate.
+// Fail surrenders a lease: its cell is charged an attempt and re-queued
+// behind its backoff gate.
 func (c *Coordinator) Fail(req FailRequest) FailResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -615,13 +558,11 @@ func (c *Coordinator) Status() StatusResponse {
 	}
 	leased := make(map[int]bool)
 	for _, l := range c.leases {
-		for _, i := range l.cells {
-			leased[i] = true
-		}
+		leased[l.cell] = true
 		resp.Leases = append(resp.Leases, LeaseInfo{
 			LeaseID:  l.id,
 			Worker:   l.worker,
-			Range:    [2]int{c.ranges[l.r].start, c.ranges[l.r].end},
+			Key:      c.cells[l.cell].key,
 			AgeMs:    now.Sub(l.issued).Milliseconds(),
 			ExpireMs: l.deadline.Sub(now).Milliseconds(),
 		})

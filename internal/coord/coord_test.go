@@ -90,7 +90,6 @@ var chaosParams = campaign.Params{Warmup: 11, Measure: 22, Seed: 33}
 func fastOpts(t *testing.T, dir string, seed uint64) coord.Options {
 	t.Helper()
 	return coord.Options{
-		RangeSize:      4,
 		LeaseTTL:       40 * time.Millisecond,
 		RetryBudget:    10,
 		BackoffBase:    time.Millisecond,
@@ -407,9 +406,9 @@ func TestDrainStopsLeasing(t *testing.T) {
 	}
 	// The in-flight lease still lands.
 	g := resp.Grant
-	cr := campaign.CellResult{Key: g.Cells[0].Key(), Cell: g.Cells[0], Result: chaosResult(g.Cells[0])}
+	cr := campaign.CellResult{Key: g.Cell.Key(), Cell: g.Cell, Result: chaosResult(g.Cell)}
 	done := co.Complete(coord.CompleteRequest{
-		Worker: "hand", LeaseID: g.LeaseID, Done: true,
+		Worker: "hand", LeaseID: g.LeaseID,
 		Cells: []campaign.CellResult{cr}, Sum: coord.PayloadSum([]campaign.CellResult{cr}),
 	})
 	if !done.OK {
@@ -436,7 +435,7 @@ func TestCompleteRejectsCorruptPayloads(t *testing.T) {
 	}
 	resp := co.Lease(coord.LeaseRequest{Worker: "w"})
 	g := resp.Grant
-	cell := g.Cells[0]
+	cell := g.Cell
 	good := campaign.CellResult{Key: cell.Key(), Cell: cell, Result: chaosResult(cell)}
 
 	// Digest mismatch (bit rot in flight).
@@ -471,7 +470,7 @@ func TestCompleteRejectsCorruptPayloads(t *testing.T) {
 	}
 	// The clean payload still lands.
 	if r := co.Complete(coord.CompleteRequest{
-		Worker: "w", LeaseID: g.LeaseID, Done: true,
+		Worker: "w", LeaseID: g.LeaseID,
 		Cells: []campaign.CellResult{good}, Sum: coord.PayloadSum([]campaign.CellResult{good}),
 	}); !r.OK {
 		t.Fatalf("clean payload rejected: %s", r.Reason)

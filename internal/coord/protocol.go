@@ -14,7 +14,7 @@ import (
 const (
 	// StateLease grants work: the response carries a Grant.
 	StateLease = "lease"
-	// StateWait means no range is currently leasable (everything is leased
+	// StateWait means no cell is currently leasable (everything is leased
 	// or backing off); the worker should retry after RetryMs.
 	StateWait = "wait"
 	// StateDone means the campaign has nothing left to hand out — every cell
@@ -23,23 +23,19 @@ const (
 	StateDone = "done"
 )
 
-// LeaseRequest asks the coordinator for a range of cells to compute.
+// LeaseRequest asks the coordinator for a cell to compute.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 }
 
-// Grant is one lease: a contiguous range of the campaign's canonical cell
-// order, minus cells already completed. The worker must heartbeat before the
-// TTL elapses or the coordinator reclaims and re-leases the range.
+// Grant is one lease: one cell of the campaign, under the campaign's
+// measurement protocol. The worker must heartbeat before the TTL elapses or
+// the coordinator reclaims and re-leases the cell.
 type Grant struct {
-	LeaseID   string          `json:"lease_id"`
-	Campaign  string          `json:"campaign"`
-	SweepHash string          `json:"sweep_hash"`
-	Params    campaign.Params `json:"params"`
-	Range     [2]int          `json:"range"` // [start, end) in canonical order
-	Attempt   int             `json:"attempt"`
-	TTLMs     int64           `json:"ttl_ms"`
-	Cells     []campaign.Cell `json:"cells"`
+	LeaseID string          `json:"lease_id"`
+	Params  campaign.Params `json:"params"`
+	TTLMs   int64           `json:"ttl_ms"`
+	Cell    campaign.Cell   `json:"cell"`
 }
 
 // TTL returns the grant's heartbeat deadline interval.
@@ -53,9 +49,9 @@ type LeaseResponse struct {
 	Grant   *Grant `json:"grant,omitempty"`
 }
 
-// HeartbeatRequest extends a lease's deadline. Completions do not extend the
-// deadline — heartbeats are the only keepalive — so a worker that streams
-// results but whose control loop has stalled still loses its lease.
+// HeartbeatRequest extends a lease's deadline. Heartbeats are the only
+// keepalive, so a worker whose heartbeats stall while it computes loses its
+// lease.
 type HeartbeatRequest struct {
 	Worker  string `json:"worker"`
 	LeaseID string `json:"lease_id"`
@@ -63,24 +59,28 @@ type HeartbeatRequest struct {
 
 // HeartbeatResponse acknowledges a heartbeat. OK is false when the lease is
 // unknown (expired and reclaimed, or from a previous coordinator life).
-// Cancel tells the worker to abandon the lease: every cell it covers has
+// Cancel tells the worker to stop heartbeating the lease: its cell has
 // already been completed by someone else, or the coordinator is draining.
 type HeartbeatResponse struct {
 	OK     bool `json:"ok"`
 	Cancel bool `json:"cancel,omitempty"`
 }
 
-// CompleteRequest streams finished cells home. Workers send one request per
-// cell as results arrive, with Done set on the last cell of the lease. Sum is
-// the integrity digest of Cells (PayloadSum); the coordinator rejects
-// payloads whose digest does not match, so a corrupted result cannot poison
-// the store with a wrong-but-well-formed number.
+// CompleteRequest brings a lease's finished cell home and ends the lease.
+// Workers send one cell per request. Sum is the integrity digest of Cells
+// (PayloadSum); the coordinator rejects payloads whose digest does not
+// match, so a corrupted result cannot poison the store with a
+// wrong-but-well-formed number.
 type CompleteRequest struct {
 	Worker  string                `json:"worker"`
 	LeaseID string                `json:"lease_id"`
-	Done    bool                  `json:"done"`
 	Cells   []campaign.CellResult `json:"cells"`
 	Sum     string                `json:"sum"`
+
+	// Done is ignored: every accepted completion ends its lease. The field
+	// stays only because perfbench's transport test still sets it; delete
+	// it with that line.
+	Done bool `json:"done,omitempty"`
 
 	// CellMs carries the worker-measured compute duration of each cell
 	// in Cells, in milliseconds, for the coordinator's trace and
@@ -97,8 +97,8 @@ type CompleteResponse struct {
 }
 
 // FailRequest surrenders a lease after a compute error or a rejected
-// completion; the coordinator re-queues the lease's incomplete cells with
-// backoff, exactly as if the lease had expired.
+// completion; the coordinator re-queues the lease's cell with backoff,
+// exactly as if the lease had expired.
 type FailRequest struct {
 	Worker  string `json:"worker"`
 	LeaseID string `json:"lease_id"`
@@ -114,7 +114,7 @@ type FailResponse struct {
 type LeaseInfo struct {
 	LeaseID  string `json:"lease_id"`
 	Worker   string `json:"worker"`
-	Range    [2]int `json:"range"`
+	Key      string `json:"key"` // the leased cell's content key
 	AgeMs    int64  `json:"age_ms"`
 	ExpireMs int64  `json:"expire_ms"` // until deadline; negative = overdue
 }

@@ -22,15 +22,15 @@ type RunnerFactory func(p campaign.Params) (campaign.Runner, error)
 
 // WorkerHooks are fault-injection points; nil hooks are skipped.
 type WorkerHooks struct {
-	// BeforeCell runs before the worker's n-th cell (counted across leases).
+	// BeforeCell runs before the worker's n-th cell (one per lease).
 	// Returning an error aborts the worker as if it crashed: no Fail call,
 	// no cleanup, mirroring a kill -9.
 	BeforeCell func(n int, c campaign.Cell) error
 }
 
-// Worker pulls leases from a coordinator, computes cells and streams each
-// result home as it finishes (so a crash loses at most the cell in flight).
-// A heartbeat goroutine keeps each lease alive while computing. Transport
+// Worker pulls one-cell leases from a coordinator, computes each cell and
+// sends its result home (so a crash loses at most the cell in flight). A
+// heartbeat goroutine keeps each lease alive while computing. Transport
 // errors — a restarting coordinator — are retried with exponential backoff
 // before giving up.
 type Worker struct {
@@ -93,8 +93,8 @@ func (w *Worker) Run() error {
 	}
 }
 
-// serve computes one lease's cells. Compute errors and rejected completions
-// surrender the lease (Fail) and return nil — the worker moves on to the
+// serve computes one lease's cell. A compute error or a rejected completion
+// surrenders the lease (Fail) and returns nil — the worker moves on to the
 // next lease; the coordinator owns the retry. Only injected kills propagate.
 func (w *Worker) serve(g *Grant) error {
 	if w.runner == nil || w.params != g.Params {
@@ -105,11 +105,10 @@ func (w *Worker) serve(g *Grant) error {
 		w.runner, w.params = r, g.Params
 	}
 
-	// Heartbeat at a third of the TTL until the lease's work is over or the
-	// coordinator cancels it (drain, or a twin finished the range first).
-	// Waiting in a select on stop lets serve return as soon as the lease's
-	// last completion is acknowledged.
-	cancel := make(chan struct{})
+	// Heartbeat at a third of the TTL until the cell is home or the
+	// coordinator cancels the lease (drain, or a twin finished the cell
+	// first). Waiting in a select on stop lets serve return as soon as the
+	// completion is acknowledged.
 	stop := make(chan struct{})
 	var hb sync.WaitGroup
 	hb.Add(1)
@@ -125,7 +124,6 @@ func (w *Worker) serve(g *Grant) error {
 			}
 			resp, err := w.Transport.Heartbeat(HeartbeatRequest{Worker: w.ID, LeaseID: g.LeaseID})
 			if err == nil && resp.Cancel {
-				close(cancel)
 				return
 			}
 			timer.Reset(g.TTL() / 3)
@@ -136,44 +134,32 @@ func (w *Worker) serve(g *Grant) error {
 		hb.Wait()
 	}()
 
-	for i, cell := range g.Cells {
-		select {
-		case <-cancel:
-			return nil
-		default:
-		}
-		if hook := w.Hooks.BeforeCell; hook != nil {
-			if err := hook(w.Cells, cell); err != nil {
-				return err
-			}
-		}
-		t0 := time.Now()
-		r, err := w.runner.RunCell(cell)
-		if err != nil {
-			w.Transport.Fail(FailRequest{Worker: w.ID, LeaseID: g.LeaseID, Reason: err.Error()})
-			return nil
-		}
-		elapsed := time.Since(t0)
-		w.Cells++
-		cells := []campaign.CellResult{{Key: cell.Key(), Cell: cell, Result: r}}
-		req := CompleteRequest{
-			Worker:  w.ID,
-			LeaseID: g.LeaseID,
-			Done:    i == len(g.Cells)-1,
-			Cells:   cells,
-			Sum:     PayloadSum(cells),
-			CellMs:  []float64{float64(elapsed.Microseconds()) / 1e3},
-		}
-		resp, err := w.Transport.Complete(req)
-		if err != nil {
-			// Transport broke mid-lease: abandon it; undelivered cells are
-			// recomputed under the re-lease.
-			return nil
-		}
-		if !resp.OK {
-			w.Transport.Fail(FailRequest{Worker: w.ID, LeaseID: g.LeaseID, Reason: "completion rejected: " + resp.Reason})
-			return nil
+	cell := g.Cell
+	if hook := w.Hooks.BeforeCell; hook != nil {
+		if err := hook(w.Cells, cell); err != nil {
+			return err
 		}
 	}
+	t0 := time.Now()
+	r, err := w.runner.RunCell(cell)
+	if err != nil {
+		w.Transport.Fail(FailRequest{Worker: w.ID, LeaseID: g.LeaseID, Reason: err.Error()})
+		return nil
+	}
+	elapsed := time.Since(t0)
+	w.Cells++
+	cells := []campaign.CellResult{{Key: cell.Key(), Cell: cell, Result: r}}
+	resp, err := w.Transport.Complete(CompleteRequest{
+		Worker:  w.ID,
+		LeaseID: g.LeaseID,
+		Cells:   cells,
+		Sum:     PayloadSum(cells),
+		CellMs:  []float64{float64(elapsed.Microseconds()) / 1e3},
+	})
+	if err == nil && !resp.OK {
+		w.Transport.Fail(FailRequest{Worker: w.ID, LeaseID: g.LeaseID, Reason: "completion rejected: " + resp.Reason})
+	}
+	// A transport error abandons the lease: the coordinator re-leases the
+	// cell once the lease expires or this worker asks for its next one.
 	return nil
 }

@@ -34,7 +34,7 @@ func openChaos(t *testing.T, sweep campaign.Sweep, tweak func(*coord.Options)) *
 // the work: a worker takes its next lease as soon as its last completion is
 // acknowledged, not when its heartbeat interval (TTL/3 = 1 s here) runs out.
 func TestWorkerReleasesLeasePromptly(t *testing.T) {
-	sweep := chaosSweep(16) // four ranges of fastOpts' four cells
+	sweep := chaosSweep(16) // sixteen one-cell leases
 	co := openChaos(t, sweep, func(o *coord.Options) { o.LeaseTTL = 3 * time.Second })
 	w := &coord.Worker{ID: "w0", Transport: coord.NewLoopback(co), NewRunner: runnerFactory(newSlowRunner(time.Millisecond))}
 	start := time.Now()
@@ -42,7 +42,7 @@ func TestWorkerReleasesLeasePromptly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed >= time.Second {
-		t.Errorf("four leases of 1 ms cells took %v; a lease waited out its heartbeat interval", elapsed)
+		t.Errorf("sixteen leases of 1 ms cells took %v; a lease waited out its heartbeat interval", elapsed)
 	}
 	if w.Cells != len(sweep.Cells) {
 		t.Errorf("worker computed %d cells, want %d", w.Cells, len(sweep.Cells))
@@ -100,7 +100,7 @@ func (t *waitSignal) Lease(req coord.LeaseRequest) (coord.LeaseResponse, error) 
 // campaign is done before WaitIdle returns, so taking the coordinator down
 // right after WaitIdle strands no worker in its retry window.
 func TestExitHandshakeParkedWorker(t *testing.T) {
-	co := openChaos(t, chaosSweep(2), func(o *coord.Options) {
+	co := openChaos(t, chaosSweep(1), func(o *coord.Options) {
 		o.LeaseTTL = 5 * time.Second
 		o.SpeculateAfter = 10 * time.Second
 		o.PollInterval = 500 * time.Millisecond
@@ -108,7 +108,7 @@ func TestExitHandshakeParkedWorker(t *testing.T) {
 	lb := coord.NewLoopback(co)
 	parkedSeen := &waitSignal{Transport: lb, parked: make(chan struct{})}
 
-	// The busy worker holds the only range and computes nothing until the
+	// The busy worker holds the only cell and computes nothing until the
 	// parked worker has been told to wait.
 	busy := &coord.Worker{
 		ID: "busy", Transport: lb, NewRunner: runnerFactory(gatedRunner{gate: parkedSeen.parked}),
@@ -165,35 +165,31 @@ func TestExitHandshakeSilentWorker(t *testing.T) {
 	}
 }
 
-// TestNextLeaseClosesCancelledLease has a speculative twin finish the range
-// a slow worker is straggling on. The straggler's next heartbeat cancels its
-// lease and it leaves the lease without a Fail or a final Complete; its
-// next Lease request must close that lease, without charging a retry, so
-// WaitIdle returns well inside the lease's TTL instead of waiting it out.
+// TestNextLeaseClosesCancelledLease has a speculative twin finish the cell
+// a slow worker is straggling on. The straggler's lease never sees a
+// Complete or a Fail (its completion lost in transport, say), so its next
+// Lease request must close that lease, without charging a retry, and
+// WaitIdle must return at once instead of waiting out the lease's TTL.
 func TestNextLeaseClosesCancelledLease(t *testing.T) {
 	const ttl = time.Second
-	co := openChaos(t, chaosSweep(4), func(o *coord.Options) { // one range
+	co := openChaos(t, chaosSweep(1), func(o *coord.Options) {
 		o.LeaseTTL = ttl
 		o.SpeculateAfter = 20 * time.Millisecond
 	})
-	lb := coord.NewLoopback(co)
-	// Four 250 ms cells: the heartbeat at TTL/3 cancels the straggler before
-	// its last cell, so no final Complete closes its lease.
-	slow := &coord.Worker{ID: "slow", Transport: lb, NewRunner: runnerFactory(newSlowRunner(250 * time.Millisecond))}
-	slowErr := make(chan error, 1)
-	go func() { slowErr <- slow.Run() }()
-	for len(co.Status().Leases) == 0 {
-		time.Sleep(time.Millisecond)
+	if r := co.Lease(coord.LeaseRequest{Worker: "slow"}); r.State != coord.StateLease {
+		t.Fatalf("slow's lease request answered %q", r.State)
 	}
-	twin := &coord.Worker{ID: "twin", Transport: lb, NewRunner: runnerFactory(newSlowRunner(0))}
+	// The twin polls until slow's lease is a straggler, then computes the
+	// cell under a speculative lease.
+	twin := &coord.Worker{ID: "twin", Transport: coord.NewLoopback(co), NewRunner: runnerFactory(newSlowRunner(0))}
 	if err := twin.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-slowErr; err != nil {
-		t.Fatal(err)
+	if twin.Cells != 1 {
+		t.Fatalf("the twin computed %d cells, want the straggling one", twin.Cells)
 	}
-	if slow.Cells >= 4 {
-		t.Fatalf("the straggler computed all %d cells; it was never cancelled", slow.Cells)
+	if r := co.Lease(coord.LeaseRequest{Worker: "slow"}); r.State != coord.StateDone {
+		t.Fatalf("slow's next lease request answered %q, want %q", r.State, coord.StateDone)
 	}
 	start := time.Now()
 	co.WaitIdle(10 * ttl)
@@ -207,12 +203,12 @@ func TestNextLeaseClosesCancelledLease(t *testing.T) {
 }
 
 // TestNextLeaseFailsAbandonedLease checks the other case: a worker asking
-// for a lease while its previous one still has cells to compute abandoned
+// for a lease while its previous one's cell is still to compute abandoned
 // it, so that lease is failed at once exactly as its expiry would be (one
-// retry charged, its range behind a backoff gate) rather than held for a
+// retry charged, its cell behind a backoff gate) rather than held for a
 // TTL.
 func TestNextLeaseFailsAbandonedLease(t *testing.T) {
-	co := openChaos(t, chaosSweep(4), func(o *coord.Options) {
+	co := openChaos(t, chaosSweep(1), func(o *coord.Options) {
 		o.LeaseTTL = time.Minute
 		o.BackoffBase, o.BackoffMax = time.Minute, time.Minute
 	})
@@ -220,9 +216,9 @@ func TestNextLeaseFailsAbandonedLease(t *testing.T) {
 		t.Fatalf("first lease request answered %q", r.State)
 	}
 	if r := co.Lease(coord.LeaseRequest{Worker: "w"}); r.State != coord.StateWait {
-		t.Fatalf("second lease request answered %q, want wait behind the abandoned range's backoff", r.State)
+		t.Fatalf("second lease request answered %q, want wait behind the abandoned cell's backoff", r.State)
 	}
-	if st := co.Status(); len(st.Leases) != 0 || st.Retries != 1 || st.Pending != 4 {
-		t.Errorf("after abandoning: %d leases, %d retries, %d pending; want 0, 1, 4", len(st.Leases), st.Retries, st.Pending)
+	if st := co.Status(); len(st.Leases) != 0 || st.Retries != 1 || st.Pending != 1 {
+		t.Errorf("after abandoning: %d leases, %d retries, %d pending; want 0, 1, 1", len(st.Leases), st.Retries, st.Pending)
 	}
 }

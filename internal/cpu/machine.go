@@ -283,25 +283,32 @@ func (m *Machine) bindPolicy(pol Policy) {
 	}
 }
 
-// prewarm inserts the resident working sets: the measurement window models a
-// slice of a long-running program (see cache.Hierarchy.PrewarmData).
-func (m *Machine) prewarm() {
-	for t := 0; t < m.nt; t++ {
-		fp := m.threads[t].stream.Footprint()
-		m.hier.PrewarmCode(fp.CodeBase, fp.CodeBytes)
-		m.hier.PrewarmData(fp.HotBase, fp.HotBytes, true)
-		m.hier.PrewarmData(fp.WarmBase, fp.WarmBytes, false)
-	}
+// prewarm inserts thread t's resident working set: the measurement window
+// models a slice of a long-running program (see cache.Hierarchy.PrewarmData).
+func (m *Machine) prewarm(t int) {
+	fp := m.threads[t].stream.Footprint()
+	m.hier.PrewarmCode(fp.CodeBase, fp.CodeBytes)
+	m.hier.PrewarmData(fp.HotBase, fp.HotBytes, true)
+	m.hier.PrewarmData(fp.WarmBase, fp.WarmBytes, false)
 }
 
-// setTotals records the shared-resource totals policies partition against.
-func (m *Machine) setTotals(rename int) {
-	m.totalRes[RIntIQ] = m.cfg.IntQueue
-	m.totalRes[RFPIQ] = m.cfg.FPQueue
-	m.totalRes[RLSIQ] = m.cfg.LSQueue
-	m.totalRes[RIntRegs] = rename
-	m.totalRes[RFPRegs] = rename
-	m.totalRes[RROB] = m.cfg.ROBSize
+// TotalOf returns the number of entries of resource r that a machine built
+// from cfg shares among threads hardware contexts: what Machine.Total
+// reports once the machine is bound.
+func TotalOf(cfg config.Config, threads int, r Resource) int {
+	switch r {
+	case RIntIQ:
+		return cfg.IntQueue
+	case RFPIQ:
+		return cfg.FPQueue
+	case RLSIQ:
+		return cfg.LSQueue
+	case RIntRegs, RFPRegs:
+		return cfg.RenameRegs(threads)
+	case RROB:
+		return cfg.ROBSize
+	}
+	return 0
 }
 
 // Shape returns the machine's allocation shape (the pool key).
@@ -323,8 +330,7 @@ func (m *Machine) Reinit(cfg config.Config, profiles []trace.Profile, pol Policy
 	if nt == 0 {
 		return fmt.Errorf("cpu: no threads")
 	}
-	rename := cfg.RenameRegs(nt)
-	if rename <= 0 {
+	if cfg.RenameRegs(nt) <= 0 {
 		return fmt.Errorf("cpu: %d physical registers cannot support %d threads",
 			cfg.PhysRegs, nt)
 	}
@@ -357,7 +363,9 @@ func (m *Machine) Reinit(cfg config.Config, profiles []trace.Profile, pol Policy
 		m.pendingL2[t] = 0
 		m.allocFlags[t] = [NumResources]bool{}
 	}
-	m.prewarm()
+	for t := 0; t < nt; t++ {
+		m.prewarm(t)
+	}
 
 	for _, q := range m.iqs {
 		q.reset()
@@ -372,7 +380,9 @@ func (m *Machine) Reinit(cfg config.Config, profiles []trace.Profile, pol Policy
 	m.st = stats.New(nt)
 	m.rankBuf = m.rankBuf[:0]
 	m.commitObs = nil
-	m.setTotals(rename)
+	for r := range m.totalRes {
+		m.totalRes[r] = TotalOf(cfg, nt, Resource(r))
+	}
 	return nil
 }
 

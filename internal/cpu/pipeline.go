@@ -245,7 +245,6 @@ func (m *Machine) issueEntry(q int, idx int32) {
 	// so producer-to-consumer latency is the execution latency alone; the
 	// register-read stages add to the branch-resolution penalty (squash
 	// happens later) but not to dependence chains.
-	base := uint64(0)
 	now := m.cycle
 	var done uint64
 	switch e.u.Class {
@@ -260,20 +259,20 @@ func (m *Machine) issueEntry(q int, idx int32) {
 	case isa.OpFPMul:
 		done = now + uint64(m.cfg.FPMulLat)
 	case isa.OpLoad:
-		res := m.hier.AccessD(e.u.Addr, now+base)
+		res := m.hier.AccessD(e.u.Addr, now)
 		done = res.DoneAt
 		e.hadL1Miss = res.L1Miss
 		e.hadL2Miss = res.L2Miss
 		if !e.u.WrongPath {
 			if res.L1Miss {
 				m.events.push(event{
-					at: now + base + uint64(m.cfg.DCache.Latency) + 1, thread: int32(t),
+					at: now + uint64(m.cfg.DCache.Latency) + 1, thread: int32(t),
 					kind: evDetectL1, dseq: e.dseq, gen: e.gen,
 				})
 			}
 			if res.L2Miss {
 				m.events.push(event{
-					at: now + base + uint64(m.cfg.DCache.Latency+m.cfg.L2.Latency) + 1, thread: int32(t),
+					at: now + uint64(m.cfg.DCache.Latency+m.cfg.L2.Latency) + 1, thread: int32(t),
 					kind: evDetectL2, dseq: e.dseq, gen: e.gen,
 				})
 			}
@@ -284,10 +283,10 @@ func (m *Machine) issueEntry(q int, idx int32) {
 	case isa.OpStore:
 		// Stores update the hierarchy for occupancy/statistics but retire
 		// into a store buffer: they do not hold the pipeline for the miss.
-		res := m.hier.AccessD(e.u.Addr, now+base)
+		res := m.hier.AccessD(e.u.Addr, now)
 		e.hadL1Miss = res.L1Miss
 		e.hadL2Miss = res.L2Miss
-		done = now + base + 1
+		done = now + 1
 	default: // OpNop
 		done = now + 1
 	}

@@ -71,10 +71,7 @@ func (m *Machine) RebindThread(t int, profile trace.Profile, seed uint64) error 
 	m.allocFlags[t] = [NumResources]bool{}
 	m.pred.SetRASTop(t, 0)
 
-	fp := stream.Footprint()
-	m.hier.PrewarmCode(fp.CodeBase, fp.CodeBytes)
-	m.hier.PrewarmData(fp.HotBase, fp.HotBytes, true)
-	m.hier.PrewarmData(fp.WarmBase, fp.WarmBytes, false)
+	m.prewarm(t)
 	return nil
 }
 

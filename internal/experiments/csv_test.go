@@ -11,7 +11,7 @@ import (
 // checks the CSV artifacts land where `campaign run -csv` promises them.
 func TestWriteCSVs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "csv")
-	s := NewQuickSuite()
+	s := NewSuite()
 	var all []RenderedTable
 	for _, key := range []string{"tab1", "tab4"} {
 		spec, err := SpecByKey(key)

@@ -12,7 +12,7 @@ import (
 // determinismSuite builds a suite with tiny windows and a fixed worker
 // count for the serial-vs-parallel comparison.
 func determinismSuite(workers int) *Suite {
-	s := NewQuickSuite()
+	s := NewSuite()
 	s.Runner.Warmup, s.Runner.Measure = 5_000, 20_000
 	s.Engine = sim.NewEngine(workers)
 	return s

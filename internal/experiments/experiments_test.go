@@ -6,6 +6,7 @@ import (
 	"dcra/internal/config"
 	"dcra/internal/cpu"
 	"dcra/internal/policy"
+	"dcra/internal/trace"
 	"dcra/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func TestSuiteMemoisation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	s := NewQuickSuite()
+	s := NewSuite()
 	s.Runner.Warmup, s.Runner.Measure = 5_000, 20_000
 	w, _ := workload.Get(2, workload.ILP, 1)
 	cfg := config.Baseline()
@@ -80,7 +81,7 @@ func TestFigure2Monotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	s := NewQuickSuite()
+	s := NewSuite()
 	s.Runner.Warmup, s.Runner.Measure = 10_000, 40_000
 	res, err := Figure2(s, []string{"gzip", "swim"})
 	if err != nil {
@@ -109,7 +110,7 @@ func TestTable5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	s := NewQuickSuite()
+	s := NewSuite()
 	s.Runner.Warmup, s.Runner.Measure = 10_000, 40_000
 	rows, err := Table5(s)
 	if err != nil {
@@ -133,15 +134,25 @@ func TestTable5Shape(t *testing.T) {
 	}
 }
 
+// TestTotalOf: the totals Figure 2's caps are taken against, computed
+// without a machine, are the totals a live machine partitions, for every
+// resource and thread count.
 func TestTotalOf(t *testing.T) {
-	cfg := config.Baseline()
-	if totalOf(cfg, cpu.RIntIQ) != cfg.IntQueue {
-		t.Error("intIQ total wrong")
-	}
-	if totalOf(cfg, cpu.RIntRegs) != cfg.RenameRegs(1) {
-		t.Error("intRegs total wrong")
-	}
-	if totalOf(cfg, cpu.RROB) != cfg.ROBSize {
-		t.Error("rob total wrong")
+	for _, cfg := range []config.Config{config.Baseline(), figure2Config()} {
+		for threads := 1; threads <= 4; threads++ {
+			profiles := make([]trace.Profile, threads)
+			for i := range profiles {
+				profiles[i] = trace.MustProfile("gzip")
+			}
+			m, err := cpu.New(cfg, profiles, policy.NewICount(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := cpu.Resource(0); r < cpu.NumResources; r++ {
+				if got, want := cpu.TotalOf(cfg, threads, r), m.Total(r); got != want {
+					t.Errorf("%d threads, %s: TotalOf = %d, Machine.Total = %d", threads, r, got, want)
+				}
+			}
+		}
 	}
 }

@@ -151,24 +151,6 @@ func Figure2(s *Suite, benchmarks []string) (Figure2Result, error) {
 	return res, nil
 }
 
-// totalOf mirrors Machine.Total for a single-thread configuration without
-// building a machine.
-func totalOf(cfg config.Config, r cpu.Resource) int {
-	switch r {
-	case cpu.RIntIQ:
-		return cfg.IntQueue
-	case cpu.RFPIQ:
-		return cfg.FPQueue
-	case cpu.RLSIQ:
-		return cfg.LSQueue
-	case cpu.RIntRegs, cpu.RFPRegs:
-		return cfg.RenameRegs(1)
-	case cpu.RROB:
-		return cfg.ROBSize
-	}
-	return 0
-}
-
 // Report renders the curves.
 func (f Figure2Result) Report() *report.Table {
 	cols := []string{"% of resource"}

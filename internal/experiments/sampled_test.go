@@ -282,11 +282,15 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 	}
 }
 
-// TestRunCellRejectsModeMismatch: the runner picks a workload cell's
-// protocol from cfg.Sampling alone, so RunCell refuses a cell whose Mode
-// names the other protocol, or no known one, before the kernel runs. An
-// exact cell carrying a schedule would otherwise run sampled under an exact
-// key.
+// TestRunCellRejectsModeMismatch: RunCell refuses, before the kernel runs,
+// a cell it cannot run as its key says. The runner picks a workload cell's
+// protocol from cfg.Sampling alone, so a cell whose Mode names the other
+// protocol, or no known one, is refused: an exact cell carrying a schedule
+// would otherwise run sampled under an exact key. So is a "sched:" WID or a
+// "CAP:" policy that no sweep enumerates: those resolve by lookup, never by
+// parsing, so a cell cannot size a trial or a cap the experiments do not
+// run. Both unenumerated shapes are small, so a regression that ran them
+// could not allocate much.
 func TestRunCellRejectsModeMismatch(t *testing.T) {
 	w, err := workload.Get(2, workload.MEM, 1)
 	if err != nil {
@@ -305,6 +309,10 @@ func TestRunCellRejectsModeMismatch(t *testing.T) {
 		{"exact-with-schedule", scheduled, "carries a sampling schedule"},
 		{"sampled-without-schedule", exact.Sampled(), "no sampling schedule"},
 		{"unknown-mode", unknown, `unknown mode "bogus"`},
+		{"unenumerated-sched-trial",
+			campaign.Cell{Cfg: config.Baseline(), WID: "sched:c2:open:g3000:j16:b24000", Pol: "SYMB+DCRA"},
+			"no sched trial"},
+		{"off-grid-cap", benchCell(figure2Config(), "gzip", "CAP:intIQ:40"), "unknown single-thread policy"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := determinismSuite(1)
@@ -370,9 +378,9 @@ func TestFigure5Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	exact := NewQuickSuite()
+	exact := NewSuite()
 	exact.Runner.Warmup, exact.Runner.Measure = 15_000, 60_000
-	sampled := NewQuickSuite()
+	sampled := NewSuite()
 	sampled.Runner.Warmup, sampled.Runner.Measure = 15_000, 60_000
 	sampled.Mode = campaign.ModeSampled
 	sampled.Sampling = sample.DeriveAdaptive(15_000, 60_000).Config()

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+	"sync"
 
 	"dcra/internal/campaign"
 	"dcra/internal/config"
@@ -53,77 +53,28 @@ func SchedArrivalPoints() []sched.Arrivals {
 	}
 }
 
-// schedWID encodes a trial shape as a cell WID.
-func schedWID(contexts int, a sched.Arrivals, budget uint64) string {
+// schedWID encodes the trial shape of arrival point a, on schedContexts
+// contexts with schedBudget-uop jobs, as a cell WID.
+func schedWID(a sched.Arrivals) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%sc%d:%s:g%d", schedPrefix, contexts, a.Kind, a.Gap)
+	fmt.Fprintf(&sb, "%sc%d:%s:g%d", schedPrefix, schedContexts, a.Kind, a.Gap)
 	if a.Kind == sched.Bursty {
 		fmt.Fprintf(&sb, ":k%d", a.Burst)
 	}
-	fmt.Fprintf(&sb, ":j%d:b%d", a.Jobs, budget)
+	fmt.Fprintf(&sb, ":j%d:b%d", a.Jobs, schedBudget)
 	return sb.String()
 }
 
-// parseSchedWID decodes a "sched:" WID back into a trial shape.
-func parseSchedWID(wid string) (contexts int, a sched.Arrivals, budget uint64, err error) {
-	malformed := func() (int, sched.Arrivals, uint64, error) {
-		return 0, sched.Arrivals{}, 0, fmt.Errorf("experiments: malformed sched cell %q", wid)
+// schedArrivals maps every WID the sched sweep enumerates to its arrival
+// point, built once. A WID outside it is refused rather than decoded, so a
+// cell cannot size a trial (contexts, jobs) beyond what the experiment runs.
+var schedArrivals = sync.OnceValue(func() map[string]sched.Arrivals {
+	m := make(map[string]sched.Arrivals)
+	for _, a := range SchedArrivalPoints() {
+		m[schedWID(a)] = a
 	}
-	body, ok := strings.CutPrefix(wid, schedPrefix)
-	if !ok {
-		return malformed()
-	}
-	fields := strings.Split(body, ":")
-	if len(fields) < 2 {
-		return malformed()
-	}
-	num := func(f string, tag byte) (uint64, bool) {
-		if len(f) < 2 || f[0] != tag {
-			return 0, false
-		}
-		v, err := strconv.ParseUint(f[1:], 10, 64)
-		return v, err == nil
-	}
-	c, ok := num(fields[0], 'c')
-	if !ok {
-		return malformed()
-	}
-	contexts = int(c)
-	a.Kind = sched.ArrivalKind(fields[1])
-	rest := fields[2:]
-	take := func(tag byte) (uint64, bool) {
-		if len(rest) == 0 {
-			return 0, false
-		}
-		v, ok := num(rest[0], tag)
-		if ok {
-			rest = rest[1:]
-		}
-		return v, ok
-	}
-	if g, ok := take('g'); ok {
-		a.Gap = g
-	} else {
-		return malformed()
-	}
-	if a.Kind == sched.Bursty {
-		k, ok := take('k')
-		if !ok {
-			return malformed()
-		}
-		a.Burst = int(k)
-	}
-	j, ok := take('j')
-	if !ok {
-		return malformed()
-	}
-	a.Jobs = int(j)
-	b, ok := take('b')
-	if !ok || len(rest) != 0 {
-		return malformed()
-	}
-	return contexts, a, b, nil
-}
+	return m
+})
 
 // schedMaxCycles derives the trial horizon from the suite's measurement
 // protocol, so quick and full campaigns scale together and the store params
@@ -134,9 +85,9 @@ func schedMaxCycles(s *Suite) uint64 {
 
 // computeSchedCell runs one open-system trial cell.
 func (s *Suite) computeSchedCell(c campaign.Cell) (sim.Result, error) {
-	contexts, arr, budget, err := parseSchedWID(c.WID)
-	if err != nil {
-		return sim.Result{}, err
+	arrivals, ok := schedArrivals()[c.WID]
+	if !ok {
+		return sim.Result{}, fmt.Errorf("experiments: cell %s: no sched trial has workload %q", c, c.WID)
 	}
 	pickerName, allocName, ok := strings.Cut(c.Pol, "+")
 	if !ok {
@@ -152,12 +103,12 @@ func (s *Suite) computeSchedCell(c campaign.Cell) (sim.Result, error) {
 	}
 	trial, err := sched.Run(sched.Config{
 		Machine:   c.Cfg,
-		Contexts:  contexts,
+		Contexts:  schedContexts,
 		Alloc:     func() cpu.Policy { return alloc },
 		Picker:    picker,
-		Arrivals:  arr,
+		Arrivals:  arrivals,
 		Benches:   SchedServiceMix,
-		Budget:    budget,
+		Budget:    schedBudget,
 		Seed:      s.Runner.Seed,
 		MaxCycles: schedMaxCycles(s),
 		Pool:      s.Runner.Pool,
@@ -180,7 +131,7 @@ func SchedSweep() campaign.Sweep {
 			for _, alloc := range SchedAllocs {
 				s.Cells = append(s.Cells, campaign.Cell{
 					Cfg: cfg,
-					WID: schedWID(schedContexts, a, schedBudget),
+					WID: schedWID(a),
 					Pol: picker + "+" + string(alloc),
 				})
 			}
@@ -201,7 +152,7 @@ func SchedTable(s *Suite) (*report.Table, error) {
 	for _, a := range SchedArrivalPoints() {
 		for _, picker := range SchedPickers {
 			for _, alloc := range SchedAllocs {
-				c := campaign.Cell{Cfg: cfg, WID: schedWID(schedContexts, a, schedBudget), Pol: picker + "+" + string(alloc)}
+				c := campaign.Cell{Cfg: cfg, WID: schedWID(a), Pol: picker + "+" + string(alloc)}
 				r, err := s.RunCell(c)
 				if err != nil {
 					return nil, err

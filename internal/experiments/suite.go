@@ -64,32 +64,23 @@ func capPolName(rc cpu.Resource, fraction float64) string {
 	return fmt.Sprintf("%s:%s:%s", polCap, rc, strconv.FormatFloat(fraction, 'g', -1, 64))
 }
 
-// parseCapPol decodes a "CAP:<res>:<pct>" policy string.
-func parseCapPol(pol string) (cpu.Resource, float64, error) {
-	parts := strings.Split(pol, ":")
-	if len(parts) != 3 || parts[0] != polCap {
-		return 0, 0, fmt.Errorf("experiments: malformed cap policy %q", pol)
-	}
-	rc, err := parseResource(parts[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	frac, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("experiments: malformed cap fraction in %q: %w", pol, err)
-	}
-	return rc, frac, nil
+// capPol is one Figure 2 restriction: resource rc capped to frac percent.
+type capPol struct {
+	rc   cpu.Resource
+	frac float64
 }
 
-// parseResource resolves a cpu.Resource display name.
-func parseResource(name string) (cpu.Resource, error) {
-	for r := cpu.Resource(0); r < cpu.NumResources; r++ {
-		if r.String() == name {
-			return r, nil
+// capPols maps every Figure 2 restriction policy string to its restriction,
+// built once. A "CAP:" policy outside the Figure 2 grid is refused.
+var capPols = sync.OnceValue(func() map[string]capPol {
+	m := make(map[string]capPol)
+	for _, rc := range Figure2Resources {
+		for _, frac := range Figure2Fractions {
+			m[capPolName(rc, frac)] = capPol{rc, frac}
 		}
 	}
-	return 0, fmt.Errorf("experiments: unknown resource %q", name)
-}
+	return m
+})
 
 // ErrMissingCell reports that a RequireStore suite was asked for a cell the
 // store does not hold; match with errors.Is.
@@ -150,15 +141,6 @@ func NewSuite() *Suite {
 		Runner: sim.NewRunner(),
 		Engine: sim.NewEngine(0),
 	}
-}
-
-// NewQuickSuite builds a Suite with reduced windows for tests/benchmarks
-// (~6x faster, noisier but preserving every qualitative relationship).
-func NewQuickSuite() *Suite {
-	s := NewSuite()
-	s.Runner.Warmup = 20_000
-	s.Runner.Measure = 80_000
-	return s
 }
 
 // Instrument attaches a metrics registry and span tracer to every layer the
@@ -311,19 +293,16 @@ func (s *Suite) computeBenchCell(c campaign.Cell, name string) (sim.Result, erro
 		return sim.Result{}, err
 	}
 	var pol cpu.Policy
+	cp, restricted := capPols()[c.Pol]
 	switch {
 	case c.Pol == polBase:
 		pol = policy.NewICount()
 	case c.Pol == polCap:
 		pol = &sim.CapPolicy{}
-	case strings.HasPrefix(c.Pol, polCap+":"):
-		rc, frac, err := parseCapPol(c.Pol)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		capPol := &sim.CapPolicy{}
-		capPol.Caps[rc] = max(1, int(float64(totalOf(c.Cfg, rc))*frac/100))
-		pol = capPol
+	case restricted:
+		capped := &sim.CapPolicy{}
+		capped.Caps[cp.rc] = max(1, int(float64(cpu.TotalOf(c.Cfg, 1, cp.rc))*cp.frac/100))
+		pol = capped
 	default:
 		return sim.Result{}, fmt.Errorf("experiments: cell %s: unknown single-thread policy %q", c, c.Pol)
 	}

@@ -15,7 +15,7 @@ import (
 // enumeration identities and bit-identical recombination, not metric
 // quality, so the cells only need to run, not converge.
 func sweepSuite() *Suite {
-	s := NewQuickSuite()
+	s := NewSuite()
 	s.Runner.Warmup, s.Runner.Measure = 1_000, 4_000
 	return s
 }
@@ -112,7 +112,6 @@ func TestCoordinatedStoreMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	co, err := coord.New(spec.Key, sweep, store, coord.Options{
-		RangeSize:    2,
 		PollInterval: 10 * time.Millisecond,
 	})
 	if err != nil {

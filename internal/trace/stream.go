@@ -483,15 +483,6 @@ func (s *Stream) genStore(u *isa.Uop) {
 	u.Dep2 = s.depDistance() // data operand
 }
 
-func (s *Stream) genFP(u *isa.Uop) {
-	if s.rg.Bool(0.7) {
-		u.Class = isa.OpFPALU
-	} else {
-		u.Class = isa.OpFPMul
-	}
-	s.genDeps(u)
-}
-
 // dataAddr draws an effective address from the phase's working-set mixture.
 // The region pick inlines rng.Pick with the cached weight total; the
 // arithmetic (and therefore every draw) is identical.
