@@ -261,30 +261,16 @@ func resolveThreads(benchList, wlName string) ([]dcra.Profile, []string, error) 
 	}
 }
 
-// parseWorkload parses "MEM2.1" style names: kind, thread count, group.
+// parseWorkload resolves a paper Table 4 workload by its ID ("MEM2.g1",
+// see -list), also accepting the shorthands "MEM2.1" and "MEM2" for it.
 func parseWorkload(s string) (dcra.Workload, error) {
-	var kind workload.Kind
-	var rest string
-	switch {
-	case strings.HasPrefix(s, "ILP"):
-		kind, rest = workload.ILP, s[3:]
-	case strings.HasPrefix(s, "MIX"):
-		kind, rest = workload.MIX, s[3:]
-	case strings.HasPrefix(s, "MEM"):
-		kind, rest = workload.MEM, s[3:]
-	default:
-		return dcra.Workload{}, fmt.Errorf("workload %q: want e.g. MEM2.1", s)
+	id := s + ".g1"
+	if kt, group, ok := strings.Cut(s, "."); ok {
+		id = kt + ".g" + strings.TrimPrefix(group, "g")
 	}
-	parts := strings.SplitN(rest, ".", 2)
-	threads, err := strconv.Atoi(parts[0])
+	w, err := workload.ByID(id)
 	if err != nil {
-		return dcra.Workload{}, fmt.Errorf("workload %q: bad thread count", s)
+		return dcra.Workload{}, fmt.Errorf("workload %q: want e.g. MEM2.1 (try -list)", s)
 	}
-	group := 1
-	if len(parts) == 2 {
-		if group, err = strconv.Atoi(strings.TrimPrefix(parts[1], "g")); err != nil {
-			return dcra.Workload{}, fmt.Errorf("workload %q: bad group", s)
-		}
-	}
-	return dcra.GetWorkload(threads, kind, group)
+	return w, nil
 }

@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// TestGolden pins smtsim's stdout, byte for byte, for the runs CI's smoke
-// jobs and the docs use. Every golden under testdata/ is the output of the
-// same command line (`smtsim <args>`); a run is deterministic for its seed,
-// so any difference is a change in the simulator or in the report.
+// TestGolden pins smtsim's stdout, byte for byte, for fixed-window runs
+// (text and JSON; exact, sampled and probed) and for open and burst serve
+// trials. Every golden under testdata/ is the output of the same command
+// line (`smtsim <args>`); a run is deterministic for its seed, so any
+// difference is a change in the simulator or in the report.
 func TestGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")

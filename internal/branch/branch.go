@@ -30,9 +30,6 @@ type Predictor struct {
 	history []uint64 // per-thread global history
 	btb     *btb
 	ras     []*ras
-
-	Lookups    uint64
-	Mispredict uint64 // direction or target mispredictions recorded via Update
 }
 
 // New builds a predictor for cfg and the given number of threads.
@@ -54,9 +51,9 @@ func New(cfg config.Config, threads int) *Predictor {
 }
 
 // Reset restores the predictor to its post-construction state — weakly-taken
-// counters, empty histories, invalid BTB, empty return stacks, zero counters
-// — without reallocating any table. A reset predictor behaves bit-identically
-// to a freshly built one; the machine-reuse lifecycle depends on this.
+// counters, empty histories, invalid BTB, empty return stacks — without
+// reallocating any table. A reset predictor behaves bit-identically to a
+// freshly built one; the machine-reuse lifecycle depends on this.
 func (p *Predictor) Reset() {
 	for i := range p.pht {
 		p.pht[i] = 2
@@ -67,7 +64,6 @@ func (p *Predictor) Reset() {
 	for _, r := range p.ras {
 		r.top = 0
 	}
-	p.Lookups, p.Mispredict = 0, 0
 }
 
 // histBits bounds the global-history contribution to the PHT index. The
@@ -92,7 +88,6 @@ func (p *Predictor) index(thread int, pc uint64) uint64 {
 // *penalty* is still paid architecturally: the pipeline fetches down the
 // wrong path until the branch resolves.
 func (p *Predictor) Predict(thread int, u *isa.Uop) Prediction {
-	p.Lookups++
 	var pr Prediction
 	switch u.CallKind {
 	case CallReturnKind:
@@ -127,14 +122,6 @@ func (p *Predictor) Predict(thread int, u *isa.Uop) Prediction {
 		p.btb.insert(u.PC, u.Target)
 	}
 	return pr
-}
-
-// Update records the resolved outcome for statistics. Table training
-// happened at Predict time (see there).
-func (p *Predictor) Update(thread int, u *isa.Uop, mispredicted bool) {
-	if mispredicted {
-		p.Mispredict++
-	}
 }
 
 // RASTop returns thread t's return-address-stack depth, snapshotted by the

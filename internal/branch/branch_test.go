@@ -128,16 +128,6 @@ func TestPerThreadHistoryIsolation(t *testing.T) {
 	}
 }
 
-func TestMispredictCounting(t *testing.T) {
-	p := newPredictor(1)
-	u := isa.Uop{Class: isa.OpBranch, PC: 0x1, Taken: true, Target: 0x2}
-	p.Update(0, &u, true)
-	p.Update(0, &u, false)
-	if p.Mispredict != 1 {
-		t.Fatalf("mispredict count %d, want 1", p.Mispredict)
-	}
-}
-
 func TestRASOverflowWraps(t *testing.T) {
 	cfg := config.Baseline()
 	cfg.RASEntries = 4

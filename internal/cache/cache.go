@@ -91,39 +91,20 @@ func (c *Cache) Probe(addr uint64) bool {
 // Hierarchy composes levels and MSHRs).
 func (c *Cache) Access(addr uint64, now uint64) (lat int, miss bool) {
 	c.Accesses++
-	c.stamp++
-	la := c.LineAddr(addr)
-	set := c.set(la)
-
-	lat = c.cfg.Latency + c.bankDelay(la, now)
-
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			set[i].lru = c.stamp
-			return lat, false
-		}
+	lat = c.cfg.Latency + c.bankDelay(c.LineAddr(addr), now)
+	if c.Touch(addr) {
+		return lat, false
 	}
 	c.Misses++
-	// Allocate: prefer an invalid way, otherwise evict the LRU one.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if victim == -1 || set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	set[victim] = line{tag: la, valid: true, lru: c.stamp}
 	return lat, true
 }
 
-// Touch performs a functional access: tags and LRU update exactly as Access
-// would update them (same victim selection: first invalid way, else LRU),
-// but no bank occupancy and no statistics. It reports a hit. Fast-forward
-// uses it to keep long-lived cache contents warm across skipped regions
-// without perturbing the timing state the next detailed window resumes from.
+// Touch performs a functional access: tags and LRU update as in Access
+// (allocating on miss into the first invalid way, else the LRU one), but no
+// bank occupancy and no statistics. It reports a hit. Access is Touch plus
+// those; fast-forward calls Touch alone to keep long-lived cache contents
+// warm across skipped regions without perturbing the timing state the next
+// detailed window resumes from.
 func (c *Cache) Touch(addr uint64) bool {
 	c.stamp++
 	la := c.LineAddr(addr)

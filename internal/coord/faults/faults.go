@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -47,15 +48,19 @@ const (
 	CoordinatorRestart Kind = "coordinator-restart"
 )
 
-// Kinds lists every fault mode, for chaos matrices.
-func Kinds() []Kind {
-	return []Kind{WorkerCrash, StalledHeartbeat, SlowLoris, CorruptPayload, CoordinatorRestart}
+// workerKinds lists the fault modes a worker injects into itself: every mode
+// but CoordinatorRestart, which the harness owns.
+func workerKinds() []Kind {
+	return []Kind{WorkerCrash, StalledHeartbeat, SlowLoris, CorruptPayload}
 }
 
-// KindList renders the fault modes for flag help text.
+// Kinds lists every fault mode, for chaos matrices.
+func Kinds() []Kind { return append(workerKinds(), CoordinatorRestart) }
+
+// KindList renders the worker fault modes Parse accepts, for flag help text.
 func KindList() string {
 	var b strings.Builder
-	for i, k := range Kinds() {
+	for i, k := range workerKinds() {
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -103,19 +108,13 @@ func Derive(kind Kind, seed uint64, workers int, slowDelay time.Duration) Fault 
 
 // Parse reads the CLI fault spec "kind[:after=N][:delay=D]", e.g.
 // "worker-crash:after=3" or "slow-loris:after=1:delay=500ms". Worker is left
-// 0: a CLI fault applies to the process it was passed to.
+// 0: a CLI fault applies to the process it was passed to, so only the worker
+// fault modes parse.
 func Parse(spec string) (Fault, error) {
 	parts := strings.Split(spec, ":")
 	f := Fault{Kind: Kind(parts[0]), After: 1}
-	known := false
-	for _, k := range Kinds() {
-		if f.Kind == k {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return f, fmt.Errorf("faults: unknown fault kind %q (have %v)", parts[0], Kinds())
+	if !slices.Contains(workerKinds(), f.Kind) {
+		return f, fmt.Errorf("faults: unknown worker fault kind %q (have %v)", parts[0], workerKinds())
 	}
 	for _, p := range parts[1:] {
 		key, val, ok := strings.Cut(p, "=")

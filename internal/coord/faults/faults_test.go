@@ -43,7 +43,9 @@ func TestParse(t *testing.T) {
 	if f, err = Parse("slow-loris"); err != nil || f.Delay == 0 {
 		t.Fatalf("slow-loris default delay missing: %+v, %v", f, err)
 	}
-	for _, bad := range []string{"", "meteor-strike", "worker-crash:after=x", "worker-crash:nope=1", "worker-crash:after"} {
+	// coordinator-restart is the harness's fault: a worker has no behaviour
+	// for it, so -fault must refuse it rather than run fault-free.
+	for _, bad := range []string{"", "meteor-strike", "coordinator-restart", "worker-crash:after=x", "worker-crash:nope=1", "worker-crash:after"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}

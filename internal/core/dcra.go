@@ -8,9 +8,9 @@
 //
 //   - Phase classification: a thread with pending L1 data misses is "slow"
 //     (it will hold resources for a long time); otherwise it is "fast".
-//   - Activity classification: per FP resource, a thread that has not
-//     allocated an entry for Y consecutive cycles is "inactive" and its
-//     share is redistributed.
+//   - Activity classification: per FP resource, a thread that has held no
+//     entry for Y consecutive cycles is "inactive" and its share is
+//     redistributed.
 //   - Sharing model: each slow-active thread may hold at most
 //     E_slow = R/(FA+SA) * (1 + C*FA) entries of a resource, where fast
 //     threads lend the C-fraction of their share. A slow-active thread
@@ -88,10 +88,10 @@ func OptionsForLatency(memLatency int) Options {
 type DCRA struct {
 	opt Options
 
-	// Per-thread, per-resource activity counters and the derived flags.
-	// Indexed [thread][resource]; only the five DCRA resources are used.
+	// Per-thread, per-resource activity counters: thread t is active for r
+	// while activity[t][r] > 0. Indexed [thread][resource]; only the five
+	// DCRA resources are used.
 	activity [][cpu.NumResources]int
-	active   [][cpu.NumResources]bool
 
 	slow  []bool
 	gated []bool
@@ -132,18 +132,18 @@ func (d *DCRA) Gate(m *cpu.Machine, t int) bool {
 }
 
 // Tick implements cpu.Policy: refresh classifications and allocation bounds.
-// It runs after dispatch, so AllocatedThisCycle reflects the current cycle.
+// It runs straight after dispatch, which only allocates, so a thread that
+// allocated an entry of r this cycle still holds one: occupancy alone
+// restarts the activity counters.
 func (d *DCRA) Tick(m *cpu.Machine) {
 	nt := m.NumThreads()
 	if d.activity == nil {
 		d.activity = make([][cpu.NumResources]int, nt)
-		d.active = make([][cpu.NumResources]bool, nt)
 		d.slow = make([]bool, nt)
 		d.gated = make([]bool, nt)
 		for t := 0; t < nt; t++ {
 			for _, r := range cpu.DCRAResources {
 				d.activity[t][r] = d.opt.ActivityY
-				d.active[t][r] = true
 			}
 		}
 		for _, r := range cpu.DCRAResources {
@@ -175,14 +175,13 @@ func (d *DCRA) Tick(m *cpu.Machine) {
 			nSlow++
 		}
 		act := &d.activity[t]
-		actv := &d.active[t]
 		for _, r := range d.tracked {
-			if m.AllocatedThisCycle(t, r) || m.Usage(t, r) > 0 {
+			if m.Usage(t, r) > 0 {
 				act[r] = d.opt.ActivityY
 			} else if act[r] > 0 {
 				act[r]--
 			}
-			if actv[r] = act[r] > 0; actv[r] {
+			if act[r] > 0 {
 				if slow {
 					sa[r]++
 				} else {
@@ -224,7 +223,7 @@ func (d *DCRA) Tick(m *cpu.Machine) {
 			continue
 		}
 		for _, r := range cpu.DCRAResources {
-			if d.active[t][r] && d.limits[r] > 0 && m.Usage(t, r) > d.limits[r] {
+			if d.activity[t][r] > 0 && d.limits[r] > 0 && m.Usage(t, r) > d.limits[r] {
 				d.gated[t] = true
 				break
 			}
@@ -242,7 +241,7 @@ func (d *DCRA) Cap(m *cpu.Machine, t int, r cpu.Resource) int {
 	if !d.opt.EnforceDispatch || d.gated == nil || r == cpu.RROB {
 		return 0
 	}
-	if !d.slow[t] || !d.active[t][r] {
+	if !d.slow[t] || d.activity[t][r] == 0 {
 		return 0
 	}
 	return d.limits[r]
@@ -289,5 +288,5 @@ func (d *DCRA) IsSlow(t int) bool { return d.slow != nil && d.slow[t] }
 
 // IsActive exposes the activity classification (tests/reports).
 func (d *DCRA) IsActive(t int, r cpu.Resource) bool {
-	return d.active == nil || d.active[t][r]
+	return d.activity == nil || d.activity[t][r] > 0
 }

@@ -192,19 +192,53 @@ func TestDCRASingleThreadNeverGates(t *testing.T) {
 	}
 }
 
+// TestDispatchEnforcementAblation runs the dispatch-stage cap on a 4-thread
+// MEM/ILP mix and checks it every cycle. Dispatch enforces the caps the
+// previous cycle's Tick left, so no DCRA resource's usage may rise past the
+// larger of its usage and its Cap read before the cycle.
 func TestDispatchEnforcementAblation(t *testing.T) {
 	o := DefaultOptions()
 	o.EnforceDispatch = true
 	d := New(o)
 	m, err := cpu.New(config.Baseline(), []trace.Profile{
-		trace.MustProfile("mcf"), trace.MustProfile("gzip"),
+		trace.MustProfile("mcf"), trace.MustProfile("art"),
+		trace.MustProfile("gzip"), trace.MustProfile("eon"),
 	}, d, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Run(30_000)
-	st := m.Stats()
-	if st.TotalCommitted() == 0 {
+	nt := m.NumThreads()
+	before := make([][cpu.NumResources]int, nt)
+	caps := make([][cpu.NumResources]int, nt)
+	reached := 0
+	for i := 0; i < 60_000; i++ {
+		for tid := 0; tid < nt; tid++ {
+			for _, r := range cpu.DCRAResources {
+				before[tid][r], caps[tid][r] = m.Usage(tid, r), d.Cap(m, tid, r)
+			}
+		}
+		m.Run(1)
+		for tid := 0; tid < nt; tid++ {
+			for _, r := range cpu.DCRAResources {
+				c, u := caps[tid][r], m.Usage(tid, r)
+				if c == 0 {
+					continue
+				}
+				if u > max(before[tid][r], c) {
+					t.Fatalf("cycle %d: thread %d holds %d %s entries, from %d under cap %d",
+						m.Cycle(), tid, u, r, before[tid][r], c)
+				}
+				if u == c && u > before[tid][r] {
+					reached++
+				}
+			}
+		}
+	}
+	if reached == 0 {
+		t.Fatal("no dispatch reached its cap: the check never bit")
+	}
+	t.Logf("%d dispatches reached their cap", reached)
+	if m.Stats().TotalCommitted() == 0 {
 		t.Fatal("dispatch-enforced DCRA wedged the machine")
 	}
 	// Cap returns 0 for fast threads and for the ROB.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,55 +10,49 @@ import (
 	"dcra/internal/trace"
 )
 
-// checkConservation asserts every resource counter matches structural
-// occupancy and nothing leaked.
+// checkConservation asserts, for all six resources, that every per-thread
+// occupancy is non-negative and that they sum to what the shared pool has
+// handed out: allocated entries for an issue queue, Total minus available for
+// a register file, robUsed for the ROB. Each thread's ROB occupancy must
+// equal its window, and no pending-miss counter may be negative.
 func checkConservation(t *testing.T, m *Machine, context string) {
 	t.Helper()
-	for q := 0; q < 3; q++ {
+	for r := Resource(0); r < NumResources; r++ {
 		sum := 0
 		for tid := 0; tid < m.nt; tid++ {
-			if m.iqCount[tid][q] < 0 {
-				t.Fatalf("%s: negative iqCount[%d][%d]", context, tid, q)
+			u := m.usage[tid][r]
+			if u < 0 {
+				t.Fatalf("%s, cycle %d: thread %d holds %d %s entries", context, m.cycle, tid, u, r)
 			}
-			sum += m.iqCount[tid][q]
+			sum += u
 		}
-		if sum != m.iqs[q].count {
-			t.Fatalf("%s: queue %d per-thread sum %d != pool %d", context, q, sum, m.iqs[q].count)
+		var pool int
+		switch r {
+		case RIntIQ, RFPIQ, RLSIQ:
+			pool = len(m.iqs[r].entries) - len(m.iqs[r].freeList)
+		case RIntRegs, RFPRegs:
+			pool = m.Total(r) - m.regs[r-RIntRegs].available()
+		case RROB:
+			pool = m.robUsed
 		}
-	}
-	for c := 0; c < 2; c++ {
-		used := 0
-		for tid := 0; tid < m.nt; tid++ {
-			if m.regCount[tid][c] < 0 {
-				t.Fatalf("%s: negative regCount", context)
-			}
-			used += m.regCount[tid][c]
+		if sum != pool {
+			t.Fatalf("%s, cycle %d: threads hold %d %s entries, the pool handed out %d",
+				context, m.cycle, sum, r, pool)
 		}
-		if m.regs[c].available()+used != m.cfg.RenameRegs(m.nt) {
-			t.Fatalf("%s: reg class %d leaked: free %d + used %d != %d",
-				context, c, m.regs[c].available(), used, m.cfg.RenameRegs(m.nt))
-		}
-	}
-	robSum := 0
-	for tid := 0; tid < m.nt; tid++ {
-		if m.robCount[tid] != m.rob[tid].count() {
-			t.Fatalf("%s: robCount[%d]=%d != ring %d", context, tid, m.robCount[tid], m.rob[tid].count())
-		}
-		robSum += m.robCount[tid]
-	}
-	if robSum != m.robUsed {
-		t.Fatalf("%s: rob leaked: %d != %d", context, robSum, m.robUsed)
 	}
 	for tid := 0; tid < m.nt; tid++ {
+		if u, w := m.usage[tid][RROB], m.rob[tid].count(); u != w {
+			t.Fatalf("%s, cycle %d: thread %d ROB occupancy %d != window %d", context, m.cycle, tid, u, w)
+		}
 		if m.pendingL1D[tid] < 0 || m.pendingL2[tid] < 0 {
-			t.Fatalf("%s: negative pending counters t%d: %d/%d",
-				context, tid, m.pendingL1D[tid], m.pendingL2[tid])
+			t.Fatalf("%s, cycle %d: negative pending counters t%d: %d/%d",
+				context, m.cycle, tid, m.pendingL1D[tid], m.pendingL2[tid])
 		}
 	}
 }
 
-// TestConservationUnderFlush stresses the squash paths: FLUSH squashes
-// plus mispredict recovery must never leak or double-free resources.
+// TestConservationUnderFlush stresses the squash paths every cycle: FLUSH
+// squashes plus mispredict recovery must never leak or double-free resources.
 func TestConservationUnderFlush(t *testing.T) {
 	pol := flushLike{}
 	profiles := []trace.Profile{trace.MustProfile("mcf"), trace.MustProfile("art")}
@@ -65,8 +60,8 @@ func TestConservationUnderFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 60; i++ {
-		m.Run(500)
+	for i := 0; i < 30_000; i++ {
+		m.step()
 		checkConservation(t, m, "flush stress")
 	}
 	if m.st.Threads[0].Flushes == 0 && m.st.Threads[1].Flushes == 0 {
@@ -161,20 +156,8 @@ func TestPropertyConservationAcrossSeeds(t *testing.T) {
 			return false
 		}
 		m.Run(4_000)
-		for q := 0; q < 3; q++ {
-			sum := 0
-			for tid := 0; tid < 2; tid++ {
-				sum += m.iqCount[tid][q]
-			}
-			if sum != m.iqs[q].count {
-				return false
-			}
-		}
-		used := 0
-		for tid := 0; tid < 2; tid++ {
-			used += m.regCount[tid][0]
-		}
-		return m.regs[0].available()+used == m.cfg.RenameRegs(2)
+		checkConservation(t, m, fmt.Sprintf("%s+%s seed %#x", a, b, seed))
+		return true
 	}, &quick.Config{MaxCount: 25})
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,14 @@
 package cpu
 
-import "dcra/internal/isa"
-
 // iqEntry is one slot of an issue queue. Entries wait until their pending
 // operand count drops to zero, then issue oldest-first.
 type iqEntry struct {
 	used    bool
 	stamp   uint64 // unique allocation stamp, invalidates stale waiter refs
 	thread  int16
-	class   isa.OpClass
 	pending int8
 	age     uint64 // dispatch order, global across threads
 	dseq    uint64 // position in the thread's ROB
-	gen     uint32 // squash generation of the ROB entry
 }
 
 // readyRef is one node of the ready heap. The age snapshot taken at
@@ -31,7 +27,6 @@ type issueQueue struct {
 	entries  []iqEntry
 	freeList []int32
 	ready    []readyRef // binary min-heap on age
-	count    int
 	stampGen uint64
 }
 
@@ -58,7 +53,6 @@ func (q *issueQueue) alloc() (int32, *iqEntry) {
 	q.stampGen++
 	e := &q.entries[idx]
 	*e = iqEntry{used: true, stamp: q.stampGen}
-	q.count++
 	return idx, e
 }
 
@@ -70,7 +64,6 @@ func (q *issueQueue) freeEntry(idx int32) {
 	}
 	e.used = false
 	q.freeList = append(q.freeList, idx)
-	q.count--
 }
 
 // markReady queues idx for issue selection. The entry's age must be final.
@@ -178,21 +171,5 @@ func (q *issueQueue) reset() {
 		q.freeList[i] = int32(len(q.entries) - 1 - i)
 	}
 	q.ready = q.ready[:0]
-	q.count = 0
 	q.stampGen = 0
-}
-
-// squashThread frees all entries belonging to thread t with dseq > after.
-// Ready-heap nodes of squashed entries go stale and are dropped lazily.
-// Returns per-queue count removed so the caller can fix usage counters.
-func (q *issueQueue) squashThread(t int, after uint64) int {
-	removed := 0
-	for i := range q.entries {
-		e := &q.entries[i]
-		if e.used && int(e.thread) == t && e.dseq > after {
-			q.freeEntry(int32(i))
-			removed++
-		}
-	}
-	return removed
 }

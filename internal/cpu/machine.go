@@ -116,21 +116,15 @@ type Machine struct {
 	regs [2]*regFile    // int, fp
 	prod [][]prodEntry  // per-thread producer rings
 
-	// Per-thread resource usage counters — exactly the paper's DCRA
-	// occupancy counters (3 IQs, 2 register files) plus ROB occupancy.
-	iqCount  [][3]int
-	regCount [][2]int
-	robCount []int
+	// usage[t][r] is thread t's occupancy of resource r: exactly the
+	// paper's DCRA occupancy counters (3 IQs, 2 register files) plus ROB
+	// occupancy.
+	usage [][NumResources]int
 
 	// Pending-miss counters (paper: one pending L1D-miss counter per
 	// thread; we also track pending L2 misses for STALL/FLUSH).
 	pendingL1D []int
 	pendingL2  []int
-
-	// allocFlags[t][r] is set when thread t allocates an entry of resource
-	// r during the current cycle's dispatch; DCRA's activity counters
-	// consume it in Tick.
-	allocFlags [][NumResources]bool
 
 	events eventQueue
 
@@ -241,12 +235,9 @@ func (m *Machine) alloc(cfg config.Config, profiles []trace.Profile, seed uint64
 		m.prod[t] = make([]prodEntry, prodRingSize)
 	}
 
-	m.iqCount = make([][3]int, nt)
-	m.regCount = make([][2]int, nt)
-	m.robCount = make([]int, nt)
+	m.usage = make([][NumResources]int, nt)
 	m.pendingL1D = make([]int, nt)
 	m.pendingL2 = make([]int, nt)
-	m.allocFlags = make([][NumResources]bool, nt)
 
 	m.commitBuf = make([]int32, 0, nt)
 	m.dispBuf = make([]int32, 0, nt)
@@ -356,12 +347,9 @@ func (m *Machine) Reinit(cfg config.Config, profiles []trace.Profile, pol Policy
 		for i := range prod {
 			prod[i].idx = ^uint64(0)
 		}
-		m.iqCount[t] = [3]int{}
-		m.regCount[t] = [2]int{}
-		m.robCount[t] = 0
+		m.usage[t] = [NumResources]int{}
 		m.pendingL1D[t] = 0
 		m.pendingL2[t] = 0
-		m.allocFlags[t] = [NumResources]bool{}
 	}
 	for t := 0; t < nt; t++ {
 		m.prewarm(t)
@@ -420,28 +408,13 @@ func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }
 func (m *Machine) Total(r Resource) int { return m.totalRes[r] }
 
 // Usage returns thread t's current occupancy of resource r.
-func (m *Machine) Usage(t int, r Resource) int {
-	switch r {
-	case RIntIQ:
-		return m.iqCount[t][isa.QInt]
-	case RFPIQ:
-		return m.iqCount[t][isa.QFP]
-	case RLSIQ:
-		return m.iqCount[t][isa.QLoadStore]
-	case RIntRegs:
-		return m.regCount[t][0]
-	case RFPRegs:
-		return m.regCount[t][1]
-	case RROB:
-		return m.robCount[t]
-	}
-	return 0
-}
+func (m *Machine) Usage(t int, r Resource) int { return m.usage[t][r] }
 
 // ICount returns the paper's ICOUNT statistic for thread t: instructions in
 // the pre-issue stages (front-end pipe plus issue queues).
 func (m *Machine) ICount(t int) int {
-	return m.fe[t].count + m.iqCount[t][0] + m.iqCount[t][1] + m.iqCount[t][2]
+	u := &m.usage[t]
+	return m.fe[t].count + u[RIntIQ] + u[RFPIQ] + u[RLSIQ]
 }
 
 // PendingL1D returns thread t's in-flight L1 data misses (detected, not yet
@@ -451,19 +424,11 @@ func (m *Machine) PendingL1D(t int) int { return m.pendingL1D[t] }
 // PendingL2 returns thread t's in-flight main-memory misses.
 func (m *Machine) PendingL2(t int) int { return m.pendingL2[t] }
 
-// AllocatedThisCycle reports whether thread t allocated an entry of r during
-// this cycle's dispatch (DCRA activity tracking).
-func (m *Machine) AllocatedThisCycle(t int, r Resource) bool {
-	return m.allocFlags[t][r]
-}
-
 // ResetStats zeroes statistics while preserving microarchitectural state;
 // call after warmup.
 func (m *Machine) ResetStats() {
-	nt := m.nt
-	m.st = stats.New(nt)
+	m.st = stats.New(m.nt)
 	m.hier.ResetStats()
-	m.pred.Lookups, m.pred.Mispredict = 0, 0
 }
 
 // Run advances the machine n cycles.

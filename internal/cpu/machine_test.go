@@ -73,45 +73,7 @@ func TestDeterminism(t *testing.T) {
 func TestConservation(t *testing.T) {
 	m := newTestMachine(t, "mcf", "gcc")
 	m.Run(30_000)
-	for q := 0; q < 3; q++ {
-		sum := 0
-		for tid := 0; tid < m.nt; tid++ {
-			sum += m.iqCount[tid][q]
-		}
-		if sum != m.iqs[q].count {
-			t.Errorf("queue %d: per-thread counts %d != pool count %d", q, sum, m.iqs[q].count)
-		}
-		if m.iqs[q].count < 0 || m.iqs[q].count > len(m.iqs[q].entries) {
-			t.Errorf("queue %d count %d out of range", q, m.iqs[q].count)
-		}
-	}
-	for c := 0; c < 2; c++ {
-		used := 0
-		for tid := 0; tid < m.nt; tid++ {
-			used += m.regCount[tid][c]
-		}
-		total := m.regs[c].available() + used
-		if total != m.cfg.RenameRegs(m.nt) {
-			t.Errorf("reg class %d: free %d + used %d != rename pool %d",
-				c, m.regs[c].available(), used, m.cfg.RenameRegs(m.nt))
-		}
-	}
-	robSum := 0
-	for tid := 0; tid < m.nt; tid++ {
-		robSum += m.robCount[tid]
-		if m.robCount[tid] != m.rob[tid].count() {
-			t.Errorf("thread %d: robCount %d != rob entries %d", tid, m.robCount[tid], m.rob[tid].count())
-		}
-	}
-	if robSum != m.robUsed {
-		t.Errorf("rob: per-thread sum %d != robUsed %d", robSum, m.robUsed)
-	}
-	for tid := 0; tid < m.nt; tid++ {
-		if m.pendingL1D[tid] < 0 || m.pendingL2[tid] < 0 {
-			t.Errorf("thread %d: negative pending miss counters (%d, %d)",
-				tid, m.pendingL1D[tid], m.pendingL2[tid])
-		}
-	}
+	checkConservation(t, m, "mcf+gcc")
 }
 
 func BenchmarkCycle4Threads(b *testing.B) {

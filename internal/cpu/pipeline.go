@@ -90,12 +90,9 @@ func (m *Machine) complete(t int, e *robEntry) {
 	if e.u.Class == isa.OpLoad && m.loadObs != nil && !e.u.WrongPath {
 		m.loadObs.LoadResolved(m, t, e.u.PC, e.hadL1Miss, e.hadL2Miss)
 	}
-	if e.u.Class == isa.OpBranch && !e.u.WrongPath {
-		m.pred.Update(t, &e.u, e.mispredicted)
-		if e.mispredicted {
-			m.pred.FixupHistory(t, e.u.Taken)
-			m.squashAfter(t, e.dseq, e.u.Index+1)
-		}
+	if e.u.Class == isa.OpBranch && !e.u.WrongPath && e.mispredicted {
+		m.pred.FixupHistory(t, e.u.Taken)
+		m.squashAfter(t, e.dseq, e.u.Index+1)
 	}
 }
 
@@ -145,10 +142,11 @@ func (m *Machine) commit() {
 
 func (m *Machine) commitEntry(t int, e *robEntry) {
 	m.robUsed--
-	m.robCount[t]--
+	m.usage[t][RROB]--
 	if e.destPhys >= 0 {
-		m.regs[regIndex(e.destClass)].release(e.destPhys)
-		m.regCount[t][regIndex(e.destClass)]--
+		ri := regIndex(e.destClass)
+		m.regs[ri].release(e.destPhys)
+		m.usage[t][RIntRegs+Resource(ri)]--
 	}
 	u := &e.u
 	// Clear the producer-ring slot; consumers dispatched from now on read
@@ -236,7 +234,7 @@ func (m *Machine) issueEntry(q int, idx int32) {
 	e := m.rob[t].at(ent.dseq)
 	iq.removeFromReady(idx)
 	iq.freeEntry(idx)
-	m.iqCount[t][q]--
+	m.usage[t][q]--
 	e.state = stateIssued
 	e.iqQueue = -1
 	m.st.Threads[t].Issued++
@@ -306,9 +304,6 @@ func regIndex(c isa.RegClass) int {
 }
 
 func (m *Machine) dispatch() {
-	for t := 0; t < m.nt; t++ {
-		m.allocFlags[t] = [NumResources]bool{}
-	}
 	if m.part != nil {
 		// Hoist the per-thread caps once per cycle. Cap is a pure function
 		// of state computed in the policy's Tick (DCRA's classification,
@@ -396,16 +391,17 @@ func (m *Machine) tryDispatch(t int, fe *feEntry) bool {
 		}
 	}
 	// Per-thread caps (SRA-style partitioning), hoisted by dispatch.
+	use := &m.usage[t]
 	if m.part != nil {
 		caps := &m.capBuf[t]
-		if c := caps[RROB]; c > 0 && m.robCount[t] >= c {
+		if c := caps[RROB]; c > 0 && use[RROB] >= c {
 			return false
 		}
-		if c := caps[Resource(q)]; c > 0 && m.iqCount[t][q] >= c {
+		if c := caps[Resource(q)]; c > 0 && use[Resource(q)] >= c {
 			return false
 		}
 		if ri >= 0 {
-			if c := caps[RIntRegs+Resource(ri)]; c > 0 && m.regCount[t][ri] >= c {
+			if c := caps[RIntRegs+Resource(ri)]; c > 0 && use[RIntRegs+Resource(ri)] >= c {
 				return false
 			}
 		}
@@ -420,16 +416,14 @@ func (m *Machine) tryDispatch(t int, fe *feEntry) bool {
 	e.mispredicted = fe.mispredicted
 	e.rasTop = fe.rasTop
 	m.robUsed++
-	m.robCount[t]++
-	m.allocFlags[t][RROB] = true
+	use[RROB]++
 
 	// Allocate destination register.
 	if ri >= 0 {
 		phys, _ := m.regs[ri].alloc()
 		e.destPhys = phys
 		e.destClass = destCls
-		m.regCount[t][ri]++
-		m.allocFlags[t][RIntRegs+Resource(ri)] = true
+		use[RIntRegs+Resource(ri)]++
 		if !u.WrongPath {
 			m.prod[t][u.Index&prodRingMask] = prodEntry{idx: u.Index, phys: phys, cls: destCls}
 		}
@@ -438,16 +432,13 @@ func (m *Machine) tryDispatch(t int, fe *feEntry) bool {
 	// Allocate the issue-queue entry and resolve operands.
 	idx, ent := m.iqs[q].alloc()
 	ent.thread = int16(t)
-	ent.class = u.Class
 	ent.dseq = e.dseq
-	ent.gen = e.gen
 	m.ageStamp++
 	ent.age = m.ageStamp
 	e.iqQueue = int32(q)
 	e.iqIdx = idx
 	e.iqStamp = ent.stamp
-	m.iqCount[t][q]++
-	m.allocFlags[t][Resource(q)] = true
+	use[Resource(q)]++
 
 	if !u.WrongPath {
 		m.resolveOperand(t, u, u.Dep1, int32(q), idx, ent)

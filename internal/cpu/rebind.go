@@ -68,7 +68,6 @@ func (m *Machine) RebindThread(t int, profile trace.Profile, seed uint64) error 
 	for i := range prod {
 		prod[i].idx = ^uint64(0)
 	}
-	m.allocFlags[t] = [NumResources]bool{}
 	m.pred.SetRASTop(t, 0)
 
 	m.prewarm(t)

@@ -12,7 +12,8 @@ import "fmt"
 // so static partitioning (SRA) can cap it as well.
 type Resource int
 
-// Shared resources.
+// Shared resources. The issue queues come first, in isa.Queue order, so a
+// queue's isa.Queue value is its Resource.
 const (
 	RIntIQ Resource = iota
 	RFPIQ

@@ -14,6 +14,7 @@ func (m *Machine) reclaim(t int, lo uint64) {
 	r := m.rob[t]
 	ts.gen++
 
+	use := &m.usage[t]
 	rasRestore := int32(-1)
 	for ds := r.tailSeq; ds > lo; ds-- {
 		e := r.at(ds - 1)
@@ -22,13 +23,13 @@ func (m *Machine) reclaim(t int, lo uint64) {
 			q := m.iqs[e.iqQueue]
 			if ent := &q.entries[e.iqIdx]; ent.used && ent.stamp == e.iqStamp {
 				q.freeEntry(e.iqIdx)
-				m.iqCount[t][e.iqQueue]--
+				use[e.iqQueue]--
 			}
 		}
 		if e.destPhys >= 0 {
 			ri := regIndex(e.destClass)
 			m.regs[ri].release(e.destPhys)
-			m.regCount[t][ri]--
+			use[RIntRegs+Resource(ri)]--
 		}
 		if e.l1Counted {
 			m.pendingL1D[t]--
@@ -43,7 +44,7 @@ func (m *Machine) reclaim(t int, lo uint64) {
 			}
 		}
 		m.robUsed--
-		m.robCount[t]--
+		use[RROB]--
 		rasRestore = e.rasTop // last visited = oldest squashed
 	}
 

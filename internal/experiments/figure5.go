@@ -30,8 +30,7 @@ type Figure5Cell struct {
 type Figure5Result struct {
 	Cells []Figure5Cell
 
-	AvgHmeanImprovement      map[PolicyName]float64
-	AvgThroughputImprovement map[PolicyName]float64
+	AvgHmeanImprovement map[PolicyName]float64
 }
 
 // Figure5Sweep declares the figure's cells: all 144 (36 workloads x 4
@@ -55,12 +54,8 @@ func Figure5(s *Suite) (Figure5Result, error) {
 	if err := s.Prefetch(Figure5Sweep().Cells); err != nil {
 		return Figure5Result{}, err
 	}
-	res := Figure5Result{
-		AvgHmeanImprovement:      make(map[PolicyName]float64),
-		AvgThroughputImprovement: make(map[PolicyName]float64),
-	}
-	improvementsHM := make(map[PolicyName][]float64)
-	improvementsTP := make(map[PolicyName][]float64)
+	res := Figure5Result{AvgHmeanImprovement: make(map[PolicyName]float64)}
+	improvements := make(map[PolicyName][]float64)
 	for _, n := range threadCounts {
 		for _, kind := range workload.Kinds {
 			cell := Figure5Cell{
@@ -81,19 +76,14 @@ func Figure5(s *Suite) (Figure5Result, error) {
 				if pn == PolDCRA {
 					continue
 				}
-				improvementsHM[pn] = append(improvementsHM[pn],
+				improvements[pn] = append(improvements[pn],
 					metrics.Improvement(cell.Hmean[PolDCRA], cell.Hmean[pn]))
-				improvementsTP[pn] = append(improvementsTP[pn],
-					metrics.Improvement(cell.Throughput[PolDCRA], cell.Throughput[pn]))
 			}
 			res.Cells = append(res.Cells, cell)
 		}
 	}
-	for pn, vals := range improvementsHM {
+	for pn, vals := range improvements {
 		res.AvgHmeanImprovement[pn] = metrics.Mean(vals)
-	}
-	for pn, vals := range improvementsTP {
-		res.AvgThroughputImprovement[pn] = metrics.Mean(vals)
 	}
 	return res, nil
 }

@@ -61,21 +61,6 @@ func Improvement(a, b float64) float64 {
 	return 100 * (a - b) / b
 }
 
-// GeoMean returns the geometric mean of xs (all values must be positive).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs by the
 // nearest-rank method: the smallest value such that at least p% of the
 // samples are <= it. The input is not modified (a sorted copy is taken);

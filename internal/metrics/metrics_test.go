@@ -80,18 +80,6 @@ func TestImprovement(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almost(got, 2) {
-		t.Fatalf("GeoMean = %v, want 2", got)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Fatal("non-positive input should yield 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty input should yield 0")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); !almost(got, 2) {
 		t.Fatalf("Mean = %v", got)

@@ -167,9 +167,6 @@ func pickTotal(weights []float64) float64 {
 	return total
 }
 
-// Profile returns the profile the stream was built from.
-func (s *Stream) Profile() Profile { return s.prof }
-
 // Footprint describes the stream's address-space regions, used by the
 // simulator to pre-warm caches (see cache.Hierarchy.PrewarmData).
 type Footprint struct {

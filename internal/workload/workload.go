@@ -169,20 +169,3 @@ func ByID(id string) (Workload, error) {
 	}
 	return w, nil
 }
-
-// BenchmarksUsed returns the deduplicated set of benchmark names appearing
-// anywhere in Table 4, in first-use order — the set needing single-thread
-// baselines for the Hmean metric.
-func BenchmarksUsed() []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, w := range All() {
-		for _, n := range w.Names {
-			if !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
-		}
-	}
-	return names
-}

@@ -109,24 +109,6 @@ func TestPaperSpotChecks(t *testing.T) {
 	}
 }
 
-func TestBenchmarksUsed(t *testing.T) {
-	used := BenchmarksUsed()
-	if len(used) == 0 {
-		t.Fatal("no benchmarks used")
-	}
-	seen := map[string]bool{}
-	for _, n := range used {
-		if seen[n] {
-			t.Errorf("duplicate %q", n)
-		}
-		seen[n] = true
-	}
-	// parser appears only in MEM4 workloads; make sure it is collected.
-	if !seen["parser"] {
-		t.Error("parser missing from BenchmarksUsed")
-	}
-}
-
 func TestID(t *testing.T) {
 	w, _ := Get(4, MEM, 3)
 	if w.ID() != "MEM4.g3" {
