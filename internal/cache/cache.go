@@ -56,10 +56,7 @@ func NewCache(cfg config.CacheConfig) *Cache {
 		setMask:  uint64(sets - 1),
 		bankBusy: make([]uint64, banks),
 		bankMask: uint64(banks - 1),
-	}
-	for bits, l := uint(0), cfg.LineBytes; l > 1; l >>= 1 {
-		bits++
-		c.lineBits = bits
+		lineBits: log2(cfg.LineBytes),
 	}
 	return c
 }

@@ -23,6 +23,55 @@ type mshr struct {
 	fillAt   uint64
 }
 
+// mshrFile is one MSHR file: its outstanding fills in allocation order, and
+// the earliest fillAt among them. MSHR files are tiny (tens of entries), so
+// lookups are linear sweeps; expiry is lazy, a compare per query until the
+// earliest fill is due.
+type mshrFile struct {
+	ms []mshr
+	// next is the earliest fillAt in ms (^0 when ms is empty). Only expire
+	// removes entries and it recomputes next, so next is exact, not just a
+	// bound: nothing can expire before it.
+	next uint64
+}
+
+// expire drops the fills completed by cycle now. Until now reaches next
+// nothing can have completed, so the sweep is skipped and ms is exactly
+// what an eager sweep would have left.
+func (f *mshrFile) expire(now uint64) {
+	if now < f.next {
+		return
+	}
+	out := f.ms[:0]
+	next := ^uint64(0)
+	for _, m := range f.ms {
+		if m.fillAt > now {
+			out = append(out, m)
+			next = min(next, m.fillAt)
+		}
+	}
+	f.ms, f.next = out, next
+}
+
+// add records a fill of lineAddr arriving at fillAt.
+func (f *mshrFile) add(lineAddr, fillAt uint64) {
+	f.ms = append(f.ms, mshr{lineAddr, fillAt})
+	f.next = min(f.next, fillAt)
+}
+
+// find returns the fill time of lineAddr's outstanding fill, if any.
+func (f *mshrFile) find(lineAddr uint64) (uint64, bool) {
+	for _, m := range f.ms {
+		if m.lineAddr == lineAddr {
+			return m.fillAt, true
+		}
+	}
+	return 0, false
+}
+
+// drain empties the file.
+func (f *mshrFile) drain() { f.ms, f.next = f.ms[:0], ^uint64(0) }
+
 // Hierarchy composes L1I, L1D, a unified L2, a TLB and main memory, with an
 // MSHR file bounding and merging outstanding memory misses.
 type Hierarchy struct {
@@ -35,10 +84,10 @@ type Hierarchy struct {
 
 	// l2mshrs tracks lines in flight from memory (L2 misses). Accesses to a
 	// line already in flight merge: they complete at the original fill time.
-	l2mshrs []mshr
+	l2mshrs mshrFile
 	// l1mshrs tracks lines in flight from L2 into L1D (L1 misses that hit
 	// in L2); merging avoids double-counting short misses.
-	l1mshrs []mshr
+	l1mshrs mshrFile
 
 	// MemMisses counts fills requested from main memory.
 	MemMisses uint64
@@ -46,48 +95,15 @@ type Hierarchy struct {
 
 // NewHierarchy builds the full memory system for cfg.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	return &Hierarchy{
+	h := &Hierarchy{
 		L1I: NewCache(cfg.ICache),
 		L1D: NewCache(cfg.DCache),
 		L2:  NewCache(cfg.L2),
 		TLB: NewTLB(cfg.TLBEntries, cfg.PageBytes),
 		cfg: cfg,
 	}
-}
-
-// expire drops completed MSHRs. Called on the query paths; MSHR files are
-// tiny (tens of entries) so a linear sweep is cheap and allocation-free.
-func expire(ms []mshr, now uint64) []mshr {
-	out := ms[:0]
-	for _, m := range ms {
-		if m.fillAt > now {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-func findMSHR(ms []mshr, lineAddr uint64) (uint64, bool) {
-	for _, m := range ms {
-		if m.lineAddr == lineAddr {
-			return m.fillAt, true
-		}
-	}
-	return 0, false
-}
-
-// minFill returns the earliest outstanding fill time (0 when empty).
-func minFill(ms []mshr) uint64 {
-	if len(ms) == 0 {
-		return 0
-	}
-	t := ms[0].fillAt
-	for _, m := range ms[1:] {
-		if m.fillAt < t {
-			t = m.fillAt
-		}
-	}
-	return t
+	h.drainMSHRs()
+	return h
 }
 
 // AccessI performs an instruction fetch access for the line containing addr.
@@ -134,8 +150,8 @@ func (h *Hierarchy) AccessD(addr uint64, now uint64) AccessResult {
 	// this check a second access to an in-flight line would "hit" and see
 	// the data long before the fill actually arrives.
 	lineAddr := h.L2.LineAddr(addr)
-	h.l2mshrs = expire(h.l2mshrs, now)
-	if fillAt, ok := findMSHR(h.l2mshrs, lineAddr); ok {
+	h.l2mshrs.expire(now)
+	if fillAt, ok := h.l2mshrs.find(lineAddr); ok {
 		h.L1D.Access(addr, now) // keep LRU and statistics honest
 		res.L1Miss = true
 		res.L2Miss = true // shares the memory access already in flight
@@ -146,8 +162,8 @@ func (h *Hierarchy) AccessD(addr uint64, now uint64) AccessResult {
 		res.Latency = int(res.DoneAt - now)
 		return res
 	}
-	h.l1mshrs = expire(h.l1mshrs, now)
-	if fillAt, ok := findMSHR(h.l1mshrs, lineAddr); ok {
+	h.l1mshrs.expire(now)
+	if fillAt, ok := h.l1mshrs.find(lineAddr); ok {
 		h.L1D.Access(addr, now)
 		res.L1Miss = true
 		res.DoneAt = fillAt
@@ -170,7 +186,7 @@ func (h *Hierarchy) AccessD(addr uint64, now uint64) AccessResult {
 	l2lat, l2miss := h.L2.Access(addr, now)
 	lat += l2lat
 	if !l2miss {
-		h.l1mshrs = append(h.l1mshrs, mshr{lineAddr, now + uint64(lat)})
+		h.l1mshrs.add(lineAddr, now+uint64(lat))
 		res.Latency = lat
 		res.DoneAt = now + uint64(res.Latency)
 		return res
@@ -183,12 +199,12 @@ func (h *Hierarchy) AccessD(addr uint64, now uint64) AccessResult {
 	// once the oldest outstanding one completes. This bounds the queue
 	// growth to one memory latency (unlike tail-chaining, which diverges
 	// under sustained miss floods).
-	if len(h.l2mshrs) >= h.cfg.MSHREntries {
-		if earliest := minFill(h.l2mshrs); earliest+uint64(h.cfg.MemLatency) > fillAt {
+	if len(h.l2mshrs.ms) >= h.cfg.MSHREntries {
+		if earliest := h.l2mshrs.next; earliest+uint64(h.cfg.MemLatency) > fillAt {
 			fillAt = earliest + uint64(h.cfg.MemLatency)
 		}
 	}
-	h.l2mshrs = append(h.l2mshrs, mshr{lineAddr, fillAt})
+	h.l2mshrs.add(lineAddr, fillAt)
 	res.DoneAt = fillAt
 	res.Latency = int(fillAt - now)
 	return res
@@ -224,11 +240,8 @@ func (h *Hierarchy) TouchD(addr uint64) {
 // overlapping-miss statistic. Fills queued behind a full MSHR file are
 // serialised, not overlapped, so the result is capped at the MSHR count.
 func (h *Hierarchy) OutstandingMem(now uint64) int {
-	h.l2mshrs = expire(h.l2mshrs, now)
-	if len(h.l2mshrs) > h.cfg.MSHREntries {
-		return h.cfg.MSHREntries
-	}
-	return len(h.l2mshrs)
+	h.l2mshrs.expire(now)
+	return min(len(h.l2mshrs.ms), h.cfg.MSHREntries)
 }
 
 // PrewarmData inserts every line of [base, base+n) into L2 (and into L1D
@@ -281,8 +294,8 @@ func (h *Hierarchy) Reset() {
 
 // drainMSHRs empties both MSHR files and the memory-fill counter.
 func (h *Hierarchy) drainMSHRs() {
-	h.l2mshrs = h.l2mshrs[:0]
-	h.l1mshrs = h.l1mshrs[:0]
+	h.l2mshrs.drain()
+	h.l1mshrs.drain()
 	h.MemMisses = 0
 }
 

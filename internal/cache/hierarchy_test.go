@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dcra/internal/config"
@@ -223,4 +225,74 @@ func TestHierarchyResetAndReinit(t *testing.T) {
 	if h.Reinit(bad) {
 		t.Fatal("Reinit must refuse a geometry change")
 	}
+}
+
+// TestLazyMSHRExpiryMatchesEager drives two hierarchies with the same random
+// data accesses. One expires its MSHR files lazily, as it always does; the
+// other is forced to sweep them on every query, as an eager file would. With
+// four MSHRs and a working set far beyond L2, the files fill and fills
+// serialise. Every AccessResult, OutstandingMem on every cycle and both
+// files' contents must agree, and each file's next must be its earliest
+// fill.
+func TestLazyMSHRExpiryMatchesEager(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.MSHREntries = 4
+	lazy, eager := NewHierarchy(cfg), NewHierarchy(cfg)
+	forceSweep := func() { eager.l1mshrs.next, eager.l2mshrs.next = 0, 0 }
+	rg := rand.New(rand.NewPCG(3, 5))
+	line := uint64(cfg.L2.LineBytes)
+	// A few hot lines, merged into fills in flight, and a stream of cold
+	// ones over 64 MB: most accesses miss L2.
+	hot := make([]uint64, 8)
+	for i := range hot {
+		hot[i] = rg.Uint64N(1<<26) &^ (line - 1)
+	}
+	now, full := uint64(1), 0
+	for step := 0; step < 200_000; step++ {
+		switch x := rg.IntN(10); {
+		case x < 4:
+			// another access in the same cycle
+		case x < 9:
+			now += rg.Uint64N(4) + 1
+		default:
+			now += rg.Uint64N(400)
+		}
+		forceSweep()
+		if got, want := lazy.OutstandingMem(now), eager.OutstandingMem(now); got != want {
+			t.Fatalf("step %d, cycle %d: OutstandingMem %d, eager %d", step, now, got, want)
+		}
+		addr := rg.Uint64N(1 << 26)
+		if rg.IntN(3) == 0 {
+			addr = hot[rg.IntN(len(hot))] + rg.Uint64N(line)
+		}
+		forceSweep()
+		if got, want := lazy.AccessD(addr, now), eager.AccessD(addr, now); got != want {
+			t.Fatalf("step %d, cycle %d, addr %#x: %+v, eager %+v", step, now, addr, got, want)
+		}
+		if len(lazy.l2mshrs.ms) > cfg.MSHREntries {
+			full++
+		}
+		for _, f := range []struct {
+			name        string
+			lazy, eager *mshrFile
+		}{{"L1", &lazy.l1mshrs, &eager.l1mshrs}, {"L2", &lazy.l2mshrs, &eager.l2mshrs}} {
+			if !slices.Equal(f.lazy.ms, f.eager.ms) {
+				t.Fatalf("step %d, cycle %d: %s MSHRs %v, eager %v", step, now, f.name, f.lazy.ms, f.eager.ms)
+			}
+			next := ^uint64(0)
+			for _, m := range f.lazy.ms {
+				next = min(next, m.fillAt)
+			}
+			if f.lazy.next != next {
+				t.Fatalf("step %d: %s next = %d, earliest fill %d", step, f.name, f.lazy.next, next)
+			}
+		}
+	}
+	if lazy.MemMisses != eager.MemMisses || lazy.MemMisses == 0 {
+		t.Fatalf("memory fills: lazy %d, eager %d", lazy.MemMisses, eager.MemMisses)
+	}
+	if full == 0 {
+		t.Fatal("the L2 MSHR file never held more fills than MSHRs: no serialised fill was checked")
+	}
+	t.Logf("%d memory fills; %d accesses left the L2 file past its %d MSHRs", lazy.MemMisses, full, cfg.MSHREntries)
 }

@@ -3,6 +3,7 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"time"
 
@@ -55,7 +56,8 @@ type Worker struct {
 
 // Run serves the campaign until the coordinator reports it done (returns
 // nil), the transport stays down past RetryWindow, or a fault hook kills the
-// worker.
+// worker. An outage is logged (standard log package) at its first failed
+// lease request and again when the coordinator answers.
 func (w *Worker) Run() error {
 	retryWindow := w.RetryWindow
 	if retryWindow <= 0 {
@@ -69,12 +71,16 @@ func (w *Worker) Run() error {
 			now := time.Now()
 			if downSince.IsZero() {
 				downSince = now
+				log.Printf("coord: worker %s: coordinator unreachable (%v); retrying for up to %v", w.ID, err, retryWindow)
 			} else if now.Sub(downSince) > retryWindow {
 				return fmt.Errorf("coord: worker %s: coordinator unreachable for %v: %w", w.ID, now.Sub(downSince), err)
 			}
 			time.Sleep(backoff)
 			backoff = min(2*backoff, 2*time.Second)
 			continue
+		}
+		if !downSince.IsZero() {
+			log.Printf("coord: worker %s: coordinator reachable again after %v", w.ID, time.Since(downSince).Round(time.Millisecond))
 		}
 		downSince, backoff = time.Time{}, 50*time.Millisecond
 		switch resp.State {

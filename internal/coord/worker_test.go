@@ -1,7 +1,10 @@
 package coord_test
 
 import (
+	"bytes"
 	"errors"
+	"log"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -220,5 +223,61 @@ func TestNextLeaseFailsAbandonedLease(t *testing.T) {
 	}
 	if st := co.Status(); len(st.Leases) != 0 || st.Retries != 1 || st.Pending != 1 {
 		t.Errorf("after abandoning: %d leases, %d retries, %d pending; want 0, 1, 1", len(st.Leases), st.Retries, st.Pending)
+	}
+}
+
+// flakyLease fails its first fails Lease calls, then tells the worker the
+// campaign is done. It implements nothing else.
+type flakyLease struct {
+	coord.Transport
+	fails int
+	calls int
+}
+
+func (f *flakyLease) Lease(coord.LeaseRequest) (coord.LeaseResponse, error) {
+	f.calls++
+	if f.calls <= f.fails {
+		return coord.LeaseResponse{}, coord.ErrUnreachable
+	}
+	return coord.LeaseResponse{State: coord.StateDone}, nil
+}
+
+// TestWorkerLogsOutageOnce checks that an unreachable coordinator is not
+// silent: three refused lease requests in a row log one outage line, naming
+// the worker, the error and the retry window, and the answer after them
+// logs one recovery line.
+func TestWorkerLogsOutageOnce(t *testing.T) {
+	var buf bytes.Buffer
+	flags, out := log.Flags(), log.Writer()
+	log.SetFlags(0)
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetFlags(flags); log.SetOutput(out) })
+
+	tr := &flakyLease{fails: 3}
+	w := &coord.Worker{ID: "w7", Transport: tr, RetryWindow: 10 * time.Second}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.calls != 4 {
+		t.Fatalf("worker made %d lease requests, want 4", tr.calls)
+	}
+	// Only this worker's lines count: a goroutine left by another test may
+	// log too.
+	var lines []string
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(l, "worker w7:") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("logged %d lines for w7, want an outage line and a recovery line:\n%s", len(lines), buf.String())
+	}
+	for _, want := range []string{coord.ErrUnreachable.Error(), "10s"} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("outage line %q does not name %q", lines[0], want)
+		}
+	}
+	if !strings.Contains(lines[1], "reachable again") {
+		t.Errorf("recovery line %q", lines[1])
 	}
 }

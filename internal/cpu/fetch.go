@@ -67,7 +67,9 @@ func (m *Machine) fetchThread(t, max int) int {
 				break
 			}
 			ts.wpPC = ts.stream.NextWrongPC(&u)
-			fe.push(feEntry{u: u, readyAt: readyAt, rasTop: m.pred.RASTop(t)})
+			e := fe.push()
+			e.u = u
+			e.readyAt, e.mispredicted, e.rasTop = readyAt, false, m.pred.RASTop(t)
 			m.st.Threads[t].Fetched++
 			m.st.Threads[t].WrongPath++
 			n++
@@ -105,7 +107,9 @@ func (m *Machine) fetchThread(t, max int) int {
 				m.st.Threads[t].MispredTarget++
 			}
 		}
-		fe.push(feEntry{u: *u, readyAt: readyAt, mispredicted: mispredicted, rasTop: rasTop})
+		e := fe.push()
+		e.u = *u
+		e.readyAt, e.mispredicted, e.rasTop = readyAt, mispredicted, rasTop
 		ts.fetchIdx++
 		m.st.Threads[t].Fetched++
 		if m.fetchObs != nil {

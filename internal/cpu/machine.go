@@ -19,11 +19,6 @@ type prodEntry struct {
 	cls  isa.RegClass
 }
 
-const (
-	prodRingSize = 8192 // must exceed the largest in-flight window
-	prodRingMask = prodRingSize - 1
-)
-
 // feEntry is one slot of a thread's front-end (decode/rename) pipe.
 type feEntry struct {
 	u            isa.Uop
@@ -44,19 +39,28 @@ type frontEnd struct {
 }
 
 func newFrontEnd(capacity int) frontEnd {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
+	n := pow2AtLeast(capacity)
 	return frontEnd{ring: make([]feEntry, n), mask: n - 1, limit: capacity}
+}
+
+// pow2AtLeast returns the smallest power of two >= n (1 for n <= 1).
+func pow2AtLeast(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }
 
 func (f *frontEnd) full() bool  { return f.count == f.limit }
 func (f *frontEnd) empty() bool { return f.count == 0 }
 
-func (f *frontEnd) push(e feEntry) {
-	f.ring[(f.head+f.count)&f.mask] = e
+// push claims the slot past the youngest entry and returns it; the caller
+// fills every field in place.
+func (f *frontEnd) push() *feEntry {
+	e := &f.ring[(f.head+f.count)&f.mask]
 	f.count++
+	return e
 }
 
 func (f *frontEnd) peek() *feEntry { return &f.ring[f.head] }
@@ -114,7 +118,15 @@ type Machine struct {
 
 	iqs  [3]*issueQueue // indexed by isa.Queue
 	regs [2]*regFile    // int, fp
-	prod [][]prodEntry  // per-thread producer rings
+
+	// prod holds each thread's in-flight right-path producers, indexed by
+	// canonical stream index modulo the ring size, the smallest power of
+	// two >= ROBSize (prodMask is that size minus one). No two live
+	// producers share a slot: dispatch needs robUsed < ROBSize, and a
+	// thread's in-flight right-path uops are consecutive stream indices,
+	// so they span at most ROBSize consecutive values.
+	prod     [][]prodEntry
+	prodMask uint64
 
 	// usage[t][r] is thread t's occupancy of resource r: exactly the
 	// paper's DCRA occupancy counters (3 IQs, 2 register files) plus ROB
@@ -227,12 +239,14 @@ func (m *Machine) alloc(cfg config.Config, profiles []trace.Profile, seed uint64
 	m.fe = make([]frontEnd, nt)
 	m.rob = make([]*threadROB, nt)
 	m.prod = make([][]prodEntry, nt)
+	prodSize := pow2AtLeast(cfg.ROBSize)
+	m.prodMask = uint64(prodSize - 1)
 	for t := 0; t < nt; t++ {
 		m.threads[t].stream = trace.NewStream(profiles[t], t, seed)
 		m.threads[t].stream.UseCheckpoints(m.ckpts)
 		m.fe[t] = newFrontEnd(cfg.FrontEndBuffer)
 		m.rob[t] = newThreadROB(cfg.ROBSize)
-		m.prod[t] = make([]prodEntry, prodRingSize)
+		m.prod[t] = make([]prodEntry, prodSize)
 	}
 
 	m.usage = make([][NumResources]int, nt)

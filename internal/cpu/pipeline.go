@@ -151,7 +151,7 @@ func (m *Machine) commitEntry(t int, e *robEntry) {
 	u := &e.u
 	// Clear the producer-ring slot; consumers dispatched from now on read
 	// the value as architecturally committed (always ready).
-	pe := &m.prod[t][u.Index&prodRingMask]
+	pe := &m.prod[t][u.Index&m.prodMask]
 	if pe.idx == u.Index {
 		pe.idx = ^uint64(0)
 	}
@@ -407,13 +407,16 @@ func (m *Machine) tryDispatch(t int, fe *feEntry) bool {
 		}
 	}
 
-	// Allocate ROB.
-	r := m.rob[t]
-	e := r.push()
+	// Allocate ROB. push leaves the slot's old contents in place, so every
+	// field is set here or below (iqQueue, iqIdx, iqStamp).
+	e := m.rob[t].push()
 	e.u = *u
 	e.gen = m.threads[t].gen
 	e.state = stateDispatched
+	e.destPhys, e.destClass = -1, destCls
 	e.mispredicted = fe.mispredicted
+	e.hadL1Miss, e.hadL2Miss = false, false
+	e.l1Counted, e.l2Counted = false, false
 	e.rasTop = fe.rasTop
 	m.robUsed++
 	use[RROB]++
@@ -422,10 +425,9 @@ func (m *Machine) tryDispatch(t int, fe *feEntry) bool {
 	if ri >= 0 {
 		phys, _ := m.regs[ri].alloc()
 		e.destPhys = phys
-		e.destClass = destCls
 		use[RIntRegs+Resource(ri)]++
 		if !u.WrongPath {
-			m.prod[t][u.Index&prodRingMask] = prodEntry{idx: u.Index, phys: phys, cls: destCls}
+			m.prod[t][u.Index&m.prodMask] = prodEntry{idx: u.Index, phys: phys, cls: destCls}
 		}
 	}
 
@@ -458,7 +460,7 @@ func (m *Machine) resolveOperand(t int, u *isa.Uop, dep uint16, q, idx int32, en
 		return
 	}
 	pidx := u.Index - uint64(dep)
-	pe := &m.prod[t][pidx&prodRingMask]
+	pe := &m.prod[t][pidx&m.prodMask]
 	if pe.idx != pidx {
 		return // producer committed (or never tracked): value ready
 	}

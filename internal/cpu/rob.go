@@ -44,10 +44,7 @@ type threadROB struct {
 }
 
 func newThreadROB(capacity int) *threadROB {
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
+	size := pow2AtLeast(capacity)
 	return &threadROB{ring: make([]robEntry, size), mask: uint64(size - 1)}
 }
 
@@ -62,10 +59,12 @@ func (r *threadROB) valid(dseq uint64, gen uint32) bool {
 	return dseq >= r.headSeq && dseq < r.tailSeq && r.ring[dseq&r.mask].gen == gen
 }
 
-// push allocates the next entry and returns it.
+// push allocates the next entry and returns it with only dseq set: the
+// slot still holds whatever entry last used it, and the caller (tryDispatch)
+// sets every other field.
 func (r *threadROB) push() *robEntry {
 	e := &r.ring[r.tailSeq&r.mask]
-	*e = robEntry{dseq: r.tailSeq, destPhys: -1, iqQueue: -1}
+	e.dseq = r.tailSeq
 	r.tailSeq++
 	return e
 }
@@ -87,8 +86,9 @@ func (r *threadROB) popHead() { r.headSeq++ }
 func (r *threadROB) drain() { r.headSeq = r.tailSeq }
 
 // reset empties the window and rewinds the sequence counters to zero. Ring
-// contents need no clearing: push fully overwrites an entry before any read,
-// and valid() only consults the live [headSeq, tailSeq) range.
+// contents need no clearing: push and tryDispatch overwrite every field of
+// an entry before any read, and valid() only consults the live
+// [headSeq, tailSeq) range.
 func (r *threadROB) reset() { r.headSeq, r.tailSeq = 0, 0 }
 
 // rollbackTo discards entries with dseq > after (squash). The caller walks

@@ -38,7 +38,7 @@ func (m *Machine) reclaim(t int, lo uint64) {
 			m.pendingL2[t]--
 		}
 		if !e.u.WrongPath {
-			pe := &m.prod[t][e.u.Index&prodRingMask]
+			pe := &m.prod[t][e.u.Index&m.prodMask]
 			if pe.idx == e.u.Index {
 				pe.idx = ^uint64(0)
 			}

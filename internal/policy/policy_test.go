@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"dcra/internal/config"
@@ -197,6 +199,36 @@ func TestGatingPoliciesStillCommit(t *testing.T) {
 			if st.Threads[i].Committed == 0 {
 				t.Errorf("%s: thread %d starved completely", pol.Name(), i)
 			}
+		}
+	}
+}
+
+// TestSingleThreadDCRAIsICount is a metamorphic check of DCRA (paper §3):
+// with one thread there is no competition, so DCRA never gates or caps it
+// and fetches by ICOUNT, exactly like ICOUNT itself. A single-thread DCRA
+// machine must therefore produce byte-identical statistics, over MEM and ILP,
+// integer and FP benchmarks.
+func TestSingleThreadDCRAIsICount(t *testing.T) {
+	cfg := config.Baseline()
+	for _, bench := range []string{"mcf", "gzip", "art", "eon", "swim", "twolf"} {
+		stats := make(map[string][]byte)
+		for _, name := range []string{"DCRA", "ICOUNT"} {
+			pol, err := New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := cpu.New(cfg, []trace.Profile{trace.MustProfile(bench)}, pol, 0xfeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run(20_000)
+			if stats[name], err = json.Marshal(m.Stats()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(stats["DCRA"], stats["ICOUNT"]) {
+			t.Errorf("%s: single-thread DCRA statistics differ from ICOUNT's:\nDCRA   %s\nICOUNT %s",
+				bench, stats["DCRA"], stats["ICOUNT"])
 		}
 	}
 }

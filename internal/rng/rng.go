@@ -9,7 +9,11 @@
 // and explicit.
 package rng
 
-import "sync"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // Source is a deterministic 64-bit PRNG (xoshiro256** seeded via SplitMix64).
 // The zero value is not usable; construct with New.
@@ -42,19 +46,15 @@ func (s *Source) Reseed(seed uint64) {
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. The xoshiro256** step is written
+// as one state assignment over locals: that form stays within the
+// compiler's inlining budget (as does Float64), so a draw is not a call.
+// TestUint64KnownAnswers pins the outputs.
 func (s *Source) Uint64() uint64 {
-	result := rotl(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = rotl(s.s[3], 45)
-	return result
+	s0, s1 := s.s[0], s.s[1]
+	s2, s3 := s.s[2]^s0, s.s[3]^s1
+	s.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -65,24 +65,11 @@ func (s *Source) Intn(n int) int {
 	// Lemire's multiply-shift rejection method.
 	bound := uint64(n)
 	for {
-		v := s.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(s.Uint64(), bound)
 		if lo >= bound || lo >= -bound%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -138,21 +125,31 @@ func geomFromUniform(u, p float64) int {
 // fixed mean. It draws samples bit-identical to Source.Geometric for the
 // same uniform input, but replaces the per-call CDF walk (O(mean) float
 // operations, a steady ~5-7% of simulation time for the dependency-distance
-// model) with a binary search over a CDF table built once per distinct
+// model) with a guided scan over integer thresholds built once per distinct
 // mean. Tables are immutable after construction and safe to share across
 // goroutines.
 type GeomDist struct {
-	cdf []float64 // cdf[k-1] = P(X <= k), accumulated exactly like geomFromUniform
+	// thr[n-1] = ceil(P(X <= n)·2^53), with P(X <= n) accumulated exactly
+	// like geomFromUniform. Float64 returns u = k/2^53 for the 53-bit draw
+	// k, and u·2^53 is exact, so u < P(X <= n) holds exactly when
+	// k < thr[n-1]: Sample compares the draw itself and never converts it
+	// to a float.
+	thr []uint64
 
-	// guide[j] is the smallest index i with cdf[i] > j/guideBuckets: a draw
-	// u starts its linear scan at guide[int(u*guideBuckets)], which lands
-	// within a couple of entries of the answer for any mean. The table only
-	// accelerates the search — results are identical to a full scan.
+	// guide[j] is the smallest index i with thr[i] > j·2^45 (a CDF value
+	// above j/guideBuckets): a draw k starts its linear scan at
+	// guide[k>>45], which lands within a couple of entries of the answer
+	// for any mean. The table only accelerates the search — results are
+	// identical to a full scan.
 	guide [guideBuckets]int32
 }
 
-// guideBuckets is the resolution of the GeomDist guide table.
-const guideBuckets = 256
+// guideBuckets is the resolution of the GeomDist guide table; guideShift
+// maps a 53-bit draw to its bucket.
+const (
+	guideBuckets = 256
+	guideShift   = 53 - 8
+)
 
 // geomDistCache shares tables between streams; the experiment suite uses
 // only a handful of distinct means (one MeanDep and one PhaseLen per
@@ -168,19 +165,19 @@ func NewGeomDist(m float64) *GeomDist {
 	if m > 1 {
 		p := 1 / m
 		q := 1 - p
-		cdf := make([]float64, 4095)
+		thr := make([]uint64, 4095)
 		tail := p
 		c := p
-		cdf[0] = c
+		thr[0] = uint64(math.Ceil(c * (1 << 53)))
 		for k := 2; k < 4096; k++ {
 			tail *= q
 			c += tail
-			cdf[k-1] = c
+			thr[k-1] = uint64(math.Ceil(c * (1 << 53)))
 		}
-		g.cdf = cdf
+		g.thr = thr
 		i := int32(0)
 		for j := range g.guide {
-			for int(i) < len(cdf) && cdf[i] <= float64(j)/guideBuckets {
+			for int(i) < len(thr) && thr[i] <= uint64(j)<<guideShift {
 				i++
 			}
 			g.guide[j] = i
@@ -191,34 +188,35 @@ func NewGeomDist(m float64) *GeomDist {
 }
 
 // Skip advances s exactly as Sample would — one uniform draw when the
-// distribution is non-trivial, none otherwise — without the CDF search.
-// Bulk stream skims use it when they need the generator state moved but
-// not the sampled value: draw sequences stay bit-identical to Sample at a
-// fraction of the cost.
+// distribution is non-trivial, none otherwise — without the threshold
+// search. Bulk stream skims use it when they need the generator state moved
+// but not the sampled value: draw sequences stay bit-identical to Sample at
+// a fraction of the cost.
 func (g *GeomDist) Skip(s *Source) {
-	if g.cdf != nil {
-		s.Float64()
+	if g.thr != nil {
+		s.Uint64()
 	}
 }
 
 // Sample draws from the distribution using randomness from s. It consumes
-// exactly one Float64, like Source.Geometric.
+// exactly one draw, the one Source.Geometric's Float64 consumes, and
+// returns the same sample for it.
 func (g *GeomDist) Sample(s *Source) int {
-	if g.cdf == nil {
+	if g.thr == nil {
 		return 1
 	}
-	u := s.Float64()
-	// Smallest k (1-based) with u < cdf[k-1]; the walk in geomFromUniform
-	// checks the same predicate in ascending order, so the results agree.
-	// The guide table starts the scan at the first candidate for u's bucket,
-	// so the expected scan length is O(1) for any mean.
-	cdf := g.cdf
-	i := int(g.guide[int(u*guideBuckets)])
-	for i < len(cdf) && cdf[i] <= u {
+	return g.at(s.Uint64() >> 11)
+}
+
+// at returns the sample for the 53-bit uniform draw k: the smallest n
+// (1-based) with k < thr[n-1], or 4096 past the table. The walk in
+// geomFromUniform checks the same predicate in ascending order, so the
+// results agree.
+func (g *GeomDist) at(k uint64) int {
+	thr := g.thr
+	i := int(g.guide[k>>guideShift])
+	for i < len(thr) && thr[i] <= k {
 		i++
-	}
-	if i >= len(cdf) {
-		return 4096
 	}
 	return i + 1
 }
