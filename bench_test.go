@@ -17,6 +17,7 @@ import (
 	"dcra/internal/cpu"
 	"dcra/internal/experiments"
 	"dcra/internal/obs"
+	"dcra/internal/policy"
 	"dcra/internal/sim"
 )
 
@@ -104,9 +105,9 @@ func BenchmarkFigure5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(f5.AvgHmeanImprovement[experiments.PolICount], "vsICOUNT-%")
-		b.ReportMetric(f5.AvgHmeanImprovement[experiments.PolDG], "vsDG-%")
-		b.ReportMetric(f5.AvgHmeanImprovement[experiments.PolFlushPP], "vsFLUSH++-%")
+		b.ReportMetric(f5.AvgHmeanImprovement[policy.NameICount], "vsICOUNT-%")
+		b.ReportMetric(f5.AvgHmeanImprovement[policy.NameDG], "vsDG-%")
+		b.ReportMetric(f5.AvgHmeanImprovement[policy.NameFlushPP], "vsFLUSH++-%")
 	}
 }
 
@@ -119,7 +120,7 @@ func BenchmarkFigure6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sra := f6.Improvement[experiments.PolSRA]
+		sra := f6.Improvement[policy.NameSRA]
 		b.ReportMetric(sra[0]-sra[len(sra)-1], "SRA-gap-shrink-%")
 	}
 }
@@ -132,7 +133,7 @@ func BenchmarkFigure7(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ic := f7.Improvement[experiments.PolICount]
+		ic := f7.Improvement[policy.NameICount]
 		b.ReportMetric(ic[len(ic)-1]-ic[0], "ICOUNT-gap-growth-%")
 	}
 }

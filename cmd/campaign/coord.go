@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dcra/internal/campaign"
@@ -16,45 +17,46 @@ import (
 )
 
 // coordinatorStatus queries a live coordinator and renders its progress
-// report; `campaign status -coordinator URL`. Exits 1 while the campaign is
-// incomplete, so scripts can poll it.
-func coordinatorStatus(url string) {
+// report to stdout; `campaign status -coordinator URL`. It returns
+// errIncomplete while the campaign is incomplete, so scripts can poll it.
+func coordinatorStatus(url string, stdout io.Writer) error {
 	t := &coord.HTTPTransport{Base: url}
 	s, err := t.Status()
 	if err != nil {
-		fatal(fmt.Errorf("querying coordinator %s: %w", url, err))
+		return fmt.Errorf("querying coordinator %s: %w", url, err)
 	}
-	fmt.Printf("campaign: %s (sweep %s, warmup %d, measure %d): %d/%d cells done, %d leased, %d pending, %d exhausted, %d retries\n",
+	fmt.Fprintf(stdout, "campaign: %s (sweep %s, warmup %d, measure %d): %d/%d cells done, %d leased, %d pending, %d exhausted, %d retries\n",
 		s.Campaign, s.SweepHash, s.Params.Warmup, s.Params.Measure,
 		s.Done, s.Total, s.Leased, s.Pending, s.Exhausted, s.Retries)
 	if s.Quarantined > 0 {
-		fmt.Printf("  %d corrupt cell files quarantined by the coordinator's store this run\n", s.Quarantined)
+		fmt.Fprintf(stdout, "  %d corrupt cell files quarantined by the coordinator's store this run\n", s.Quarantined)
 	}
 	if h := s.Health; h != nil {
-		fmt.Printf("  health: %.2f cells/s over %.1fs window (%d done, %d leases granted, %d expired, %d failed)\n",
+		fmt.Fprintf(stdout, "  health: %.2f cells/s over %.1fs window (%d done, %d leases granted, %d expired, %d failed)\n",
 			h.CellsPerSec, float64(h.WindowMs)/1e3, h.CellsDone, h.LeasesGranted, h.LeasesExpired, h.LeasesFailed)
 		if h.SLO != nil {
 			state := "met"
 			if !h.SLO.Met {
 				state = "BREACHED"
 			}
-			fmt.Printf("  cell SLO p%g <= %dus: %s (attained %.4f over %d cells, burn %.2fx)\n",
+			fmt.Fprintf(stdout, "  cell SLO p%g <= %dus: %s (attained %.4f over %d cells, burn %.2fx)\n",
 				h.SLO.Quantile*100, h.SLO.Target, state, h.SLO.Attained, h.SLO.Observations, h.SLO.Burn)
 		}
 	}
 	if s.Draining {
-		fmt.Println("  coordinator is draining: no new leases")
+		fmt.Fprintln(stdout, "  coordinator is draining: no new leases")
 	}
 	for _, l := range s.Leases {
-		fmt.Printf("  lease %s -> %s cell %s age %dms expires %dms\n",
+		fmt.Fprintf(stdout, "  lease %s -> %s cell %s age %dms expires %dms\n",
 			l.LeaseID, l.Worker, l.Key, l.AgeMs, l.ExpireMs)
 	}
 	for _, key := range s.MissingKeys {
-		fmt.Printf("  exhausted %s\n", key)
+		fmt.Fprintf(stdout, "  exhausted %s\n", key)
 	}
 	if !s.Complete() {
-		os.Exit(1)
+		return errIncomplete
 	}
+	return nil
 }
 
 func cmdWork(args []string) {

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dcra/internal/campaign"
@@ -53,26 +54,30 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
+	var err error
 	switch os.Args[1] {
 	case "run":
-		o, err := parseRunFlags(os.Args[2:], os.Stderr)
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		if err != nil {
-			os.Exit(2) // the flag package has reported it
-		}
-		if err := runCampaign(o, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
+		var o runOptions
+		if o, err = parseRunFlags(os.Args[2:], os.Stderr); err == nil {
+			err = runCampaign(o, os.Stdout, os.Stderr)
 		}
 	case "status":
-		cmdStatus(os.Args[2:])
+		err = status(os.Args[2:], os.Stdout, os.Stderr)
 	case "gc":
 		cmdGC(os.Args[2:])
 	case "work":
 		cmdWork(os.Args[2:])
 	default:
 		usage()
+	}
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag package has reported it
+	case errors.Is(err, errIncomplete):
+		os.Exit(1) // the report names what is missing
+	default:
+		fatal(err)
 	}
 }
 
@@ -154,29 +159,54 @@ func sampledSweep(sweep campaign.Sweep, p campaign.Params) campaign.Sweep {
 	return experiments.ApplyModeSampling(sweep, campaign.ModeSampled, samplingFor(p))
 }
 
-func cmdStatus(args []string) {
-	fs := flag.NewFlagSet("campaign status", flag.ExitOnError)
+var (
+	// errUsage reports a command line the flag package rejected; the flag
+	// package has already printed why.
+	errUsage = errors.New("invalid command line")
+	// errIncomplete reports that `campaign status` found cells missing: its
+	// report names them, and the command exits 1 so scripts can poll it.
+	errIncomplete = errors.New("campaign incomplete")
+)
+
+// parseFlags parses args into fs, returning errUsage for a rejected command
+// line and flag.ErrHelp for -h.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
+}
+
+// status is `campaign status`: how much of an experiment's sweep a store
+// holds or, with -coordinator, a live coordinator's progress. The report
+// goes to stdout. It returns errIncomplete while cells are missing,
+// errUsage for a rejected command line and flag.ErrHelp for -h.
+func status(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("campaign status", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		exp         = fs.String("exp", "", "experiment key")
 		storeDir    = fs.String("store", "", "persistent result store directory")
 		coordinator = fs.String("coordinator", "", "live coordinator URL to query instead of a store")
 		sampled     = fs.Bool("sampled", false, "count the sampled variant of the sweep (schedule derived from the store's protocol)")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *coordinator != "" {
-		coordinatorStatus(*coordinator)
-		return
+		return coordinatorStatus(*coordinator, stdout)
 	}
 	spec, err := experiments.SpecByKey(*exp)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *storeDir == "" {
-		fatal(fmt.Errorf("status needs -store or -coordinator"))
+		return errors.New("status needs -store or -coordinator")
 	}
 	st, err := campaign.OpenExisting(*storeDir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sweep := spec.Sweep()
 	if *sampled {
@@ -184,21 +214,22 @@ func cmdStatus(args []string) {
 	}
 	present, missing := st.Count(sweep)
 	p := st.Params()
-	fmt.Printf("campaign: %s (sweep %s, warmup %d, measure %d): %d/%d cells in %s\n",
+	fmt.Fprintf(stdout, "campaign: %s (sweep %s, warmup %d, measure %d): %d/%d cells in %s\n",
 		spec.Key, sweep.Hash(), p.Warmup, p.Measure, present, present+len(missing), *storeDir)
 	if n, err := st.CorruptCount(); err == nil && n > 0 {
-		fmt.Printf("  %d corrupt cell files quarantined (*.corrupt under %s)\n", n, *storeDir)
+		fmt.Fprintf(stdout, "  %d corrupt cell files quarantined (*.corrupt under %s)\n", n, *storeDir)
 	}
 	for i, c := range missing {
 		if i == 10 {
-			fmt.Printf("  ... and %d more missing\n", len(missing)-10)
+			fmt.Fprintf(stdout, "  ... and %d more missing\n", len(missing)-10)
 			break
 		}
-		fmt.Printf("  missing %s\n", c)
+		fmt.Fprintf(stdout, "  missing %s\n", c)
 	}
 	if len(missing) > 0 {
-		os.Exit(1)
+		return errIncomplete
 	}
+	return nil
 }
 
 func fatal(err error) {

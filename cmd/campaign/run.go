@@ -52,7 +52,7 @@ type runOptions struct {
 const healthEvery = 2 * time.Second
 
 // parseRunFlags resolves `campaign run`'s flags. Flag errors are reported
-// on stderr by the flag package.
+// on stderr by the flag package and return errUsage.
 func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
 	fs := flag.NewFlagSet("campaign run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -75,7 +75,7 @@ func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
 	fs.Float64Var(&o.coord.CellSLO.Quantile, "cell-slo-p", 0.99, "cell-latency SLO quantile")
 	fs.Int64Var(&o.coord.CellSLO.TargetMs, "cell-slo-ms", 0, "cell-latency SLO target in ms; 0 disables the objective")
 	fs.IntVar(&o.coord.CellSLO.Window, "cell-slo-window", 30, "cell-latency SLO sliding window, in health intervals")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return o, err
 	}
 	if o.csv == "" && o.store != "" {

@@ -45,8 +45,8 @@ func serve(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	alloc := dcra.PolicyName(*polName)
-	if _, err := dcra.NewPolicy(alloc, cfg); err != nil {
+	pol, err := dcra.NewPolicy(dcra.PolicyName(*polName), cfg)
+	if err != nil {
 		return err
 	}
 	var benches []string
@@ -59,12 +59,9 @@ func serve(args []string, stdout, stderr io.Writer) error {
 	}
 
 	trial, err := sched.Run(sched.Config{
-		Machine:  cfg,
-		Contexts: *contexts,
-		Alloc: func() dcra.Policy {
-			pol, _ := dcra.NewPolicy(alloc, cfg) // the name was checked above
-			return pol
-		},
+		Machine:   cfg,
+		Contexts:  *contexts,
+		Alloc:     func() dcra.Policy { return pol }, // one trial, one instance
 		Picker:    picker,
 		Arrivals:  sched.Arrivals{Kind: sched.ArrivalKind(*arrivals), Jobs: *jobs, Gap: *gap, Burst: *burst},
 		Benches:   benches,

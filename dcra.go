@@ -10,7 +10,10 @@
 //   - synthetic SPEC2000-like workloads (statistical instruction streams
 //     calibrated against the paper's Table 3);
 //   - the DCRA resource allocation policy plus every fetch policy the paper
-//     compares against (ICOUNT, STALL, FLUSH, FLUSH++, DG, PDG, SRA);
+//     compares against (ICOUNT, STALL, FLUSH, FLUSH++, DG, PDG, SRA), each
+//     built by name through NewPolicy; the PolicyName constants are
+//     internal/policy's names, and each policy there is ICOUNT plus the one
+//     mechanism it adds (a fetch gate, a flush or a resource cap);
 //   - an experiment harness regenerating every table and figure of the
 //     paper's evaluation;
 //   - an open-system mode (internal/sched, `smtsim serve`, the "sched"

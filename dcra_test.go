@@ -66,9 +66,7 @@ func TestRunnerThroughPublicAPI(t *testing.T) {
 	r.Warmup, r.Measure = 10_000, 30_000
 	w, _ := dcra.GetWorkload(2, dcra.MIX, 1)
 	cfg := dcra.BaselineConfig()
-	res, err := r.RunWorkload(cfg, w, func() dcra.Policy {
-		return dcra.NewDCRA()
-	})
+	res, err := r.RunWorkload(cfg, w, dcra.NewDCRA())
 	if err != nil {
 		t.Fatal(err)
 	}

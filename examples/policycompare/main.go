@@ -23,14 +23,11 @@ func main() {
 	t := report.NewTable(fmt.Sprintf("Policy comparison on %s %v", w.ID(), w.Names),
 		"policy", "throughput", "hmean", "per-thread IPCs")
 	for _, name := range dcra.PolicyNames() {
-		pn := dcra.PolicyName(name)
-		res, err := r.RunWorkload(cfg, w, func() dcra.Policy {
-			p, err := dcra.NewPolicy(pn, cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return p
-		})
+		pol, err := dcra.NewPolicy(dcra.PolicyName(name), cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := r.RunWorkload(cfg, w, pol)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,10 +7,11 @@
 //
 // The package is deliberately agnostic about what a cell *means*: a cell is
 // (configuration, workload id, policy string) and the experiment layer owns
-// the interpretation (multiprogrammed workload ids like "MEM2.g1", or
-// "bench:<name>" single-thread cells under "BASE"/"CAP..." policies for the
-// single-benchmark tables). That keeps the dependency arrow pointing one way:
-// experiments imports campaign, never the reverse.
+// the interpretation (multiprogrammed workload ids like "MEM2.g1" under the
+// policy names internal/policy spells, or "bench:<name>" single-thread cells
+// under the "BASE" and "CAP:<res>:<pct>" protocols of Table 3 and Figure 2).
+// That keeps the dependency arrow pointing one way: experiments imports
+// campaign, never the reverse.
 package campaign
 
 import (

@@ -79,17 +79,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 type HTTPTransport struct {
 	// Base is the coordinator's base URL, e.g. "http://10.0.0.5:8344".
 	Base string
-	// Client defaults to a client with a 2-minute timeout (completion
-	// payloads can be large; leases and heartbeats are tiny).
-	Client *http.Client
 }
 
-func (t *HTTPTransport) client() *http.Client {
-	if t.Client != nil {
-		return t.Client
-	}
-	return &http.Client{Timeout: 2 * time.Minute}
-}
+// httpClient carries every HTTPTransport's requests. Completion payloads
+// can be large (leases and heartbeats are tiny), hence the generous timeout.
+var httpClient = &http.Client{Timeout: 2 * time.Minute}
 
 func (t *HTTPTransport) url(path string) string {
 	return strings.TrimSuffix(t.Base, "/") + path
@@ -102,7 +96,7 @@ func post[Req, Resp any](t *HTTPTransport, path string, req Req) (Resp, error) {
 	if err != nil {
 		return resp, fmt.Errorf("coord: encoding %s request: %w", path, err)
 	}
-	hr, err := t.client().Post(t.url(path), "application/json", bytes.NewReader(body))
+	hr, err := httpClient.Post(t.url(path), "application/json", bytes.NewReader(body))
 	if err != nil {
 		return resp, err
 	}
@@ -135,7 +129,7 @@ func (t *HTTPTransport) Fail(req FailRequest) (FailResponse, error) {
 
 func (t *HTTPTransport) Status() (StatusResponse, error) {
 	var resp StatusResponse
-	hr, err := t.client().Get(t.url(pathStatus))
+	hr, err := httpClient.Get(t.url(pathStatus))
 	if err != nil {
 		return resp, err
 	}

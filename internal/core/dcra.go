@@ -119,10 +119,13 @@ func New(opt Options) *DCRA {
 // Default returns DCRA with the paper's baseline options.
 func Default() *DCRA { return New(DefaultOptions()) }
 
-// Name implements cpu.Policy.
+// Name implements cpu.Policy. It spells policy.NameDCRA, which this package
+// cannot import (internal/policy builds DCRA); TestNamesStable ties the two.
 func (d *DCRA) Name() string { return "DCRA" }
 
-// Rank implements cpu.Policy (ICOUNT priority, as in the paper's setup).
+// Rank implements cpu.Policy (ICOUNT priority, as in the paper's setup). The
+// other ICOUNT-ranked policies embed policy.ICount, out of reach here for
+// the same reason.
 func (d *DCRA) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
 
 // Gate implements cpu.Policy: slow-active threads exceeding their E_slow

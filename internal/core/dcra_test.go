@@ -7,6 +7,7 @@ import (
 	"dcra/internal/config"
 	"dcra/internal/cpu"
 	"dcra/internal/trace"
+	"dcra/internal/workload"
 )
 
 // TestEslowMatchesPaperTable1 is the golden test: equation 3 with
@@ -93,6 +94,54 @@ func TestEslowTotalFeasibility(t *testing.T) {
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEslowFitsLiveMachine checks the sharing model's feasibility on a
+// running machine, every cycle, instead of on the formula alone: for every
+// DCRA resource Tick bounds, the slow-active threads at their bound fit in
+// the resource, up to the one-entry-per-thread rounding slack
+// TestEslowTotalFeasibility allows (three slow threads sharing 80 entries
+// each get 27). It runs default DCRA at each of the paper's memory
+// latencies, so it covers C = 1/T, C = 1/(T+4), and C = 0 for the IQs.
+func TestEslowFitsLiveMachine(t *testing.T) {
+	bounded := 0
+	for _, lat := range config.PaperLatencies {
+		cfg := config.Baseline().WithMemLatency(lat.Mem, lat.L2)
+		for _, id := range []string{"MEM4.g1", "MIX4.g1", "MEM3.g2", "MIX2.g1"} {
+			w, err := workload.ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := New(OptionsForLatency(lat.Mem))
+			m, err := cpu.New(cfg, w.Profiles(), d, 19)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 40_000; i++ {
+				m.Run(1)
+				lim := d.Limits()
+				for _, r := range cpu.DCRAResources {
+					if lim[r] == 0 {
+						continue
+					}
+					sa := 0
+					for tid := 0; tid < m.NumThreads(); tid++ {
+						if d.IsSlow(tid) && d.IsActive(tid, r) {
+							sa++
+						}
+					}
+					if sa*lim[r] > m.Total(r)+sa {
+						t.Fatalf("%s at %d cycles, cycle %d: %d slow-active threads x E_slow %d of %s exceed %d entries",
+							id, lat.Mem, m.Cycle(), sa, lim[r], r, m.Total(r))
+					}
+					bounded++
+				}
+			}
+		}
+	}
+	if bounded == 0 {
+		t.Fatal("no resource was ever bounded: the check never bit")
 	}
 }
 

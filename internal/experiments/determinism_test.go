@@ -5,6 +5,7 @@ import (
 
 	"dcra/internal/campaign"
 	"dcra/internal/config"
+	"dcra/internal/policy"
 	"dcra/internal/sim"
 	"dcra/internal/workload"
 )
@@ -31,7 +32,7 @@ func determinismCells() []campaign.Cell {
 				if err != nil {
 					panic(err)
 				}
-				for _, pn := range []PolicyName{PolICount, PolFlushPP, PolDCRA} {
+				for _, pn := range []string{policy.NameICount, policy.NameFlushPP, policy.NameDCRA} {
 					cells = append(cells, cellOf(cfg, w, pn))
 				}
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"dcra/internal/config"
@@ -33,17 +34,53 @@ func TestTable1Golden(t *testing.T) {
 	}
 }
 
-// TestNewPolicyCoversAll checks that every policy the experiments name
-// builds through the policy table under its own name.
+// TestNewPolicyCoversAll checks that every policy a registered sweep names —
+// a workload cell's policy, or a sched cell's allocation policy — builds
+// through the policy table under its own name.
 func TestNewPolicyCoversAll(t *testing.T) {
-	cfg := config.Baseline()
-	for _, pn := range []PolicyName{PolICount, PolStall, PolFlush, PolFlushPP,
-		PolDG, PolPDG, PolSRA, PolDCRA} {
-		p, err := policy.New(string(pn), cfg)
+	seen := make(map[string]bool)
+	for _, sp := range Specs() {
+		for _, c := range sp.Sweep().Cells {
+			name := c.Pol
+			switch {
+			case strings.HasPrefix(c.WID, benchPrefix):
+				continue // protocol names, resolved by computeBenchCell
+			case strings.HasPrefix(c.WID, schedPrefix):
+				_, name, _ = strings.Cut(c.Pol, "+")
+			}
+			if seen[name] {
+				continue
+			}
+			seen[name] = true
+			p, err := policy.New(name, c.Cfg)
+			if err != nil {
+				t.Errorf("%s: %s: %v", sp.Key, name, err)
+			} else if p.Name() != name {
+				t.Errorf("%s: %s: built a policy named %q", sp.Key, name, p.Name())
+			}
+		}
+	}
+	if len(seen) < 5 {
+		t.Fatalf("sweeps name only %v", seen)
+	}
+}
+
+// TestTable3ReadsBaselines: Table 3's rows are the single-thread ICOUNT
+// runs Figure 5's Hmean divides by, so each row's IPC is SingleIPC's.
+func TestTable3ReadsBaselines(t *testing.T) {
+	s := NewSuite()
+	s.Runner.Warmup, s.Runner.Measure = 2_000, 8_000
+	rows, err := Table3(s, []string{"mcf", "gzip"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		want, err := s.Runner.SingleIPC(config.Baseline(), r.Name)
 		if err != nil {
-			t.Errorf("%s: %v", pn, err)
-		} else if p.Name() != string(pn) {
-			t.Errorf("%s: built a policy named %q", pn, p.Name())
+			t.Fatal(err)
+		}
+		if r.IPC != want {
+			t.Errorf("%s: Table 3 IPC %v, SingleIPC %v", r.Name, r.IPC, want)
 		}
 	}
 }
@@ -56,7 +93,7 @@ func TestSuiteMemoisation(t *testing.T) {
 	s.Runner.Warmup, s.Runner.Measure = 5_000, 20_000
 	w, _ := workload.Get(2, workload.ILP, 1)
 	cfg := config.Baseline()
-	a, err := s.run(cfg, w, PolICount)
+	a, err := s.run(cfg, w, policy.NameICount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +103,7 @@ func TestSuiteMemoisation(t *testing.T) {
 	if got := s.Simulated(); got != 1 {
 		t.Fatalf("Simulated() = %d after one cell, want 1", got)
 	}
-	b, err := s.run(cfg, w, PolICount)
+	b, err := s.run(cfg, w, policy.NameICount)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"dcra/internal/campaign"
 	"dcra/internal/config"
 	"dcra/internal/metrics"
+	"dcra/internal/policy"
 	"dcra/internal/report"
 	"dcra/internal/workload"
 )
@@ -33,7 +34,7 @@ func Figure4Sweep() campaign.Sweep {
 	s := campaign.Sweep{Name: "fig4"}
 	for _, n := range threadCounts {
 		for _, kind := range workload.Kinds {
-			s.Cells = append(s.Cells, kindCells(cfg, n, kind, PolDCRA, PolSRA)...)
+			s.Cells = append(s.Cells, kindCells(cfg, n, kind, policy.NameDCRA, policy.NameSRA)...)
 		}
 	}
 	return s
@@ -52,11 +53,11 @@ func Figure4(s *Suite) (Figure4Result, error) {
 	var tps, hms []float64
 	for _, n := range threadCounts {
 		for _, kind := range workload.Kinds {
-			dTP, dHM, err := s.averages(cfg, workload.Groups(n, kind), PolDCRA)
+			dTP, dHM, err := s.averages(cfg, workload.Groups(n, kind), policy.NameDCRA)
 			if err != nil {
 				return res, err
 			}
-			sTP, sHM, err := s.averages(cfg, workload.Groups(n, kind), PolSRA)
+			sTP, sHM, err := s.averages(cfg, workload.Groups(n, kind), policy.NameSRA)
 			if err != nil {
 				return res, err
 			}

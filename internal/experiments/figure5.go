@@ -6,6 +6,7 @@ import (
 	"dcra/internal/campaign"
 	"dcra/internal/config"
 	"dcra/internal/metrics"
+	"dcra/internal/policy"
 	"dcra/internal/report"
 	"dcra/internal/workload"
 )
@@ -13,15 +14,15 @@ import (
 // Figure5Policies are the fetch policies compared against DCRA in the
 // paper's Figure 5 (STALL/FLUSH/PDG omitted there for brevity, as in the
 // paper; they are available through the suite for the extended report).
-var Figure5Policies = []PolicyName{PolICount, PolDG, PolFlushPP, PolDCRA}
+var Figure5Policies = []string{policy.NameICount, policy.NameDG, policy.NameFlushPP, policy.NameDCRA}
 
 // Figure5Cell holds per-workload-type results for all Figure 5 policies.
 type Figure5Cell struct {
 	Threads int
 	Kind    workload.Kind
 
-	Throughput map[PolicyName]float64
-	Hmean      map[PolicyName]float64
+	Throughput map[string]float64
+	Hmean      map[string]float64
 }
 
 // Figure5Result holds the 9 cells plus DCRA's average Hmean improvement
@@ -30,7 +31,7 @@ type Figure5Cell struct {
 type Figure5Result struct {
 	Cells []Figure5Cell
 
-	AvgHmeanImprovement map[PolicyName]float64
+	AvgHmeanImprovement map[string]float64
 }
 
 // Figure5Sweep declares the figure's cells: all 144 (36 workloads x 4
@@ -54,15 +55,15 @@ func Figure5(s *Suite) (Figure5Result, error) {
 	if err := s.Prefetch(Figure5Sweep().Cells); err != nil {
 		return Figure5Result{}, err
 	}
-	res := Figure5Result{AvgHmeanImprovement: make(map[PolicyName]float64)}
-	improvements := make(map[PolicyName][]float64)
+	res := Figure5Result{AvgHmeanImprovement: make(map[string]float64)}
+	improvements := make(map[string][]float64)
 	for _, n := range threadCounts {
 		for _, kind := range workload.Kinds {
 			cell := Figure5Cell{
 				Threads:    n,
 				Kind:       kind,
-				Throughput: make(map[PolicyName]float64),
-				Hmean:      make(map[PolicyName]float64),
+				Throughput: make(map[string]float64),
+				Hmean:      make(map[string]float64),
 			}
 			for _, pn := range Figure5Policies {
 				tp, hm, err := s.averages(cfg, workload.Groups(n, kind), pn)
@@ -73,11 +74,11 @@ func Figure5(s *Suite) (Figure5Result, error) {
 				cell.Hmean[pn] = hm
 			}
 			for _, pn := range Figure5Policies {
-				if pn == PolDCRA {
+				if pn == policy.NameDCRA {
 					continue
 				}
 				improvements[pn] = append(improvements[pn],
-					metrics.Improvement(cell.Hmean[PolDCRA], cell.Hmean[pn]))
+					metrics.Improvement(cell.Hmean[policy.NameDCRA], cell.Hmean[pn]))
 			}
 			res.Cells = append(res.Cells, cell)
 		}
@@ -92,7 +93,7 @@ func Figure5(s *Suite) (Figure5Result, error) {
 func (f Figure5Result) ThroughputReport() *report.Table {
 	cols := []string{"workload"}
 	for _, pn := range Figure5Policies {
-		cols = append(cols, string(pn))
+		cols = append(cols, pn)
 	}
 	t := report.NewTable("Figure 5a: IPC throughput per policy", cols...)
 	for _, c := range f.Cells {
@@ -110,24 +111,24 @@ func (f Figure5Result) ThroughputReport() *report.Table {
 func (f Figure5Result) HmeanReport() *report.Table {
 	cols := []string{"workload"}
 	for _, pn := range Figure5Policies {
-		if pn != PolDCRA {
-			cols = append(cols, "vs "+string(pn)+" %")
+		if pn != policy.NameDCRA {
+			cols = append(cols, "vs "+pn+" %")
 		}
 	}
 	t := report.NewTable("Figure 5b: DCRA Hmean improvement over fetch policies", cols...)
 	for _, c := range f.Cells {
 		row := []any{fmt.Sprintf("%s%d", c.Kind, c.Threads)}
 		for _, pn := range Figure5Policies {
-			if pn == PolDCRA {
+			if pn == policy.NameDCRA {
 				continue
 			}
-			row = append(row, metrics.Improvement(c.Hmean[PolDCRA], c.Hmean[pn]))
+			row = append(row, metrics.Improvement(c.Hmean[policy.NameDCRA], c.Hmean[pn]))
 		}
 		t.AddRow(row...)
 	}
 	row := []any{"avg"}
 	for _, pn := range Figure5Policies {
-		if pn != PolDCRA {
+		if pn != policy.NameDCRA {
 			row = append(row, f.AvgHmeanImprovement[pn])
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"dcra/internal/campaign"
 	"dcra/internal/config"
 	"dcra/internal/metrics"
+	"dcra/internal/policy"
 	"dcra/internal/report"
 	"dcra/internal/workload"
 )
@@ -14,7 +15,7 @@ import (
 var Figure6RegSizes = []int{320, 352, 384}
 
 // Figure6Policies are the comparison points of Figures 6 and 7.
-var Figure6Policies = []PolicyName{PolICount, PolFlushPP, PolDG, PolSRA}
+var Figure6Policies = []string{policy.NameICount, policy.NameFlushPP, policy.NameDG, policy.NameSRA}
 
 // gainPoint is one configuration of a Figure 6 or 7 sweep, with the label
 // of its report column.
@@ -27,7 +28,7 @@ type gainPoint struct {
 // Figure6Policies at each point of a configuration sweep, over all 36
 // workloads: the result of Figures 6 and 7.
 type GainCurve struct {
-	Improvement map[PolicyName][]float64 // indexed like the sweep's points
+	Improvement map[string][]float64 // indexed like the sweep's points
 
 	title, note string
 	points      []gainPoint
@@ -39,7 +40,7 @@ func gainCells(points []gainPoint) []campaign.Cell {
 	var cells []campaign.Cell
 	for _, pt := range points {
 		cells = append(cells, allWorkloadCells(pt.cfg,
-			append([]PolicyName{PolDCRA}, Figure6Policies...)...)...)
+			append([]string{policy.NameDCRA}, Figure6Policies...)...)...)
 	}
 	return cells
 }
@@ -50,9 +51,9 @@ func (s *Suite) gainCurve(points []gainPoint, title, note string) (GainCurve, er
 	if err := s.Prefetch(gainCells(points)); err != nil {
 		return GainCurve{}, err
 	}
-	res := GainCurve{Improvement: make(map[PolicyName][]float64), title: title, note: note, points: points}
+	res := GainCurve{Improvement: make(map[string][]float64), title: title, note: note, points: points}
 	for _, pt := range points {
-		_, dcraHM, err := s.averages(pt.cfg, workload.All(), PolDCRA)
+		_, dcraHM, err := s.averages(pt.cfg, workload.All(), policy.NameDCRA)
 		if err != nil {
 			return res, err
 		}
@@ -77,7 +78,7 @@ func (g GainCurve) Report() *report.Table {
 	}
 	t := report.NewTable(g.title, cols...)
 	for _, pn := range Figure6Policies {
-		row := []any{string(pn)}
+		row := []any{pn}
 		for _, v := range g.Improvement[pn] {
 			row = append(row, v)
 		}

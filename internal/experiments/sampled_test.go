@@ -13,6 +13,7 @@ import (
 
 	"dcra/internal/campaign"
 	"dcra/internal/config"
+	"dcra/internal/policy"
 	"dcra/internal/sample"
 	"dcra/internal/sim"
 	"dcra/internal/workload"
@@ -224,7 +225,7 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := cellOf(cfg, w, PolDCRA)
+	exact := cellOf(cfg, w, policy.NameDCRA)
 	fixed := exact.Sampled()
 	stamped := sampledDeterminismSuite(1).applyCellMode(exact)
 	if stamped.Mode != campaign.ModeSampled || !stamped.Cfg.Sampling.Enabled() {
@@ -248,7 +249,7 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactResult := sim.Result{Workload: w, Policy: string(PolDCRA), Throughput: 2.5}
+	exactResult := sim.Result{Workload: w, Policy: policy.NameDCRA, Throughput: 2.5}
 	if err := st.Put(exact, exactResult); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 		if st.Has(c) {
 			t.Errorf("%s: present in store before being written", c)
 		}
-		if err := st.Put(c, sim.Result{Workload: w, Policy: string(PolDCRA), Throughput: 9.9}); err != nil {
+		if err := st.Put(c, sim.Result{Workload: w, Policy: policy.NameDCRA, Throughput: 9.9}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +297,7 @@ func TestRunCellRejectsModeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := cellOf(config.Baseline(), w, PolDCRA)
+	exact := cellOf(config.Baseline(), w, policy.NameDCRA)
 	scheduled := sampledDeterminismSuite(1).applyCellMode(exact)
 	scheduled.Mode = campaign.ModeExact
 	unknown := exact
@@ -313,6 +314,7 @@ func TestRunCellRejectsModeMismatch(t *testing.T) {
 			campaign.Cell{Cfg: config.Baseline(), WID: "sched:c2:open:g3000:j16:b24000", Pol: "SYMB+DCRA"},
 			"no sched trial"},
 		{"off-grid-cap", benchCell(figure2Config(), "gzip", "CAP:intIQ:40"), "unknown single-thread policy"},
+		{"uncapped-cap", benchCell(config.Baseline(), "gzip", "CAP"), "unknown single-thread policy"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := determinismSuite(1)

@@ -39,7 +39,7 @@ const (
 // SchedPickers and SchedAllocs span the sched experiment's policy grid.
 var (
 	SchedPickers = sched.PickerNames()
-	SchedAllocs  = []PolicyName{PolICount, PolDCRA}
+	SchedAllocs  = []string{policy.NameICount, policy.NameDCRA}
 )
 
 // SchedArrivalPoints returns the load points the sched experiment sweeps:
@@ -132,7 +132,7 @@ func SchedSweep() campaign.Sweep {
 				s.Cells = append(s.Cells, campaign.Cell{
 					Cfg: cfg,
 					WID: schedWID(a),
-					Pol: picker + "+" + string(alloc),
+					Pol: picker + "+" + alloc,
 				})
 			}
 		}
@@ -152,7 +152,7 @@ func SchedTable(s *Suite) (*report.Table, error) {
 	for _, a := range SchedArrivalPoints() {
 		for _, picker := range SchedPickers {
 			for _, alloc := range SchedAllocs {
-				c := campaign.Cell{Cfg: cfg, WID: schedWID(a), Pol: picker + "+" + string(alloc)}
+				c := campaign.Cell{Cfg: cfg, WID: schedWID(a), Pol: picker + "+" + alloc}
 				r, err := s.RunCell(c)
 				if err != nil {
 					return nil, err
@@ -161,7 +161,7 @@ func SchedTable(s *Suite) (*report.Table, error) {
 				if sum == nil {
 					return nil, fmt.Errorf("experiments: cell %s returned no sched summary", c)
 				}
-				t.AddRow(a.String(), picker, string(alloc),
+				t.AddRow(a.String(), picker, alloc,
 					fmt.Sprintf("%d/%d", sum.Completed, sum.Jobs),
 					sum.JobsPerMCycle, sum.UopsPerCycle,
 					sum.P50Turnaround, sum.P99Turnaround, sum.Jain)

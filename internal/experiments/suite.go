@@ -26,32 +26,17 @@ import (
 	"dcra/internal/workload"
 )
 
-// PolicyName identifies one of the policies under study.
-type PolicyName string
-
-// Policies compared in the paper's evaluation.
-const (
-	PolICount  PolicyName = "ICOUNT"
-	PolStall   PolicyName = "STALL"
-	PolFlush   PolicyName = "FLUSH"
-	PolFlushPP PolicyName = "FLUSH++"
-	PolDG      PolicyName = "DG"
-	PolPDG     PolicyName = "PDG"
-	PolSRA     PolicyName = "SRA"
-	PolDCRA    PolicyName = "DCRA"
-)
-
 // Single-thread cell vocabulary: campaign cells whose WID is "bench:<name>"
 // run one benchmark alone. Pol selects the run protocol:
 //
-//	BASE               — ICOUNT baseline (the SingleIPC measurement)
-//	CAP                — uncapped CapPolicy run (Table 3's measurement)
-//	CAP:<res>:<pct>    — CapPolicy with resource <res> capped to <pct> percent
-//	                     of the single-thread total (Figure 2's restriction)
+//	BASE               — ICOUNT run, the same measurement as SingleIPC's
+//	                     baseline (Table 3's rows, Figure 2's full speed)
+//	CAP:<res>:<pct>    — policy.Capped with resource <res> capped to <pct>
+//	                     percent of the single-thread total (Figure 2's
+//	                     restriction)
 const (
 	benchPrefix = "bench:"
 	polBase     = "BASE"
-	polCap      = "CAP"
 )
 
 // benchCell builds the cell for one single-benchmark run.
@@ -61,7 +46,7 @@ func benchCell(cfg config.Config, name, pol string) campaign.Cell {
 
 // capPolName encodes a Figure 2 restriction as a policy string.
 func capPolName(rc cpu.Resource, fraction float64) string {
-	return fmt.Sprintf("%s:%s:%s", polCap, rc, strconv.FormatFloat(fraction, 'g', -1, 64))
+	return fmt.Sprintf("%s:%s:%s", policy.NameCap, rc, strconv.FormatFloat(fraction, 'g', -1, 64))
 }
 
 // capPol is one Figure 2 restriction: resource rc capped to frac percent.
@@ -280,7 +265,7 @@ func (s *Suite) computeCell(c campaign.Cell) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: cell %s: %w", c, err)
 	}
-	return s.Runner.RunWorkload(c.Cfg, w, func() cpu.Policy { return pol }) // one run, one instance
+	return s.Runner.RunWorkload(c.Cfg, w, pol)
 }
 
 // computeBenchCell runs one benchmark alone under a single-thread protocol
@@ -297,10 +282,8 @@ func (s *Suite) computeBenchCell(c campaign.Cell, name string) (sim.Result, erro
 	switch {
 	case c.Pol == polBase:
 		pol = policy.NewICount()
-	case c.Pol == polCap:
-		pol = &sim.CapPolicy{}
 	case restricted:
-		capped := &sim.CapPolicy{}
+		capped := &policy.Capped{}
 		capped.Caps[cp.rc] = max(1, int(float64(cpu.TotalOf(c.Cfg, 1, cp.rc))*cp.frac/100))
 		pol = capped
 	default:
@@ -324,7 +307,7 @@ func (s *Suite) computeBenchCell(c campaign.Cell, name string) (sim.Result, erro
 
 // run returns the memoised result of one (cfg, workload, policy) cell — the
 // workload-cell convenience form of RunCell — in the suite's execution mode.
-func (s *Suite) run(cfg config.Config, w workload.Workload, pn PolicyName) (sim.Result, error) {
+func (s *Suite) run(cfg config.Config, w workload.Workload, pn string) (sim.Result, error) {
 	return s.RunCell(s.applyCellMode(cellOf(cfg, w, pn)))
 }
 
@@ -352,13 +335,13 @@ func (s *Suite) Prefetch(cells []campaign.Cell) error {
 }
 
 // cellOf builds the campaign cell of one (config, workload, policy) run.
-func cellOf(cfg config.Config, w workload.Workload, pn PolicyName) campaign.Cell {
-	return campaign.Cell{Cfg: cfg, WID: w.ID(), Pol: string(pn)}
+func cellOf(cfg config.Config, w workload.Workload, pn string) campaign.Cell {
+	return campaign.Cell{Cfg: cfg, WID: w.ID(), Pol: pn}
 }
 
 // kindCells enumerates the cells of all four groups of one (threads, kind)
 // workload type under each policy.
-func kindCells(cfg config.Config, threads int, kind workload.Kind, pns ...PolicyName) []campaign.Cell {
+func kindCells(cfg config.Config, threads int, kind workload.Kind, pns ...string) []campaign.Cell {
 	var cells []campaign.Cell
 	for _, w := range workload.Groups(threads, kind) {
 		for _, pn := range pns {
@@ -370,7 +353,7 @@ func kindCells(cfg config.Config, threads int, kind workload.Kind, pns ...Policy
 
 // allWorkloadCells enumerates cells for every Table 4 workload under each
 // policy.
-func allWorkloadCells(cfg config.Config, pns ...PolicyName) []campaign.Cell {
+func allWorkloadCells(cfg config.Config, pns ...string) []campaign.Cell {
 	var cells []campaign.Cell
 	for _, w := range workload.All() {
 		for _, pn := range pns {
@@ -383,7 +366,7 @@ func allWorkloadCells(cfg config.Config, pns ...PolicyName) []campaign.Cell {
 // averages runs every workload of ws under pn and returns the mean
 // throughput and mean Hmean: over the four groups of one (threads, kind)
 // type, the paper's per-workload-type summary, or over all 36 workloads.
-func (s *Suite) averages(cfg config.Config, ws []workload.Workload, pn PolicyName) (tp, hm float64, err error) {
+func (s *Suite) averages(cfg config.Config, ws []workload.Workload, pn string) (tp, hm float64, err error) {
 	var tps, hms []float64
 	for _, w := range ws {
 		r, err := s.run(cfg, w, pn)

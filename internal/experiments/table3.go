@@ -18,9 +18,9 @@ type Table3Row struct {
 	IPC         float64
 }
 
-// Table3Sweep declares the table's cells: one uncapped single-thread
-// measurement run per benchmark on the baseline configuration. nil selects
-// the full Table 3 suite.
+// Table3Sweep declares the table's cells: one single-thread ICOUNT run per
+// benchmark on the baseline configuration — the same runs Figure 5's Hmean
+// baselines measure. nil selects the full Table 3 suite.
 func Table3Sweep(benchmarks []string) campaign.Sweep {
 	if benchmarks == nil {
 		benchmarks = trace.Names()
@@ -28,7 +28,7 @@ func Table3Sweep(benchmarks []string) campaign.Sweep {
 	cfg := config.Baseline()
 	s := campaign.Sweep{Name: "tab3"}
 	for _, name := range benchmarks {
-		s.Cells = append(s.Cells, benchCell(cfg, name, polCap))
+		s.Cells = append(s.Cells, benchCell(cfg, name, polBase))
 	}
 	return s
 }
@@ -48,7 +48,7 @@ func Table3(s *Suite, benchmarks []string) ([]Table3Row, error) {
 	rows := make([]Table3Row, len(benchmarks))
 	for i, name := range benchmarks {
 		p := trace.MustProfile(name)
-		r, err := s.RunCell(benchCell(cfg, name, polCap))
+		r, err := s.RunCell(benchCell(cfg, name, polBase))
 		if err != nil {
 			return nil, err
 		}

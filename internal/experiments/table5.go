@@ -4,6 +4,7 @@ import (
 	"dcra/internal/campaign"
 	"dcra/internal/config"
 	"dcra/internal/metrics"
+	"dcra/internal/policy"
 	"dcra/internal/report"
 	"dcra/internal/workload"
 )
@@ -29,7 +30,7 @@ func Table5Sweep() campaign.Sweep {
 	cfg := config.Baseline()
 	s := campaign.Sweep{Name: "tab5"}
 	for _, kind := range workload.Kinds {
-		s.Cells = append(s.Cells, kindCells(cfg, 2, kind, PolDCRA)...)
+		s.Cells = append(s.Cells, kindCells(cfg, 2, kind, policy.NameDCRA)...)
 	}
 	return s
 }
@@ -47,7 +48,7 @@ func Table5(s *Suite) ([]Table5Row, error) {
 	for _, kind := range workload.Kinds {
 		var ss, mx, ff []float64
 		for _, w := range workload.Groups(2, kind) {
-			r, err := s.run(cfg, w, PolDCRA)
+			r, err := s.run(cfg, w, policy.NameDCRA)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"dcra/internal/campaign"
 	"dcra/internal/config"
 	"dcra/internal/metrics"
+	"dcra/internal/policy"
 	"dcra/internal/report"
 	"dcra/internal/workload"
 )
@@ -27,7 +28,7 @@ var ActivityLatencies = []int{300, 500}
 func ActivitySweep() campaign.Sweep {
 	s := campaign.Sweep{Name: "activity"}
 	for _, lat := range ActivityLatencies {
-		s.Cells = append(s.Cells, allWorkloadCells(config.Baseline().WithPaperMemLatency(lat), PolFlushPP, PolDCRA)...)
+		s.Cells = append(s.Cells, allWorkloadCells(config.Baseline().WithPaperMemLatency(lat), policy.NameFlushPP, policy.NameDCRA)...)
 	}
 	return s
 }
@@ -37,16 +38,16 @@ func ActivitySweep() campaign.Sweep {
 // (paired with the paper's matching L2 latency).
 func FrontEndActivity(s *Suite, memLatency int) (ActivityResult, error) {
 	cfg := config.Baseline().WithPaperMemLatency(memLatency)
-	if err := s.Prefetch(allWorkloadCells(cfg, PolFlushPP, PolDCRA)); err != nil {
+	if err := s.Prefetch(allWorkloadCells(cfg, policy.NameFlushPP, policy.NameDCRA)); err != nil {
 		return ActivityResult{MemLatency: memLatency}, err
 	}
 	res := ActivityResult{MemLatency: memLatency}
 	for _, w := range workload.All() {
-		rf, err := s.run(cfg, w, PolFlushPP)
+		rf, err := s.run(cfg, w, policy.NameFlushPP)
 		if err != nil {
 			return res, err
 		}
-		rd, err := s.run(cfg, w, PolDCRA)
+		rd, err := s.run(cfg, w, policy.NameDCRA)
 		if err != nil {
 			return res, err
 		}
@@ -84,7 +85,7 @@ type MLPResult struct {
 func MLPSweep() campaign.Sweep {
 	return campaign.Sweep{
 		Name:  "mlp",
-		Cells: allWorkloadCells(config.Baseline(), PolDCRA, PolFlushPP),
+		Cells: allWorkloadCells(config.Baseline(), policy.NameDCRA, policy.NameFlushPP),
 	}
 }
 
@@ -101,11 +102,11 @@ func MemoryParallelism(s *Suite) ([]MLPResult, error) {
 		var dv, fv []float64
 		for _, n := range threadCounts {
 			for _, w := range workload.Groups(n, kind) {
-				rd, err := s.run(cfg, w, PolDCRA)
+				rd, err := s.run(cfg, w, policy.NameDCRA)
 				if err != nil {
 					return nil, err
 				}
-				rf, err := s.run(cfg, w, PolFlushPP)
+				rf, err := s.run(cfg, w, policy.NameFlushPP)
 				if err != nil {
 					return nil, err
 				}

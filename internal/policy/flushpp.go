@@ -2,64 +2,49 @@ package policy
 
 import "dcra/internal/cpu"
 
-// FlushPP is FLUSH++ (Cazorla et al., ISHPC'03): it monitors the cache
-// behaviour of the running threads and dynamically selects between STALL
-// (better when pressure on resources is low: few threads missing in L2)
-// and FLUSH (better under high pressure: several threads missing often).
-//
-// Classification runs over a sliding window: a thread is "high-miss" when
-// its L2 misses per kilo committed instruction exceed a threshold. With at
-// least MemThreadsForFlush high-miss threads the policy behaves as FLUSH;
-// otherwise as STALL.
+// FLUSH++'s classification, as used in the experiments: every
+// flushPPWindow cycles, a thread whose L2 misses per 1000 committed
+// instructions over the window reach flushPPMPKI is high-miss, and with at
+// least flushPPMemThreads high-miss threads the policy runs in FLUSH mode.
+const (
+	flushPPWindow     = 8192
+	flushPPMPKI       = 2
+	flushPPMemThreads = 2
+)
+
+// FlushPP is FLUSH++ (Cazorla et al., ISHPC'03): FLUSH whose flush fires
+// only in FLUSH mode. It monitors the cache behaviour of the running threads
+// and dynamically selects between STALL (better when pressure on resources
+// is low: few threads missing in L2) and FLUSH (better under high pressure:
+// several threads missing often). Both modes gate a missing thread.
 type FlushPP struct {
-	// WindowCycles is the re-classification period.
-	WindowCycles uint64
-	// MPKIThreshold marks a thread high-miss when its windowed L2 misses
-	// per 1000 committed instructions reach it.
-	MPKIThreshold float64
-	// MemThreadsForFlush is the number of high-miss threads that switches
-	// the policy into FLUSH mode.
-	MemThreadsForFlush int
+	Flush
 
 	flushMode  bool
-	flushed    []bool
 	lastL2     []uint64
 	lastCommit []uint64
 	nextEval   uint64
 }
 
 // NewFlushPP returns FLUSH++ with the defaults used in the experiments.
-func NewFlushPP() *FlushPP {
-	return &FlushPP{WindowCycles: 8192, MPKIThreshold: 2, MemThreadsForFlush: 2}
-}
+func NewFlushPP() *FlushPP { return &FlushPP{} }
 
 // Name implements cpu.Policy.
-func (*FlushPP) Name() string { return "FLUSH++" }
+func (*FlushPP) Name() string { return NameFlushPP }
 
-// Tick implements cpu.Policy: re-classify periodically, and fire flushes
-// when in FLUSH mode.
+// Tick implements cpu.Policy: re-classify periodically, then run FLUSH's
+// episode tracking, which flushes only in FLUSH mode. The first Tick
+// classifies at once.
 func (f *FlushPP) Tick(m *cpu.Machine) {
-	nt := m.NumThreads()
-	if f.flushed == nil {
-		f.flushed = make([]bool, nt)
-		f.lastL2 = make([]uint64, nt)
-		f.lastCommit = make([]uint64, nt)
-		f.flushMode = true // conservative start; first window corrects it
+	if f.lastL2 == nil {
+		f.lastL2 = make([]uint64, m.NumThreads())
+		f.lastCommit = make([]uint64, m.NumThreads())
 	}
 	if m.Cycle() >= f.nextEval {
 		f.reclassify(m)
-		f.nextEval = m.Cycle() + f.WindowCycles
+		f.nextEval = m.Cycle() + flushPPWindow
 	}
-	for t := 0; t < nt; t++ {
-		if m.PendingL2(t) == 0 {
-			f.flushed[t] = false
-			continue
-		}
-		if f.flushMode && !f.flushed[t] {
-			m.FlushThread(t)
-			f.flushed[t] = true
-		}
-	}
+	f.flushEpisodes(m, f.flushMode)
 }
 
 func (f *FlushPP) reclassify(m *cpu.Machine) {
@@ -79,18 +64,12 @@ func (f *FlushPP) reclassify(m *cpu.Machine) {
 			}
 			continue
 		}
-		if 1000*float64(dl2)/float64(dcom) >= f.MPKIThreshold {
+		if 1000*float64(dl2)/float64(dcom) >= flushPPMPKI {
 			high++
 		}
 	}
-	f.flushMode = high >= f.MemThreadsForFlush
+	f.flushMode = high >= flushPPMemThreads
 }
-
-// Rank implements cpu.Policy.
-func (*FlushPP) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
-
-// Gate implements cpu.Policy: both modes stall the missing thread.
-func (f *FlushPP) Gate(m *cpu.Machine, t int) bool { return m.PendingL2(t) > 0 }
 
 // FlushMode reports the current operating mode (true = FLUSH); exposed for
 // tests and reports.

@@ -1,11 +1,14 @@
-// Package policy implements the instruction-fetch policies the paper
-// compares DCRA against: ROUND-ROBIN, ICOUNT, STALL, FLUSH, FLUSH++, DG,
-// PDG, and the static resource allocation (SRA) baseline.
+// Package policy names, builds and shares the policies the paper compares
+// DCRA against: ROUND-ROBIN, ICOUNT, STALL, FLUSH, FLUSH++, DG, PDG and the
+// static resource allocation (SRA) baseline, plus Capped, the fixed-cap
+// policy of the resource restriction study (Figure 2).
 //
-// Each policy implements cpu.Policy; some additionally implement
-// cpu.Partitioner (SRA), cpu.FetchObserver or cpu.LoadObserver (PDG).
-// The DCRA policy itself — the paper's contribution — lives in
-// internal/core; New builds every policy, DCRA included, by name.
+// As the paper describes them, every policy but ROUND-ROBIN is ICOUNT plus
+// one mechanism, and each type embeds the policy it extends (ICount; Stall
+// for Flush; Flush for FlushPP) and states only the fetch gate, flush or
+// resource cap it adds. DCRA lives in internal/core, which cannot import
+// this package. New builds every named policy, DCRA included, and the Name*
+// constants are the one spelling of each name.
 package policy
 
 import (
@@ -19,19 +22,35 @@ import (
 	"dcra/internal/isa"
 )
 
+// Policy names, as reports, cell keys and New spell them.
+const (
+	NameRR      = "RR"
+	NameICount  = "ICOUNT"
+	NameStall   = "STALL"
+	NameFlush   = "FLUSH"
+	NameFlushPP = "FLUSH++"
+	NameDG      = "DG"
+	NamePDG     = "PDG"
+	NameSRA     = "SRA"
+	NameDCRA    = "DCRA"
+	// NameCap is Capped's name. New does not build Capped: its caps belong
+	// to each run.
+	NameCap = "CAP"
+)
+
 // builders maps each policy name to its constructor.
 var builders = map[string]func(cfg config.Config) cpu.Policy{
-	"RR":      func(config.Config) cpu.Policy { return NewRoundRobin() },
-	"ICOUNT":  func(config.Config) cpu.Policy { return NewICount() },
-	"STALL":   func(config.Config) cpu.Policy { return NewStall() },
-	"FLUSH":   func(config.Config) cpu.Policy { return NewFlush() },
-	"FLUSH++": func(config.Config) cpu.Policy { return NewFlushPP() },
-	"DG":      func(config.Config) cpu.Policy { return NewDG() },
-	"PDG":     func(config.Config) cpu.Policy { return NewPDG() },
-	"SRA":     func(config.Config) cpu.Policy { return NewSRA() },
+	NameRR:      func(config.Config) cpu.Policy { return NewRoundRobin() },
+	NameICount:  func(config.Config) cpu.Policy { return NewICount() },
+	NameStall:   func(config.Config) cpu.Policy { return NewStall() },
+	NameFlush:   func(config.Config) cpu.Policy { return NewFlush() },
+	NameFlushPP: func(config.Config) cpu.Policy { return NewFlushPP() },
+	NameDG:      func(config.Config) cpu.Policy { return NewDG() },
+	NamePDG:     func(config.Config) cpu.Policy { return NewPDG() },
+	NameSRA:     func(config.Config) cpu.Policy { return NewSRA() },
 	// DCRA's sharing factor follows the paper's latency tuning (Section
 	// 5.3), so it depends on cfg.
-	"DCRA": func(cfg config.Config) cpu.Policy { return core.New(core.OptionsForLatency(cfg.MemLatency)) },
+	NameDCRA: func(cfg config.Config) cpu.Policy { return core.New(core.OptionsForLatency(cfg.MemLatency)) },
 }
 
 // New builds a fresh instance of the named policy for a machine built from
@@ -55,7 +74,7 @@ type RoundRobin struct{}
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
 // Name implements cpu.Policy.
-func (*RoundRobin) Name() string { return "RR" }
+func (*RoundRobin) Name() string { return NameRR }
 
 // Tick implements cpu.Policy.
 func (*RoundRobin) Tick(*cpu.Machine) {}
@@ -74,14 +93,15 @@ func (*RoundRobin) Rank(m *cpu.Machine, ts []int) {
 func (*RoundRobin) Gate(*cpu.Machine, int) bool { return false }
 
 // ICount prioritises threads with few instructions in the pre-issue stages
-// (Tullsen et al., ISCA'96). It exercises no gating at all.
+// (Tullsen et al., ISCA'96). It exercises no gating at all. Every other
+// ICOUNT-ranked policy here embeds it and overrides only what it adds.
 type ICount struct{}
 
 // NewICount returns the ICOUNT fetch policy.
 func NewICount() *ICount { return &ICount{} }
 
 // Name implements cpu.Policy.
-func (*ICount) Name() string { return "ICOUNT" }
+func (*ICount) Name() string { return NameICount }
 
 // Tick implements cpu.Policy.
 func (*ICount) Tick(*cpu.Machine) {}
@@ -96,19 +116,13 @@ func (*ICount) Gate(*cpu.Machine, int) bool { return false }
 // L2 miss (Tullsen & Brown, MICRO'01). Because detection takes an L1+L2
 // lookup, the thread has typically already allocated many entries — the
 // "too late" weakness the paper discusses.
-type Stall struct{}
+type Stall struct{ ICount }
 
 // NewStall returns the STALL fetch policy.
 func NewStall() *Stall { return &Stall{} }
 
 // Name implements cpu.Policy.
-func (*Stall) Name() string { return "STALL" }
-
-// Tick implements cpu.Policy.
-func (*Stall) Tick(*cpu.Machine) {}
-
-// Rank implements cpu.Policy.
-func (*Stall) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
+func (*Stall) Name() string { return NameStall }
 
 // Gate implements cpu.Policy.
 func (*Stall) Gate(m *cpu.Machine, t int) bool { return m.PendingL2(t) > 0 }
@@ -118,6 +132,7 @@ func (*Stall) Gate(m *cpu.Machine, t int) bool { return m.PendingL2(t) > 0 }
 // resources available to other threads, at the cost of re-fetching them
 // later (Tullsen & Brown, MICRO'01).
 type Flush struct {
+	Stall
 	flushed []bool // per thread: already flushed for the current miss episode
 }
 
@@ -125,10 +140,14 @@ type Flush struct {
 func NewFlush() *Flush { return &Flush{} }
 
 // Name implements cpu.Policy.
-func (*Flush) Name() string { return "FLUSH" }
+func (*Flush) Name() string { return NameFlush }
 
 // Tick implements cpu.Policy: fire one flush per miss episode.
-func (f *Flush) Tick(m *cpu.Machine) {
+func (f *Flush) Tick(m *cpu.Machine) { f.flushEpisodes(m, true) }
+
+// flushEpisodes tracks each thread's L2 miss episodes, which end when no
+// miss is pending, and with fire set flushes the thread once per episode.
+func (f *Flush) flushEpisodes(m *cpu.Machine, fire bool) {
 	if f.flushed == nil {
 		f.flushed = make([]bool, m.NumThreads())
 	}
@@ -137,35 +156,23 @@ func (f *Flush) Tick(m *cpu.Machine) {
 			f.flushed[t] = false
 			continue
 		}
-		if !f.flushed[t] {
+		if fire && !f.flushed[t] {
 			m.FlushThread(t)
 			f.flushed[t] = true
 		}
 	}
 }
 
-// Rank implements cpu.Policy.
-func (*Flush) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
-
-// Gate implements cpu.Policy.
-func (*Flush) Gate(m *cpu.Machine, t int) bool { return m.PendingL2(t) > 0 }
-
 // DG (data gating, El-Moursy & Albonesi, HPCA'03) stalls a thread on every
 // pending L1 data miss — too severe when the L1 miss hits in L2, which is
 // the policy's documented weakness.
-type DG struct{}
+type DG struct{ ICount }
 
 // NewDG returns the DG fetch policy.
 func NewDG() *DG { return &DG{} }
 
 // Name implements cpu.Policy.
-func (*DG) Name() string { return "DG" }
-
-// Tick implements cpu.Policy.
-func (*DG) Tick(*cpu.Machine) {}
-
-// Rank implements cpu.Policy.
-func (*DG) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
+func (*DG) Name() string { return NameDG }
 
 // Gate implements cpu.Policy.
 func (*DG) Gate(m *cpu.Machine, t int) bool { return m.PendingL1D(t) > 0 }
@@ -176,6 +183,7 @@ func (*DG) Gate(m *cpu.Machine, t int) bool { return m.PendingL1D(t) > 0 }
 // delay but adds another level of speculation; as the paper notes, cache
 // misses are hard to predict, so PDG tends to over- and under-gate.
 type PDG struct {
+	ICount
 	table   []uint8 // 2-bit counters, predicted-miss when >= 2
 	pending []int   // per-thread count of in-flight predicted-miss loads
 }
@@ -186,7 +194,7 @@ const pdgTableSize = 4096
 func NewPDG() *PDG { return &PDG{table: make([]uint8, pdgTableSize)} }
 
 // Name implements cpu.Policy.
-func (*PDG) Name() string { return "PDG" }
+func (*PDG) Name() string { return NamePDG }
 
 func (p *PDG) idx(pc uint64) int { return int((pc >> 2) % pdgTableSize) }
 
@@ -202,9 +210,6 @@ func (p *PDG) Tick(m *cpu.Machine) {
 		}
 	}
 }
-
-// Rank implements cpu.Policy.
-func (*PDG) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
 
 // Gate implements cpu.Policy.
 func (p *PDG) Gate(m *cpu.Machine, t int) bool {
@@ -241,24 +246,28 @@ func (p *PDG) LoadResolved(m *cpu.Machine, t int, pc uint64, l1Miss, l2Miss bool
 // hard-partitioned into equal per-thread shares (Pentium 4 style); fetch
 // priority is ICOUNT. Idle shares are wasted — the inflexibility DCRA
 // addresses.
-type SRA struct{}
+type SRA struct{ ICount }
 
 // NewSRA returns the static allocation policy.
 func NewSRA() *SRA { return &SRA{} }
 
 // Name implements cpu.Policy.
-func (*SRA) Name() string { return "SRA" }
-
-// Tick implements cpu.Policy.
-func (*SRA) Tick(*cpu.Machine) {}
-
-// Rank implements cpu.Policy.
-func (*SRA) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
-
-// Gate implements cpu.Policy.
-func (*SRA) Gate(*cpu.Machine, int) bool { return false }
+func (*SRA) Name() string { return NameSRA }
 
 // Cap implements cpu.Partitioner: equal static shares of every resource.
 func (*SRA) Cap(m *cpu.Machine, t int, r cpu.Resource) int {
 	return m.Total(r) / m.NumThreads()
 }
+
+// Capped is ICOUNT with fixed per-thread caps on selected resources (the
+// paper's Figure 2). With no cap set it behaves exactly like ICOUNT.
+type Capped struct {
+	ICount
+	Caps [cpu.NumResources]int // 0 = unlimited
+}
+
+// Name implements cpu.Policy.
+func (*Capped) Name() string { return NameCap }
+
+// Cap implements cpu.Partitioner.
+func (c *Capped) Cap(m *cpu.Machine, t int, r cpu.Resource) int { return c.Caps[r] }

@@ -3,11 +3,13 @@ package policy
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"dcra/internal/config"
 	"dcra/internal/cpu"
 	"dcra/internal/trace"
+	"dcra/internal/workload"
 )
 
 func machineWith(t *testing.T, pol cpu.Policy, names ...string) *cpu.Machine {
@@ -23,16 +25,25 @@ func machineWith(t *testing.T, pol cpu.Policy, names ...string) *cpu.Machine {
 	return m
 }
 
+// TestNamesStable builds every policy New knows, DCRA included, and checks
+// that each reports the name it was built under. Most policies embed
+// ICount, so one that forgot its own Name would report ICOUNT's.
 func TestNamesStable(t *testing.T) {
-	checks := map[string]cpu.Policy{
-		"RR": NewRoundRobin(), "ICOUNT": NewICount(), "STALL": NewStall(),
-		"FLUSH": NewFlush(), "FLUSH++": NewFlushPP(), "DG": NewDG(),
-		"PDG": NewPDG(), "SRA": NewSRA(),
+	want := []string{NameDCRA, NameDG, NameFlush, NameFlushPP, NameICount, NamePDG, NameRR, NameSRA, NameStall}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	for want, p := range checks {
-		if p.Name() != want {
-			t.Errorf("Name() = %q, want %q", p.Name(), want)
+	for _, name := range Names() {
+		p, err := New(name, config.Baseline())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if p.Name() != name {
+			t.Errorf("New(%q).Name() = %q", name, p.Name())
+		}
+	}
+	if got := (&Capped{}).Name(); got != NameCap {
+		t.Errorf("Capped.Name() = %q, want %q", got, NameCap)
 	}
 }
 
@@ -203,32 +214,54 @@ func TestGatingPoliciesStillCommit(t *testing.T) {
 	}
 }
 
+// statsJSON runs pol on a fresh machine over the named benchmarks for the
+// given number of cycles and returns its statistics as JSON.
+func statsJSON(t *testing.T, pol cpu.Policy, cycles uint64, names ...string) []byte {
+	t.Helper()
+	m := machineWith(t, pol, names...)
+	m.Run(cycles)
+	b, err := json.Marshal(m.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestSingleThreadDCRAIsICount is a metamorphic check of DCRA (paper §3):
 // with one thread there is no competition, so DCRA never gates or caps it
 // and fetches by ICOUNT, exactly like ICOUNT itself. A single-thread DCRA
 // machine must therefore produce byte-identical statistics, over MEM and ILP,
-// integer and FP benchmarks.
+// integer and FP benchmarks. So must the uncapped Capped policy, which is
+// ICOUNT with a partitioner whose caps are all unlimited.
 func TestSingleThreadDCRAIsICount(t *testing.T) {
 	cfg := config.Baseline()
 	for _, bench := range []string{"mcf", "gzip", "art", "eon", "swim", "twolf"} {
-		stats := make(map[string][]byte)
-		for _, name := range []string{"DCRA", "ICOUNT"} {
-			pol, err := New(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := cpu.New(cfg, []trace.Profile{trace.MustProfile(bench)}, pol, 0xfeed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Run(20_000)
-			if stats[name], err = json.Marshal(m.Stats()); err != nil {
-				t.Fatal(err)
+		icount := statsJSON(t, NewICount(), 20_000, bench)
+		dcra, err := New(NameDCRA, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range []cpu.Policy{dcra, &Capped{}} {
+			if got := statsJSON(t, pol, 20_000, bench); !bytes.Equal(got, icount) {
+				t.Errorf("%s: single-thread %s statistics differ from ICOUNT's:\n%-6s %s\nICOUNT %s",
+					bench, pol.Name(), pol.Name(), got, icount)
 			}
 		}
-		if !bytes.Equal(stats["DCRA"], stats["ICOUNT"]) {
-			t.Errorf("%s: single-thread DCRA statistics differ from ICOUNT's:\nDCRA   %s\nICOUNT %s",
-				bench, stats["DCRA"], stats["ICOUNT"])
+	}
+}
+
+// TestUncappedIsICount: with no cap set, Capped must equal ICOUNT on
+// multiprogrammed workloads too — the dispatch stage consults its
+// partitioner, but an unlimited cap never binds.
+func TestUncappedIsICount(t *testing.T) {
+	for _, id := range []string{"MEM4.g1", "MIX4.g2", "ILP3.g1", "MIX2.g3"} {
+		w, err := workload.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		icount := statsJSON(t, NewICount(), 30_000, w.Names...)
+		if got := statsJSON(t, &Capped{}, 30_000, w.Names...); !bytes.Equal(got, icount) {
+			t.Errorf("%s: uncapped statistics differ from ICOUNT's:\nCAP    %s\nICOUNT %s", id, got, icount)
 		}
 	}
 }

@@ -72,8 +72,9 @@ type Config struct {
 	Contexts int
 
 	// Alloc builds the machine-level allocation/fetch policy (DCRA, ICOUNT,
-	// ...) — a fresh instance per trial, policies being stateful.
-	Alloc sim.PolicyFactory
+	// ...). Run calls it once per trial, and policies are stateful, so it
+	// must return an instance no other machine uses.
+	Alloc func() cpu.Policy
 
 	// Picker is the co-schedule policy choosing which queued job occupies a
 	// freed context.

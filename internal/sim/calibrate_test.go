@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dcra/internal/config"
+	"dcra/internal/policy"
 	"dcra/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func TestCalibrationReport(t *testing.T) {
 		"bench", "type", "ipc", "bmr%", "l1d%", "l2mr%", "paper%", "mlp")
 	for _, n := range names {
 		p := trace.MustProfile(n)
-		m, err := r.RunMachine(cfg, []trace.Profile{p}, &CapPolicy{})
+		m, err := r.RunMachine(cfg, []trace.Profile{p}, policy.NewICount())
 		if err != nil {
 			t.Fatal(err)
 		}

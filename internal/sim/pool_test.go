@@ -16,7 +16,7 @@ import (
 type poolCell struct {
 	cfg config.Config
 	w   workload.Workload
-	mk  PolicyFactory
+	mk  func() cpu.Policy
 }
 
 // mixedCells builds a cell set that crosses configurations, workload sizes
@@ -49,7 +49,7 @@ func runCells(t *testing.T, r *Runner, cells []poolCell) []Result {
 	t.Helper()
 	out := make([]Result, len(cells))
 	for i, c := range cells {
-		res, err := r.RunWorkload(c.cfg, c.w, c.mk)
+		res, err := r.RunWorkload(c.cfg, c.w, c.mk())
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -114,7 +114,7 @@ func TestMachinePoolParallelHammer(t *testing.T) {
 	errs := make([]error, rounds*len(cells))
 	NewEngine(8).Run(len(results), func(i int) {
 		c := cells[i%len(cells)]
-		results[i], errs[i] = r.RunWorkload(c.cfg, c.w, c.mk)
+		results[i], errs[i] = r.RunWorkload(c.cfg, c.w, c.mk())
 	})
 	if err := FirstError(errs); err != nil {
 		t.Fatal(err)
@@ -129,6 +129,7 @@ func TestMachinePoolParallelHammer(t *testing.T) {
 // mutatingPolicy flips the runner's measurement window from inside a run —
 // exactly the misuse the Runner doc forbids.
 type mutatingPolicy struct {
+	policy.ICount
 	r     *Runner
 	fired bool
 }
@@ -140,8 +141,6 @@ func (p *mutatingPolicy) Tick(*cpu.Machine) {
 		p.r.Measure++
 	}
 }
-func (p *mutatingPolicy) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
-func (p *mutatingPolicy) Gate(*cpu.Machine, int) bool   { return false }
 
 // TestRunnerGuardsInFlightMutation documents and enforces the Runner
 // invariant: changing the windows or seed while a run is in flight panics

@@ -1,6 +1,8 @@
 // Package sim orchestrates simulations: it runs multiprogrammed workloads
-// under a chosen policy with warmup, collects metrics, and maintains the
-// single-thread baselines the Hmean metric needs.
+// under a given policy with warmup, collects metrics, and maintains the
+// single-thread ICOUNT baselines the Hmean metric needs. It defines no
+// policy of its own: callers pass a cpu.Policy built by internal/policy (or
+// internal/core), one fresh instance per run.
 package sim
 
 import (
@@ -19,10 +21,6 @@ import (
 	"dcra/internal/trace"
 	"dcra/internal/workload"
 )
-
-// PolicyFactory constructs a fresh policy instance per run (policies carry
-// per-run state such as flush episodes or miss-predictor tables).
-type PolicyFactory func() cpu.Policy
 
 // Result summarises one simulation run.
 type Result struct {
@@ -203,17 +201,17 @@ func (r *Runner) measure(cfg config.Config, profiles []trace.Profile, pol cpu.Po
 	return slices.Clone(sum.IPC), st, sum, nil
 }
 
-// RunWorkload executes one Table 4 workload under the policy from mk, with
-// the protocol cfg names, and computes all metrics: Hmean and weighted
-// speedup divide by the single-thread baselines SingleIPC measures on the
-// same configuration. A sampled run therefore divides by *sampled*
-// baselines: sampled mode is self-contained — a sampled sweep never pays
-// for a full-length exact run, which would otherwise dominate its cost —
-// and both metric axes carry the same estimator. Its throughput is the
-// window mean. Exact cells remain the verifier for absolute numbers; the
-// parity harness compares throughput, which baselines do not touch.
-func (r *Runner) RunWorkload(cfg config.Config, w workload.Workload, mk PolicyFactory) (Result, error) {
-	pol := mk()
+// RunWorkload executes one Table 4 workload under pol, with the protocol cfg
+// names, and computes all metrics: Hmean and weighted speedup divide by the
+// single-thread baselines SingleIPC measures on the same configuration. A
+// sampled run therefore divides by *sampled* baselines: sampled mode is
+// self-contained — a sampled sweep never pays for a full-length exact run,
+// which would otherwise dominate its cost — and both metric axes carry the
+// same estimator. Its throughput is the window mean. Exact cells remain the
+// verifier for absolute numbers; the parity harness compares throughput,
+// which baselines do not touch. Policies carry per-run state (flush
+// episodes, miss-predictor tables): pass a fresh one per run.
+func (r *Runner) RunWorkload(cfg config.Config, w workload.Workload, pol cpu.Policy) (Result, error) {
 	ipcs, st, sum, err := r.measure(cfg, w.Profiles(), pol)
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: workload %s under %s: %w", w.ID(), pol.Name(), err)
@@ -265,25 +263,3 @@ func (r *Runner) SingleIPC(cfg config.Config, name string) (float64, error) {
 func (r *Runner) SingleIPCSampled(cfg config.Config, name string) (float64, error) {
 	return r.SingleIPC(cfg, name)
 }
-
-// CapPolicy is a utility policy for resource-restriction studies (the
-// paper's Figure 2): ICOUNT fetch with fixed per-thread caps on selected
-// resources, no gating.
-type CapPolicy struct {
-	Caps [cpu.NumResources]int // 0 = unlimited
-}
-
-// Name implements cpu.Policy.
-func (*CapPolicy) Name() string { return "CAP" }
-
-// Tick implements cpu.Policy.
-func (*CapPolicy) Tick(*cpu.Machine) {}
-
-// Rank implements cpu.Policy.
-func (*CapPolicy) Rank(m *cpu.Machine, ts []int) { cpu.RankByICount(m, ts) }
-
-// Gate implements cpu.Policy.
-func (*CapPolicy) Gate(*cpu.Machine, int) bool { return false }
-
-// Cap implements cpu.Partitioner.
-func (c *CapPolicy) Cap(m *cpu.Machine, t int, r cpu.Resource) int { return c.Caps[r] }

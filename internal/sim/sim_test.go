@@ -23,7 +23,7 @@ func TestRunWorkloadProducesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunWorkload(config.Baseline(), w, func() cpu.Policy { return policy.NewICount() })
+	res, err := r.RunWorkload(config.Baseline(), w, policy.NewICount())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestCapPolicyRestricts(t *testing.T) {
 	cfg.PerfectDCache = true
 	prof := []trace.Profile{trace.MustProfile("gzip")}
 
-	free, err := r.RunMachine(cfg, prof, &CapPolicy{})
+	free, err := r.RunMachine(cfg, prof, &policy.Capped{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight := &CapPolicy{}
+	tight := &policy.Capped{}
 	tight.Caps[cpu.RIntRegs] = 8
 	restricted, err := r.RunMachine(cfg, prof, tight)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestRunnerDeterminism(t *testing.T) {
 	w, _ := workload.Get(2, workload.MEM, 1)
 	run := func() Result {
 		r := quickRunner()
-		res, err := r.RunWorkload(config.Baseline(), w, func() cpu.Policy { return policy.NewFlushPP() })
+		res, err := r.RunWorkload(config.Baseline(), w, policy.NewFlushPP())
 		if err != nil {
 			t.Fatal(err)
 		}

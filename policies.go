@@ -9,17 +9,17 @@ import (
 // PolicyName identifies a policy for NewPolicy.
 type PolicyName string
 
-// Available policies.
+// Available policies, named as internal/policy names them.
 const (
-	PolicyRoundRobin PolicyName = "RR"
-	PolicyICount     PolicyName = "ICOUNT"
-	PolicyStall      PolicyName = "STALL"
-	PolicyFlush      PolicyName = "FLUSH"
-	PolicyFlushPP    PolicyName = "FLUSH++"
-	PolicyDG         PolicyName = "DG"
-	PolicyPDG        PolicyName = "PDG"
-	PolicySRA        PolicyName = "SRA"
-	PolicyDCRA       PolicyName = "DCRA"
+	PolicyRoundRobin PolicyName = policy.NameRR
+	PolicyICount     PolicyName = policy.NameICount
+	PolicyStall      PolicyName = policy.NameStall
+	PolicyFlush      PolicyName = policy.NameFlush
+	PolicyFlushPP    PolicyName = policy.NameFlushPP
+	PolicyDG         PolicyName = policy.NameDG
+	PolicyPDG        PolicyName = policy.NamePDG
+	PolicySRA        PolicyName = policy.NameSRA
+	PolicyDCRA       PolicyName = policy.NameDCRA
 )
 
 // NewPolicy constructs a fresh policy by name. DCRA uses the latency-tuned
