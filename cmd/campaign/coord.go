@@ -59,17 +59,25 @@ func coordinatorStatus(url string, stdout io.Writer) error {
 	return nil
 }
 
-func cmdWork(args []string) {
-	fs := flag.NewFlagSet("campaign work", flag.ExitOnError)
+// work is `campaign work`: it computes the cells a coordinator leases it
+// until the campaign ends, logging to stderr (it writes no stdout). It
+// returns errIncomplete when the coordinator reports cells missing, and
+// coord.ErrKilled after an injected crash, on which main exits 137 at once,
+// mid-lease, as a SIGKILLed or OOM-killed worker would.
+func work(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("campaign work", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL, e.g. http://host:8123")
 		id          = fs.String("id", "", "worker name (default host:pid)")
 		faultSpec   = fs.String("fault", "", "fault to self-inject, for chaos drills: kind[:after=N][:delay=D] (kinds: "+faults.KindList()+")")
 		retryWindow = fs.Duration("retry-window", 0, "keep retrying an unreachable coordinator this long before giving up (0 = default)")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *coordinator == "" {
-		fatal(fmt.Errorf("work needs -coordinator URL"))
+		return errors.New("work needs -coordinator URL")
 	}
 	if *id == "" {
 		host, _ := os.Hostname()
@@ -91,29 +99,27 @@ func cmdWork(args []string) {
 	if *faultSpec != "" {
 		f, err := faults.Parse(*faultSpec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		in := faults.NewInjector(f)
 		w.Hooks = in.Hooks()
 		w.Transport = in.Wrap(w.Transport)
-		fmt.Fprintf(os.Stderr, "work: %s: injecting fault %s\n", *id, f)
+		fmt.Fprintf(stderr, "work: %s: injecting fault %s\n", *id, f)
 	}
 
 	err := w.Run()
-	fmt.Fprintf(os.Stderr, "work: %s: %d cells computed, %d reported missing by coordinator\n",
+	fmt.Fprintf(stderr, "work: %s: %d cells computed, %d reported missing by coordinator\n",
 		*id, w.Cells, w.Missing)
-	if errors.Is(err, coord.ErrKilled) {
-		// The injected crash: die abruptly, mid-lease, without a Fail call —
-		// exactly what a SIGKILLed or OOM-killed worker looks like.
-		fmt.Fprintf(os.Stderr, "work: %s: killed by injected fault\n", *id)
-		os.Exit(137)
+	switch {
+	case errors.Is(err, coord.ErrKilled):
+		fmt.Fprintf(stderr, "work: %s: killed by injected fault\n", *id)
+		return err
+	case err != nil:
+		return err
+	case w.Missing > 0:
+		return errIncomplete
 	}
-	if err != nil {
-		fatal(err)
-	}
-	if w.Missing > 0 {
-		os.Exit(1)
-	}
+	return nil
 }
 
 // workerSuite builds the suite a worker computes cells with under protocol

@@ -46,6 +46,7 @@ import (
 
 	"dcra/internal/campaign"
 	"dcra/internal/config"
+	"dcra/internal/coord"
 	"dcra/internal/experiments"
 	"dcra/internal/sample"
 )
@@ -64,9 +65,9 @@ func main() {
 	case "status":
 		err = status(os.Args[2:], os.Stdout, os.Stderr)
 	case "gc":
-		cmdGC(os.Args[2:])
+		err = gc(os.Args[2:], os.Stdout, os.Stderr)
 	case "work":
-		cmdWork(os.Args[2:])
+		err = work(os.Args[2:], os.Stdout, os.Stderr)
 	default:
 		usage()
 	}
@@ -76,8 +77,11 @@ func main() {
 		os.Exit(2) // the flag package has reported it
 	case errors.Is(err, errIncomplete):
 		os.Exit(1) // the report names what is missing
+	case errors.Is(err, coord.ErrKilled):
+		os.Exit(137) // an injected worker crash, reported by work
 	default:
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "campaign:", err)
+		os.Exit(1)
 	}
 }
 
@@ -101,37 +105,41 @@ func samplingFor(p campaign.Params) config.SamplingConfig {
 	return sample.DeriveAdaptive(p.Warmup, p.Measure).Config()
 }
 
-// cmdGC prunes store cells whose keys no longer appear in any registered
-// sweep — orphans left behind by spec changes, and sampled cells of the
-// retired fixed protocol.
-func cmdGC(args []string) {
-	fs := flag.NewFlagSet("campaign gc", flag.ExitOnError)
+// gc is `campaign gc`: it prunes store cells whose keys no longer appear in
+// any registered sweep — orphans left behind by spec changes, and sampled
+// cells of the retired fixed protocol — and reports them on stdout.
+func gc(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("campaign gc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		storeDir = fs.String("store", "", "persistent result store directory")
 		dryRun   = fs.Bool("dry-run", false, "report stale cells without deleting them")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *storeDir == "" {
-		fatal(fmt.Errorf("gc needs -store"))
+		return errors.New("gc needs -store")
 	}
 	st, err := campaign.OpenExisting(*storeDir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	keep := gcKeep(st.Params())
 	removed, err := st.GC(keep, *dryRun)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	verb := "deleted"
 	if *dryRun {
 		verb = "would delete"
 	}
 	for _, key := range removed {
-		fmt.Printf("campaign: %s stale cell %s\n", verb, key)
+		fmt.Fprintf(stdout, "campaign: %s stale cell %s\n", verb, key)
 	}
-	fmt.Printf("campaign: %s %d stale cells (%d keys live across %d experiments)\n",
+	fmt.Fprintf(stdout, "campaign: %s %d stale cells (%d keys live across %d experiments)\n",
 		verb, len(removed), len(keep), len(experiments.Specs()))
+	return nil
 }
 
 // gcKeep returns the cell keys `campaign gc` keeps in a store measured
@@ -163,8 +171,10 @@ var (
 	// errUsage reports a command line the flag package rejected; the flag
 	// package has already printed why.
 	errUsage = errors.New("invalid command line")
-	// errIncomplete reports that `campaign status` found cells missing: its
-	// report names them, and the command exits 1 so scripts can poll it.
+	// errIncomplete reports cells missing: `campaign status` found some, or
+	// the coordinator told a `campaign work` process it could not compute
+	// some. Its report names or counts them, and the command exits 1 so
+	// scripts can poll it.
 	errIncomplete = errors.New("campaign incomplete")
 )
 
@@ -230,9 +240,4 @@ func status(args []string, stdout, stderr io.Writer) error {
 		return errIncomplete
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "campaign:", err)
-	os.Exit(1)
 }

@@ -41,22 +41,20 @@ func New(cfg config.Config, threads int) *Predictor {
 		btb:     newBTB(cfg.BTBEntries, cfg.BTBAssoc),
 		ras:     make([]*ras, threads),
 	}
-	for i := range p.pht {
-		p.pht[i] = 2 // weakly taken: avoids a cold not-taken bias
-	}
 	for i := range p.ras {
 		p.ras[i] = newRAS(cfg.RASEntries)
 	}
+	p.Reset()
 	return p
 }
 
-// Reset restores the predictor to its post-construction state — weakly-taken
-// counters, empty histories, invalid BTB, empty return stacks — without
-// reallocating any table. A reset predictor behaves bit-identically to a
+// Reset puts the predictor in its initial state — weakly-taken counters,
+// empty histories, invalid BTB, empty return stacks — without reallocating
+// any table. New ends with it, so a reset predictor is bit-identical to a
 // freshly built one; the machine-reuse lifecycle depends on this.
 func (p *Predictor) Reset() {
 	for i := range p.pht {
-		p.pht[i] = 2
+		p.pht[i] = 2 // weakly taken: avoids a cold not-taken bias
 	}
 	clear(p.history)
 	clear(p.btb.sets)
@@ -86,7 +84,10 @@ func (p *Predictor) index(thread int, pc uint64) uint64 {
 // deferring it to resolution would train a *different* index (the history
 // has moved on) and the predictor would never learn. The misprediction
 // *penalty* is still paid architecturally: the pipeline fetches down the
-// wrong path until the branch resolves.
+// wrong path until the branch resolves. The history is never speculative:
+// wrong-path uops are never predicted, so when a mispredicted branch
+// resolves its true outcome is already the history's last bit, and recovery
+// has nothing to repair.
 func (p *Predictor) Predict(thread int, u *isa.Uop) Prediction {
 	var pr Prediction
 	switch u.CallKind {
@@ -135,13 +136,6 @@ func (p *Predictor) SetRASTop(t int, top int32) {
 	if int(top) <= p.ras[t].size {
 		p.ras[t].top = int(top)
 	}
-}
-
-// FixupHistory repairs a thread's global history after a misprediction by
-// flipping the last speculative bit to the true outcome.
-func (p *Predictor) FixupHistory(thread int, taken bool) {
-	p.history[thread] = p.history[thread] &^ 1
-	p.history[thread] |= b2u(taken)
 }
 
 // Aliases so this package does not leak isa constants into its API surface.

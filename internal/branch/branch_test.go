@@ -147,3 +147,32 @@ func TestRASOverflowWraps(t *testing.T) {
 		}
 	}
 }
+
+// TestHistoryHoldsTrueOutcome checks that Predict folds each branch's true
+// outcome into its thread's history, whatever it predicted: the history is
+// never speculative, so a mispredicted branch leaves nothing to repair when
+// it resolves.
+func TestHistoryHoldsTrueOutcome(t *testing.T) {
+	p := newPredictor(2)
+	for i, u := range []isa.Uop{
+		{Class: isa.OpBranch, PC: 0x1000, Taken: false},
+		{Class: isa.OpBranch, PC: 0x1000, Taken: true, Target: 0x1800},
+		{Class: isa.OpBranch, PC: 0x2000, Taken: false}, // weakly-taken counter: mispredicted
+		{Class: isa.OpBranch, CallKind: isa.CallDirect, PC: 0x3000, Taken: true, Target: 0x9000},
+		{Class: isa.OpBranch, CallKind: isa.CallReturn, PC: 0x9040, Taken: true, Target: 0x3004},
+		{Class: isa.OpBranch, CallKind: isa.CallReturn, PC: 0x9080, Taken: true, Target: 0x5004}, // empty RAS
+		{Class: isa.OpBranch, PC: 0x4000, Taken: true, Target: 0x4400},                           // BTB miss
+	} {
+		for thread := 0; thread < 2; thread++ {
+			other := p.history[1-thread]
+			pr := p.Predict(thread, &u)
+			if got := p.history[thread]&1 == 1; got != u.Taken {
+				t.Errorf("uop %d thread %d (predicted taken %v): last history bit %v, want the outcome %v",
+					i, thread, pr.Taken, got, u.Taken)
+			}
+			if p.history[1-thread] != other {
+				t.Errorf("uop %d: predicting for thread %d changed thread %d's history", i, thread, 1-thread)
+			}
+		}
+	}
+}

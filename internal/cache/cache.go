@@ -70,7 +70,7 @@ func (c *Cache) set(lineAddr uint64) []line {
 }
 
 // Probe reports whether the line containing addr is present, without
-// changing any state. Used by tests and by the miss predictor experiments.
+// changing any state. Only tests call it.
 func (c *Cache) Probe(addr uint64) bool {
 	la := c.LineAddr(addr)
 	for i := range c.set(la) {
@@ -101,7 +101,8 @@ func (c *Cache) Access(addr uint64, now uint64) (lat int, miss bool) {
 // bank occupancy and no statistics. It reports a hit. Access is Touch plus
 // those; fast-forward calls Touch alone to keep long-lived cache contents
 // warm across skipped regions without perturbing the timing state the next
-// detailed window resumes from.
+// detailed window resumes from, and prewarming calls it to fill resident
+// working sets before simulation starts.
 func (c *Cache) Touch(addr uint64) bool {
 	c.stamp++
 	la := c.LineAddr(addr)
@@ -124,28 +125,6 @@ func (c *Cache) Touch(addr uint64) bool {
 	}
 	set[victim] = line{tag: la, valid: true, lru: c.stamp}
 	return false
-}
-
-// Insert allocates the line containing addr without modelling access
-// latency, bank occupancy or statistics. Used only for pre-warming resident
-// working sets before simulation starts.
-func (c *Cache) Insert(addr uint64) {
-	c.stamp++
-	la := c.LineAddr(addr)
-	set := c.set(la)
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			set[i].lru = c.stamp
-			return
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	set[victim] = line{tag: la, valid: true, lru: c.stamp}
 }
 
 // bankDelay models single-ported banks: an access to a busy bank waits.

@@ -68,14 +68,16 @@ func TestBankConflictDelay(t *testing.T) {
 	}
 }
 
-func TestInsertBypassesStatsAndBanks(t *testing.T) {
+func TestTouchBypassesStatsAndBanks(t *testing.T) {
 	c := smallCache()
-	c.Insert(0x40)
+	if c.Touch(0x40) {
+		t.Fatal("Touch of a cold line must report a miss")
+	}
 	if c.Accesses != 0 || c.Misses != 0 {
-		t.Fatal("Insert must not count statistics")
+		t.Fatal("Touch must not count statistics")
 	}
 	if lat, miss := c.Access(0x40, 1); miss || lat != 1 {
-		t.Fatalf("inserted line should hit with base latency, got lat=%d miss=%v", lat, miss)
+		t.Fatalf("touched line should hit with base latency, got lat=%d miss=%v", lat, miss)
 	}
 }
 

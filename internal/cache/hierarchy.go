@@ -152,26 +152,12 @@ func (h *Hierarchy) AccessD(addr uint64, now uint64) AccessResult {
 	lineAddr := h.L2.LineAddr(addr)
 	h.l2mshrs.expire(now)
 	if fillAt, ok := h.l2mshrs.find(lineAddr); ok {
-		h.L1D.Access(addr, now) // keep LRU and statistics honest
-		res.L1Miss = true
 		res.L2Miss = true // shares the memory access already in flight
-		res.DoneAt = fillAt
-		if res.DoneAt <= now {
-			res.DoneAt = now + 1
-		}
-		res.Latency = int(res.DoneAt - now)
-		return res
+		return h.merge(addr, now, fillAt, res)
 	}
 	h.l1mshrs.expire(now)
 	if fillAt, ok := h.l1mshrs.find(lineAddr); ok {
-		h.L1D.Access(addr, now)
-		res.L1Miss = true
-		res.DoneAt = fillAt
-		if res.DoneAt <= now {
-			res.DoneAt = now + 1
-		}
-		res.Latency = int(res.DoneAt - now)
-		return res
+		return h.merge(addr, now, fillAt, res)
 	}
 
 	l1lat, l1miss := h.L1D.Access(addr, now)
@@ -207,6 +193,18 @@ func (h *Hierarchy) AccessD(addr uint64, now uint64) AccessResult {
 	h.l2mshrs.add(lineAddr, fillAt)
 	res.DoneAt = fillAt
 	res.Latency = int(fillAt - now)
+	return res
+}
+
+// merge completes a data access to a line whose fill is already in flight,
+// arriving at fillAt: the access still touches L1D (keeping LRU and
+// statistics honest), misses it, and completes with the fill, at least one
+// cycle after now.
+func (h *Hierarchy) merge(addr, now, fillAt uint64, res AccessResult) AccessResult {
+	h.L1D.Access(addr, now)
+	res.L1Miss = true
+	res.DoneAt = max(fillAt, now+1)
+	res.Latency = int(res.DoneAt - now)
 	return res
 }
 
@@ -252,9 +250,9 @@ func (h *Hierarchy) OutstandingMem(now uint64) int {
 func (h *Hierarchy) PrewarmData(base uint64, n int, intoL1 bool) {
 	step := uint64(h.cfg.L2.LineBytes)
 	for a := base; a < base+uint64(n); a += step {
-		h.L2.Insert(a)
+		h.L2.Touch(a)
 		if intoL1 {
-			h.L1D.Insert(a)
+			h.L1D.Touch(a)
 		}
 	}
 	for a := base; a < base+uint64(n); a += uint64(h.cfg.PageBytes) {
@@ -266,8 +264,8 @@ func (h *Hierarchy) PrewarmData(base uint64, n int, intoL1 bool) {
 func (h *Hierarchy) PrewarmCode(base uint64, n int) {
 	step := uint64(h.cfg.L2.LineBytes)
 	for a := base; a < base+uint64(n); a += step {
-		h.L2.Insert(a)
-		h.L1I.Insert(a)
+		h.L2.Touch(a)
+		h.L1I.Touch(a)
 	}
 }
 
@@ -278,18 +276,6 @@ func (h *Hierarchy) ResetStats() {
 	h.L2.ResetStats()
 	h.MemMisses = 0
 	h.TLB.ResetStats()
-}
-
-// Reset restores the whole memory system to its post-construction state
-// without reallocating: every level invalidated, MSHR files drained,
-// statistics zeroed. Callers re-prewarm afterwards, exactly as after
-// NewHierarchy.
-func (h *Hierarchy) Reset() {
-	h.L1I.Reset()
-	h.L1D.Reset()
-	h.L2.Reset()
-	h.TLB.Reset()
-	h.drainMSHRs()
 }
 
 // drainMSHRs empties both MSHR files and the memory-fill counter.

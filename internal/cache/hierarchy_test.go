@@ -193,19 +193,22 @@ func TestHierarchyResetAndReinit(t *testing.T) {
 	h.AccessD(addr, 10) // cold: allocates lines, a TLB entry and an MSHR
 	h.AccessI(addr, 10)
 
-	h.Reset()
+	// Reinit to the same config resets the memory system.
+	if !h.Reinit(h.cfg) {
+		t.Fatal("Reinit must accept the hierarchy's own config")
+	}
 	if h.L1D.Probe(addr) || h.L1I.Probe(addr) || h.L2.Probe(addr) {
-		t.Fatal("Reset must invalidate every level")
+		t.Fatal("Reinit must invalidate every level")
 	}
 	if h.L1D.Accesses != 0 || h.MemMisses != 0 {
-		t.Fatal("Reset must clear statistics")
+		t.Fatal("Reinit must clear statistics")
 	}
 	if h.OutstandingMem(0) != 0 {
-		t.Fatal("Reset must drain the MSHR files")
+		t.Fatal("Reinit must drain the MSHR files")
 	}
-	// A post-Reset access behaves exactly like a post-construction one.
+	// A post-Reinit access behaves exactly like a post-construction one.
 	if res := h.AccessD(addr, 10); !res.L1Miss || !res.L2Miss || !res.TLBMiss {
-		t.Fatalf("post-Reset access not cold: %+v", res)
+		t.Fatalf("post-Reinit access not cold: %+v", res)
 	}
 
 	// Reinit adopts latency-only changes and refuses geometry changes.

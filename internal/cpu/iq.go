@@ -4,11 +4,14 @@ package cpu
 // operand count drops to zero, then issue oldest-first.
 type iqEntry struct {
 	used    bool
-	stamp   uint64 // unique allocation stamp, invalidates stale waiter refs
 	thread  int16
 	pending int8
-	age     uint64 // dispatch order, global across threads
-	dseq    uint64 // position in the thread's ROB
+	// age is the dispatch order, global across threads. No two allocations
+	// share one, so it also identifies the allocation: waiter and ROB
+	// references carry it, and a reference whose age no longer matches is
+	// stale (its entry issued or was squashed, and the slot may be reused).
+	age  uint64
+	dseq uint64 // position in the thread's ROB
 }
 
 // readyRef is one node of the ready heap. The age snapshot taken at
@@ -27,7 +30,6 @@ type issueQueue struct {
 	entries  []iqEntry
 	freeList []int32
 	ready    []readyRef // binary min-heap on age
-	stampGen uint64
 }
 
 func newIssueQueue(size int) *issueQueue {
@@ -36,23 +38,21 @@ func newIssueQueue(size int) *issueQueue {
 		freeList: make([]int32, size),
 		ready:    make([]readyRef, 0, size),
 	}
-	for i := range q.freeList {
-		q.freeList[i] = int32(size - 1 - i)
-	}
+	q.reset()
 	return q
 }
 
 // full reports whether the queue has no free entries.
 func (q *issueQueue) full() bool { return len(q.freeList) == 0 }
 
-// alloc claims an entry; the caller fills the fields it returns.
+// alloc claims an entry; the caller fills the fields it returns, age
+// before anything refers to the entry.
 func (q *issueQueue) alloc() (int32, *iqEntry) {
 	n := len(q.freeList)
 	idx := q.freeList[n-1]
 	q.freeList = q.freeList[:n-1]
-	q.stampGen++
 	e := &q.entries[idx]
-	*e = iqEntry{used: true, stamp: q.stampGen}
+	*e = iqEntry{used: true}
 	return idx, e
 }
 
@@ -89,8 +89,8 @@ func (q *issueQueue) stale(r readyRef) bool {
 
 // selectOldest returns the index of the oldest valid ready entry, or -1.
 // Stale heap nodes are popped on the way; the returned entry stays at the
-// heap root until the caller issues it (removeFromReady) — repeated calls
-// per cycle implement multi-issue.
+// heap root until the caller issues it (popRoot) — repeated calls per cycle
+// implement multi-issue.
 func (q *issueQueue) selectOldest() int32 {
 	for len(q.ready) > 0 {
 		if q.stale(q.ready[0]) {
@@ -102,47 +102,13 @@ func (q *issueQueue) selectOldest() int32 {
 	return -1
 }
 
-// removeFromReady drops idx from the ready heap after it issues. The issued
-// entry is always the heap root (issue selects via selectOldest), so this
-// is a root pop; the linear fallback only guards against misuse.
-func (q *issueQueue) removeFromReady(idx int32) {
-	if len(q.ready) > 0 && q.ready[0].idx == idx {
-		q.popRoot()
-		return
-	}
-	for i, r := range q.ready {
-		if r.idx == idx {
-			q.deleteAt(i)
-			return
-		}
-	}
-}
-
-// popRoot removes the heap root and restores heap order.
-func (q *issueQueue) popRoot() { q.deleteAt(0) }
-
-// deleteAt removes node i, re-establishing the heap invariant.
-func (q *issueQueue) deleteAt(i int) {
+// popRoot removes the heap root and restores heap order: the node moved
+// into the root's place sifts down.
+func (q *issueQueue) popRoot() {
 	last := len(q.ready) - 1
-	q.ready[i] = q.ready[last]
+	q.ready[0] = q.ready[last]
 	q.ready = q.ready[:last]
-	if i >= last {
-		return
-	}
-	// Sift up (the moved node may be smaller than its new parent)...
-	j := i
-	for j > 0 {
-		parent := (j - 1) / 2
-		if q.ready[parent].age <= q.ready[j].age {
-			break
-		}
-		q.ready[parent], q.ready[j] = q.ready[j], q.ready[parent]
-		j = parent
-	}
-	if j != i {
-		return
-	}
-	// ...or down.
+	j := 0
 	for {
 		l, r := 2*j+1, 2*j+2
 		small := j
@@ -160,10 +126,10 @@ func (q *issueQueue) deleteAt(i int) {
 	}
 }
 
-// reset restores the queue to its post-construction state — every entry
-// free, the free list in original pop order, the ready heap empty, stamps
-// rewound — without reallocating. A reset queue behaves bit-identically to a
-// freshly built one.
+// reset puts the queue in its initial state — every entry free, the free
+// list in its pop order, the ready heap empty — without reallocating.
+// newIssueQueue ends with it, so a reset queue is bit-identical to a freshly
+// built one.
 func (q *issueQueue) reset() {
 	clear(q.entries)
 	q.freeList = q.freeList[:len(q.entries)]
@@ -171,5 +137,4 @@ func (q *issueQueue) reset() {
 		q.freeList[i] = int32(len(q.entries) - 1 - i)
 	}
 	q.ready = q.ready[:0]
-	q.stampGen = 0
 }

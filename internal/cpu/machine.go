@@ -288,6 +288,19 @@ func (m *Machine) bindPolicy(pol Policy) {
 	}
 }
 
+// bindStream rebinds thread t's stream to (profile, seed) and restarts the
+// thread's fetch state at squash generation gen, with no producer in
+// flight. The caller prewarms the new stream's working set afterwards.
+func (m *Machine) bindStream(t int, profile trace.Profile, seed uint64, gen uint32) {
+	ts := &m.threads[t]
+	ts.stream.Rebind(profile, t, seed)
+	*ts = threadState{stream: ts.stream, gen: gen}
+	prod := m.prod[t]
+	for i := range prod {
+		prod[i].idx = ^uint64(0)
+	}
+}
+
 // prewarm inserts thread t's resident working set: the measurement window
 // models a slice of a long-running program (see cache.Hierarchy.PrewarmData).
 func (m *Machine) prewarm(t int) {
@@ -353,14 +366,9 @@ func (m *Machine) Reinit(cfg config.Config, profiles []trace.Profile, pol Policy
 	m.pred.Reset()
 
 	for t := 0; t < nt; t++ {
-		m.threads[t] = threadState{stream: m.threads[t].stream}
-		m.threads[t].stream.Rebind(profiles[t], t, seed)
+		m.bindStream(t, profiles[t], seed, 0)
 		m.fe[t].reset(cfg.FrontEndBuffer)
 		m.rob[t].reset()
-		prod := m.prod[t]
-		for i := range prod {
-			prod[i].idx = ^uint64(0)
-		}
 		m.usage[t] = [NumResources]int{}
 		m.pendingL1D[t] = 0
 		m.pendingL2[t] = 0

@@ -65,20 +65,13 @@ func (m *Machine) deliver(ev *event) {
 
 func (m *Machine) complete(t int, e *robEntry) {
 	e.state = stateDone
-	if e.l1Counted {
-		e.l1Counted = false
-		m.pendingL1D[t]--
-	}
-	if e.l2Counted {
-		e.l2Counted = false
-		m.pendingL2[t]--
-	}
+	m.dropPending(t, e)
 	if e.destPhys >= 0 {
 		rf := m.regs[regIndex(e.destClass)]
 		for _, w := range rf.markReady(e.destPhys) {
 			q := m.iqs[w.queue]
 			ent := &q.entries[w.idx]
-			if !ent.used || ent.stamp != w.stamp {
+			if !ent.used || ent.age != w.age {
 				continue // stale waiter from a squashed consumer
 			}
 			ent.pending--
@@ -91,8 +84,20 @@ func (m *Machine) complete(t int, e *robEntry) {
 		m.loadObs.LoadResolved(m, t, e.u.PC, e.hadL1Miss, e.hadL2Miss)
 	}
 	if e.u.Class == isa.OpBranch && !e.u.WrongPath && e.mispredicted {
-		m.pred.FixupHistory(t, e.u.Taken)
 		m.squashAfter(t, e.dseq, e.u.Index+1)
+	}
+}
+
+// dropPending takes e's detected misses off thread t's pending-miss
+// counters: when e completes, or when a squash discards it first.
+func (m *Machine) dropPending(t int, e *robEntry) {
+	if e.l1Counted {
+		e.l1Counted = false
+		m.pendingL1D[t]--
+	}
+	if e.l2Counted {
+		e.l2Counted = false
+		m.pendingL2[t]--
 	}
 }
 
@@ -141,20 +146,8 @@ func (m *Machine) commit() {
 }
 
 func (m *Machine) commitEntry(t int, e *robEntry) {
-	m.robUsed--
-	m.usage[t][RROB]--
-	if e.destPhys >= 0 {
-		ri := regIndex(e.destClass)
-		m.regs[ri].release(e.destPhys)
-		m.usage[t][RIntRegs+Resource(ri)]--
-	}
+	m.release(t, e)
 	u := &e.u
-	// Clear the producer-ring slot; consumers dispatched from now on read
-	// the value as architecturally committed (always ready).
-	pe := &m.prod[t][u.Index&m.prodMask]
-	if pe.idx == u.Index {
-		pe.idx = ^uint64(0)
-	}
 	m.threads[t].stream.Release(u.Index + 1)
 
 	if m.commitObs != nil {
@@ -179,6 +172,28 @@ func (m *Machine) commitEntry(t int, e *robEntry) {
 	}
 	if e.hadL2Miss {
 		ts.L2DMisses++
+	}
+}
+
+// release returns e's ROB slot and destination register to the shared pools
+// and clears its producer-ring slot, so consumers dispatched from now on
+// read the value as ready: when e commits, and for each entry a squash
+// reclaims. Wrong-path uops never take a producer slot; a committing uop is
+// never one.
+func (m *Machine) release(t int, e *robEntry) {
+	use := &m.usage[t]
+	m.robUsed--
+	use[RROB]--
+	if e.destPhys >= 0 {
+		ri := regIndex(e.destClass)
+		m.regs[ri].release(e.destPhys)
+		use[RIntRegs+Resource(ri)]--
+	}
+	if !e.u.WrongPath {
+		pe := &m.prod[t][e.u.Index&m.prodMask]
+		if pe.idx == e.u.Index {
+			pe.idx = ^uint64(0)
+		}
 	}
 }
 
@@ -232,7 +247,7 @@ func (m *Machine) issueEntry(q int, idx int32) {
 	ent := &iq.entries[idx]
 	t := int(ent.thread)
 	e := m.rob[t].at(ent.dseq)
-	iq.removeFromReady(idx)
+	iq.popRoot() // idx is the root: selectOldest returned it
 	iq.freeEntry(idx)
 	m.usage[t][q]--
 	e.state = stateIssued
@@ -336,16 +351,6 @@ func (m *Machine) dispatch() {
 		}
 		live = append(live, int32(t))
 	}
-	if m.robUsed >= m.cfg.ROBSize {
-		// The shared ROB is exhausted and commit has already run this cycle,
-		// so every live thread would fail tryDispatch at the first check.
-		// Charge the stalls (exactly what the attempt loop would record: one
-		// failed attempt per live thread) and skip the loop.
-		for _, t32 := range live {
-			m.st.Threads[t32].DispatchStalls++
-		}
-		return
-	}
 	for budget > 0 && len(live) > 0 {
 		n := 0
 		for _, t32 := range live {
@@ -408,7 +413,7 @@ func (m *Machine) tryDispatch(t int, fe *feEntry) bool {
 	}
 
 	// Allocate ROB. push leaves the slot's old contents in place, so every
-	// field is set here or below (iqQueue, iqIdx, iqStamp).
+	// field is set here or below (iqQueue, iqIdx, iqAge).
 	e := m.rob[t].push()
 	e.u = *u
 	e.gen = m.threads[t].gen
@@ -423,7 +428,7 @@ func (m *Machine) tryDispatch(t int, fe *feEntry) bool {
 
 	// Allocate destination register.
 	if ri >= 0 {
-		phys, _ := m.regs[ri].alloc()
+		phys := m.regs[ri].alloc()
 		e.destPhys = phys
 		use[RIntRegs+Resource(ri)]++
 		if !u.WrongPath {
@@ -439,7 +444,7 @@ func (m *Machine) tryDispatch(t int, fe *feEntry) bool {
 	ent.age = m.ageStamp
 	e.iqQueue = int32(q)
 	e.iqIdx = idx
-	e.iqStamp = ent.stamp
+	e.iqAge = ent.age
 	use[Resource(q)]++
 
 	if !u.WrongPath {
@@ -469,7 +474,7 @@ func (m *Machine) resolveOperand(t int, u *isa.Uop, dep uint16, q, idx int32, en
 		return
 	}
 	ent.pending++
-	rf.addWaiter(pe.phys, waiterRef{queue: q, idx: idx, stamp: ent.stamp})
+	rf.addWaiter(pe.phys, waiterRef{queue: q, idx: idx, age: ent.age})
 }
 
 // ---- per-cycle sampling ----

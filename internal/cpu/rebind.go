@@ -58,16 +58,7 @@ func (m *Machine) RebindThread(t int, profile trace.Profile, seed uint64) error 
 		return err
 	}
 	m.drainThread(t)
-
-	ts := &m.threads[t]
-	stream := ts.stream
-	stream.Rebind(profile, t, seed)
-	*ts = threadState{stream: stream, gen: ts.gen}
-
-	prod := m.prod[t]
-	for i := range prod {
-		prod[i].idx = ^uint64(0)
-	}
+	m.bindStream(t, profile, seed, m.threads[t].gen)
 	m.pred.SetRASTop(t, 0)
 
 	m.prewarm(t)

@@ -1,12 +1,12 @@
 package cpu
 
 // waiterRef identifies an issue-queue entry waiting on a physical register.
-// The stamp detects stale references left behind by squashes: a wakeup only
-// fires if the entry's allocation stamp still matches.
+// The age detects stale references left behind by squashes: a wakeup only
+// fires if the entry's age, which identifies its allocation, still matches.
 type waiterRef struct {
 	queue int32
 	idx   int32
-	stamp uint64
+	age   uint64
 }
 
 // regFile models one physical register file (integer or FP) as a free list
@@ -29,28 +29,22 @@ func newRegFile(rename int) *regFile {
 		ready:   make([]bool, rename),
 		waiters: make([][]waiterRef, rename),
 	}
-	for i := range f.free {
-		// Pop order is LIFO; seed so register 0 comes out first (cosmetic).
-		f.free[i] = int32(rename - 1 - i)
-	}
+	f.reset()
 	return f
 }
 
 // available returns the number of free registers.
 func (f *regFile) available() int { return len(f.free) }
 
-// alloc pops a free register, marking it not-ready. ok is false when the
-// pool is exhausted (the caller stalls dispatch).
-func (f *regFile) alloc() (reg int32, ok bool) {
+// alloc pops a free register, marking it not-ready. The caller has checked
+// available first.
+func (f *regFile) alloc() int32 {
 	n := len(f.free)
-	if n == 0 {
-		return -1, false
-	}
-	reg = f.free[n-1]
+	reg := f.free[n-1]
 	f.free = f.free[:n-1]
 	f.ready[reg] = false
 	f.waiters[reg] = f.waiters[reg][:0]
-	return reg, true
+	return reg
 }
 
 // release returns a register to the pool. Its value is architecturally
@@ -61,7 +55,7 @@ func (f *regFile) release(reg int32) {
 }
 
 // markReady flips the scoreboard bit and returns the waiter list for the
-// caller to process (stale refs are filtered by stamp at wake time). The
+// caller to process (stale refs are filtered by age at wake time). The
 // backing array stays with the register for reuse — nilling it out here
 // made every waiter chain reallocate from scratch, ~25% of all bytes
 // allocated by a full experiment run. No waiter is added between this
@@ -82,12 +76,13 @@ func (f *regFile) addWaiter(reg int32, w waiterRef) {
 // isReady reports whether reg has produced its value.
 func (f *regFile) isReady(reg int32) bool { return f.ready[reg] }
 
-// reset restores the file to its post-construction state — all registers
-// free in the original pop order, scoreboard cleared, waiter chains
-// truncated (their backing arrays stay with the register for reuse).
+// reset puts the file in its initial state — all registers free, scoreboard
+// cleared, waiter chains truncated (their backing arrays stay with the
+// register for reuse). newRegFile ends with it.
 func (f *regFile) reset() {
 	f.free = f.free[:len(f.ready)]
 	for i := range f.free {
+		// Pop order is LIFO; seed so register 0 comes out first (cosmetic).
 		f.free[i] = int32(len(f.free) - 1 - i)
 	}
 	clear(f.ready)

@@ -23,7 +23,7 @@ type robEntry struct {
 
 	iqQueue int32  // queue holding the entry while waiting (-1 once issued)
 	iqIdx   int32  // index within that queue
-	iqStamp uint64 // allocation stamp for validation
+	iqAge   uint64 // the queue entry's age, which identifies its allocation
 
 	mispredicted bool  // branch resolved against its prediction
 	hadL1Miss    bool  // load missed L1D

@@ -14,37 +14,19 @@ func (m *Machine) reclaim(t int, lo uint64) {
 	r := m.rob[t]
 	ts.gen++
 
-	use := &m.usage[t]
 	rasRestore := int32(-1)
 	for ds := r.tailSeq; ds > lo; ds-- {
 		e := r.at(ds - 1)
 		m.st.Threads[t].Squashed++
 		if e.state == stateDispatched && e.iqQueue >= 0 {
 			q := m.iqs[e.iqQueue]
-			if ent := &q.entries[e.iqIdx]; ent.used && ent.stamp == e.iqStamp {
+			if ent := &q.entries[e.iqIdx]; ent.used && ent.age == e.iqAge {
 				q.freeEntry(e.iqIdx)
-				use[e.iqQueue]--
+				m.usage[t][e.iqQueue]--
 			}
 		}
-		if e.destPhys >= 0 {
-			ri := regIndex(e.destClass)
-			m.regs[ri].release(e.destPhys)
-			use[RIntRegs+Resource(ri)]--
-		}
-		if e.l1Counted {
-			m.pendingL1D[t]--
-		}
-		if e.l2Counted {
-			m.pendingL2[t]--
-		}
-		if !e.u.WrongPath {
-			pe := &m.prod[t][e.u.Index&m.prodMask]
-			if pe.idx == e.u.Index {
-				pe.idx = ^uint64(0)
-			}
-		}
-		m.robUsed--
-		use[RROB]--
+		m.release(t, e)
+		m.dropPending(t, e)
 		rasRestore = e.rasTop // last visited = oldest squashed
 	}
 

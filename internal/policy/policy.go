@@ -79,14 +79,17 @@ func (*RoundRobin) Name() string { return NameRR }
 // Tick implements cpu.Policy.
 func (*RoundRobin) Tick(*cpu.Machine) {}
 
-// Rank implements cpu.Policy: rotate priority with the cycle counter.
+// Rank implements cpu.Policy: rotate priority with the cycle counter. The
+// rotation left by k, ts[k:] then ts[:k], is done in place by three
+// reversals, so ranking allocates nothing.
 func (*RoundRobin) Rank(m *cpu.Machine, ts []int) {
 	if len(ts) < 2 {
 		return
 	}
 	k := int(m.Cycle()) % len(ts)
-	rotated := append(append([]int(nil), ts[k:]...), ts[:k]...)
-	copy(ts, rotated)
+	slices.Reverse(ts[:k])
+	slices.Reverse(ts[k:])
+	slices.Reverse(ts)
 }
 
 // Gate implements cpu.Policy.

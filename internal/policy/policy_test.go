@@ -47,17 +47,43 @@ func TestNamesStable(t *testing.T) {
 	}
 }
 
+// TestRoundRobinRotates checks that Rank rotates the candidate list left by
+// the cycle number modulo its length: at cycle c the thread at position
+// c mod n comes first, the rest following in order.
 func TestRoundRobinRotates(t *testing.T) {
 	rr := NewRoundRobin()
-	m := machineWith(t, rr, "gzip", "eon", "bzip2")
-	m.Run(1)
-	a := []int{0, 1, 2}
-	rr.Rank(m, a)
-	m.Run(1)
-	b := []int{0, 1, 2}
-	rr.Rank(m, b)
-	if a[0] == b[0] {
-		t.Fatalf("priority did not rotate: %v then %v", a, b)
+	m := machineWith(t, rr, "gzip", "eon", "bzip2", "mcf")
+	for range 8 {
+		for n := 1; n <= 4; n++ {
+			ts := []int{10, 11, 12, 13}[:n]
+			k := int(m.Cycle()) % n
+			want := append(slices.Clone(ts[k:]), ts[:k]...)
+			rr.Rank(m, ts)
+			if !slices.Equal(ts, want) {
+				t.Fatalf("cycle %d, %d threads: Rank gave %v, want %v", m.Cycle(), n, ts, want)
+			}
+		}
+		m.Run(1)
+	}
+}
+
+// TestRoundRobinRankAllocatesNothing checks that ranking allocates nothing
+// on 2- and 4-thread machines, at every rotation: fetch ranks the threads
+// every cycle.
+func TestRoundRobinRankAllocatesNothing(t *testing.T) {
+	rr := NewRoundRobin()
+	for _, names := range [][]string{{"gzip", "eon"}, {"gzip", "eon", "bzip2", "mcf"}} {
+		m := machineWith(t, rr, names...)
+		ts := make([]int, len(names))
+		for i := range ts {
+			ts[i] = i
+		}
+		for range names {
+			if allocs := testing.AllocsPerRun(100, func() { rr.Rank(m, ts) }); allocs != 0 {
+				t.Errorf("%d threads, cycle %d: %v allocations per Rank, want 0", len(names), m.Cycle(), allocs)
+			}
+			m.Run(1)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,5 +66,63 @@ func TestStringContainsPerThread(t *testing.T) {
 	out := s.String()
 	if !strings.Contains(out, "t0:") || !strings.Contains(out, "t1:") {
 		t.Fatalf("summary missing threads: %q", out)
+	}
+}
+
+// TestAccumulateCarriesEveryCounter sets every counter of a two-thread
+// Stats — each uint64 field of ThreadStats and Stats' own — to a distinct
+// value, accumulates it twice into a zero Stats and checks that every
+// counter doubled. A counter that ThreadStats.add or Accumulate leaves out,
+// or adds into the wrong field, fails it; so does a field of a kind the
+// test cannot count.
+func TestAccumulateCarriesEveryCounter(t *testing.T) {
+	o := New(2)
+	next := uint64(1)
+	var fill func(path string, v reflect.Value)
+	fill = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Uint64:
+			v.SetUint(next)
+			next++
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Array, reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				fill(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		default:
+			t.Fatalf("%s: field of kind %s is not a counter this test can check", path, v.Kind())
+		}
+	}
+	fill("Stats", reflect.ValueOf(o).Elem())
+
+	s := New(2)
+	s.Accumulate(o)
+	s.Accumulate(o)
+
+	counters := 0
+	var check func(path string, got, want reflect.Value)
+	check = func(path string, got, want reflect.Value) {
+		switch got.Kind() {
+		case reflect.Uint64:
+			counters++
+			if got.Uint() != 2*want.Uint() {
+				t.Errorf("%s = %d after accumulating %d twice, want %d", path, got.Uint(), want.Uint(), 2*want.Uint())
+			}
+		case reflect.Struct:
+			for i := 0; i < got.NumField(); i++ {
+				check(path+"."+got.Type().Field(i).Name, got.Field(i), want.Field(i))
+			}
+		case reflect.Array, reflect.Slice:
+			for i := 0; i < got.Len(); i++ {
+				check(fmt.Sprintf("%s[%d]", path, i), got.Index(i), want.Index(i))
+			}
+		}
+	}
+	check("Stats", reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem())
+	if want := int(next - 1); counters != want {
+		t.Fatalf("checked %d counters, filled %d", counters, want)
 	}
 }
