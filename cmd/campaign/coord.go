@@ -31,18 +31,6 @@ func coordinatorStatus(url string, stdout io.Writer) error {
 	if s.Quarantined > 0 {
 		fmt.Fprintf(stdout, "  %d corrupt cell files quarantined by the coordinator's store this run\n", s.Quarantined)
 	}
-	if h := s.Health; h != nil {
-		fmt.Fprintf(stdout, "  health: %.2f cells/s over %.1fs window (%d done, %d leases granted, %d expired, %d failed)\n",
-			h.CellsPerSec, float64(h.WindowMs)/1e3, h.CellsDone, h.LeasesGranted, h.LeasesExpired, h.LeasesFailed)
-		if h.SLO != nil {
-			state := "met"
-			if !h.SLO.Met {
-				state = "BREACHED"
-			}
-			fmt.Fprintf(stdout, "  cell SLO p%g <= %dus: %s (attained %.4f over %d cells, burn %.2fx)\n",
-				h.SLO.Quantile*100, h.SLO.Target, state, h.SLO.Attained, h.SLO.Observations, h.SLO.Burn)
-		}
-	}
 	if s.Draining {
 		fmt.Fprintln(stdout, "  coordinator is draining: no new leases")
 	}

@@ -26,15 +26,15 @@
 //
 //	campaign run -addr :8123 -exp fig5 -store DIR          # lease server, renders when complete
 //	campaign work -coordinator http://host:8123            # any number, anywhere
-//	campaign status -coordinator http://host:8123          # live progress, health and cell SLO
+//	campaign status -coordinator http://host:8123          # live progress
 //
 // Either way the coordinator leases one cell at a time, reclaims leases
 // whose heartbeats lapse, retries failed cells with backoff, checkpoints
 // its retry state for crash-safe resumption (<store>/coordinator-<sweep
-// hash>.json), and drains on Ctrl-C or -deadline. It ticks a health ring every 2s, judged against
-// the -cell-slo-* objective, and an aborted campaign leaves its flight
-// record in <store>/flightrec.json. See EXPERIMENTS.md ("Distributed
-// campaigns", "Watching a fleet").
+// hash>.json), and drains on Ctrl-C or -deadline. It logs every
+// control-plane event (lease, expiry, retry, exhaustion, speculation,
+// rejected payload, drain) to stderr, one line each. See EXPERIMENTS.md
+// ("Distributed campaigns").
 package main
 
 import (
@@ -92,7 +92,6 @@ func usage() {
           [-csv DIR] [-require-store] [-trace FILE]
           [-addr HOST:PORT] [-ttl D -backoff D -deadline D -grace D]
           [-checkpoint FILE]
-          [-cell-slo-p Q -cell-slo-ms N -cell-slo-window N]
   status  -exp KEY -store DIR [-sampled] | -coordinator URL
   gc      -store DIR [-dry-run]
   work    -coordinator URL [-id NAME] [-fault SPEC] [-retry-window D]`)

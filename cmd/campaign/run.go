@@ -47,10 +47,6 @@ type runOptions struct {
 	grace    time.Duration
 }
 
-// healthEvery is the coordinator's health-ring tick: the windowed rates in
-// /v1/status and the cell SLO's window are counted in these intervals.
-const healthEvery = 2 * time.Second
-
 // parseRunFlags resolves `campaign run`'s flags. Flag errors are reported
 // on stderr by the flag package and return errUsage.
 func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
@@ -72,9 +68,6 @@ func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
 	fs.DurationVar(&o.deadline, "deadline", 0, "campaign deadline; on expiry drain leases and report what is missing (0 = none)")
 	fs.DurationVar(&o.grace, "grace", 30*time.Second, "drain grace: how long to wait for in-flight leases, and for live remote workers to hear the campaign is over")
 	fs.StringVar(&o.coord.Checkpoint, "checkpoint", "", "coordinator checkpoint file (default <store>/coordinator-<sweep hash>.json)")
-	fs.Float64Var(&o.coord.CellSLO.Quantile, "cell-slo-p", 0.99, "cell-latency SLO quantile")
-	fs.Int64Var(&o.coord.CellSLO.TargetMs, "cell-slo-ms", 0, "cell-latency SLO target in ms; 0 disables the objective")
-	fs.IntVar(&o.coord.CellSLO.Window, "cell-slo-window", 30, "cell-latency SLO sliding window, in health intervals")
 	if err := parseFlags(fs, args); err != nil {
 		return o, err
 	}
@@ -142,18 +135,6 @@ func runCampaign(o runOptions, stdout, stderr io.Writer) error {
 	}
 	s.Instrument(reg, tracer)
 
-	// The flight recorder is always on: recording is a mutex and a slot
-	// write, and the ring only reaches disk when the campaign aborts.
-	flight := obs.NewFlightRecorder(512)
-	dumpFlight := func(reason string) {
-		path := filepath.Join(o.store, "flightrec.json")
-		if err := flight.WriteFile(path, reason); err != nil {
-			fmt.Fprintln(stderr, "campaign: writing flight record:", err)
-			return
-		}
-		fmt.Fprintf(stderr, "campaign: wrote flight record %s (%d events, reason: %s)\n", path, flight.Len(), reason)
-	}
-
 	logger := log.New(stderr, "campaign: ", log.LstdFlags)
 	opts := o.coord
 	if opts.Checkpoint == "" {
@@ -166,7 +147,7 @@ func runCampaign(o runOptions, stdout, stderr io.Writer) error {
 		// they leave within a poll of the campaign's end.
 		opts.PollInterval = 10 * time.Millisecond
 	}
-	opts.Logf, opts.Obs, opts.Tracer, opts.Flight = logger.Printf, reg, tracer, flight
+	opts.Logf, opts.Obs, opts.Tracer = logger.Printf, reg, tracer
 	co, err := coord.New(spec.Key, sweep, st, opts)
 	if err != nil {
 		return err
@@ -219,9 +200,6 @@ func runCampaign(o runOptions, stdout, stderr io.Writer) error {
 	}
 	tick := time.NewTicker(200 * time.Millisecond)
 	defer tick.Stop()
-	co.HealthTick() // the zero baseline; windowed rates measure from here
-	healthTick := time.NewTicker(healthEvery)
-	defer healthTick.Stop()
 	aborted := ""
 wait:
 	for {
@@ -236,14 +214,11 @@ wait:
 				return err
 			}
 			break wait
-		case <-healthTick.C:
-			co.HealthTick()
 		case <-timeout:
 			aborted = "campaign deadline reached"
 		case s := <-sig:
 			aborted = s.String() + " received"
 		case err := <-serveErr:
-			dumpFlight("coordinator HTTP server died: " + err.Error())
 			return fmt.Errorf("coordinator HTTP server: %w", err)
 		}
 		if aborted != "" {
@@ -253,7 +228,6 @@ wait:
 			break wait
 		}
 	}
-	co.HealthTick() // close the final interval before reporting
 	if aborted == "" && o.addr != "" {
 		// Let live remote workers hear StateDone before the listener goes
 		// away; a worker parked between polls would otherwise find the port
@@ -270,18 +244,8 @@ wait:
 		for _, c := range missing {
 			fmt.Fprintf(stderr, "campaign: missing %s (out of retry budget or deadline)\n", c)
 		}
-		reason := fmt.Sprintf("%d of %d cells missing", len(missing), status.Total)
-		if aborted != "" {
-			reason += " after " + aborted
-		}
-		dumpFlight(reason)
 		return fmt.Errorf("%d of %d cells missing; store %s holds the completed subset (re-run to resume)",
 			len(missing), status.Total, o.store)
-	}
-	if aborted != "" {
-		// Aborted but nothing lost: the flight record still documents how
-		// the campaign wound down.
-		dumpFlight(aborted + " (all cells complete)")
 	}
 
 	tables, err := spec.Render(s)

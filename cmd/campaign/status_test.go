@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,6 +16,7 @@ import (
 	"dcra/internal/campaign"
 	"dcra/internal/coord"
 	"dcra/internal/experiments"
+	"dcra/internal/obs"
 )
 
 // TestStatusGolden pins `campaign status`'s report byte for byte, with the
@@ -36,9 +39,8 @@ func TestStatusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An uninstrumented coordinator leasing fig4 over the tab5 store. It
-	// never ticks a health ring and no worker takes a lease, so its report
-	// holds nothing time-dependent.
+	// An uninstrumented coordinator leasing fig4 over the tab5 store. No
+	// worker takes a lease, so its report holds nothing time-dependent.
 	st, err := campaign.OpenExisting(store)
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +51,35 @@ func TestStatusGolden(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord.NewHTTPHandler(co))
 	defer srv.Close()
+
+	// The same coordinator built as the benchmark's campaign rig builds it:
+	// instrumented, with the deprecated Flight and CellSLO options set, and
+	// ticked. Those options and HealthTick are inert, so its report is the
+	// plain coordinator's and its /v1/status has no health key.
+	rig, err := coord.New("fig4", experiments.Figure4Sweep(), st, coord.Options{
+		Obs:     obs.NewRegistry(),
+		Flight:  obs.NewFlightRecorder(512),
+		CellSLO: coord.CellSLO{Quantile: 0.99, Window: 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.HealthTick()
+	rigSrv := httptest.NewServer(coord.NewHTTPHandler(rig))
+	defer rigSrv.Close()
+	resp, err := http.Get(rigSrv.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := doc["health"]; ok {
+		t.Errorf("/v1/status of a ticked coordinator has a health key: %s", h)
+	}
 
 	for _, tc := range []struct {
 		name, golden string
@@ -61,6 +92,7 @@ func TestStatusGolden(t *testing.T) {
 		{"corrupt", "status_corrupt.golden.txt", corrupt, []string{"-exp", "tab5", "-store", corrupt}, errIncomplete},
 		{"sampled-over-exact", "status_tab5_sampled.golden.txt", store, []string{"-exp", "tab5", "-store", store, "-sampled"}, nil},
 		{"coordinator", "status_coordinator.golden.txt", store, []string{"-coordinator", srv.URL}, errIncomplete},
+		{"coordinator-rig-options", "status_coordinator.golden.txt", store, []string{"-coordinator", rigSrv.URL}, errIncomplete},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout bytes.Buffer

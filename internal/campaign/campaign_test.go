@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -285,4 +288,64 @@ func TestStoreGC(t *testing.T) {
 	if len(keys) != 1 || keys[0] != live.Key() {
 		t.Fatalf("Keys = %v, want [%s]", keys, live.Key())
 	}
+}
+
+// FuzzStoreGet writes arbitrary bytes as one cell's file and reads the cell
+// back. Get must not panic. A hit must be a result renders can read, from a
+// file that holds the cell asked for; a miss without an error must have
+// moved the file aside, so the next run recomputes the cell.
+//
+// The seeds are a real cell file (testdata/bench_gzip_BASE.json, Table 3's
+// gzip cell at -warmup 5000 -measure 20000), the same file with "IPCs": [],
+// which a render once indexed out of range, that file truncated, and another
+// real cell's file (testdata/MIX2.g1_DCRA.json).
+func FuzzStoreGet(f *testing.F) {
+	gzip, err := os.ReadFile(filepath.Join("testdata", "bench_gzip_BASE.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := os.ReadFile(filepath.Join("testdata", "MIX2.g1_DCRA.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sc CellResult
+	if err := json.Unmarshal(gzip, &sc); err != nil {
+		f.Fatal(err)
+	}
+	c := sc.Cell
+	sc.Result.IPCs = []float64{}
+	f.Add(gzip)
+	f.Add(mustJSON(sc))
+	f.Add(gzip[:len(gzip)/2])
+	f.Add(other)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := Open(t.TempDir(), Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := st.cellPath(c.Key())
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, ok, err := st.Get(c)
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if !ok {
+			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("Get missed, but the cell file is still in place (stat: %v)", err)
+			}
+			return
+		}
+		n := r.Workload.Threads
+		if r.Stats == nil || n <= 0 || len(r.Stats.Threads) != n || (r.Sched == nil && len(r.IPCs) != n) {
+			t.Fatalf("Get served a result renders cannot read: %d workload threads, statistics %v, %d IPCs",
+				n, r.Stats != nil, len(r.IPCs))
+		}
+		var held CellResult
+		if err := json.Unmarshal(data, &held); err != nil || held.Cell != c {
+			t.Fatalf("Get served a file that does not hold %s (decode error %v)", c, err)
+		}
+	})
 }

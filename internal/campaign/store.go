@@ -147,10 +147,10 @@ func (st *Store) Get(c Cell) (sim.Result, bool, error) {
 }
 
 // get reads c's own cell file. A corrupt cell file — truncated or garbled
-// JSON (a crashed disk, a torn copy), or a file holding a different cell
-// (key collision, hand-edit) — is quarantined to <key>.corrupt and reported
-// as a miss, so one bad file costs one resimulation instead of failing the
-// whole render.
+// JSON (a crashed disk, a torn copy), a file holding a different cell (key
+// collision, hand-edit), or a result renders cannot read (CheckResult) — is
+// quarantined to <key>.corrupt and reported as a miss, so one bad file
+// costs one resimulation instead of failing the whole render.
 func (st *Store) get(c Cell) (sim.Result, bool, error) {
 	key := c.Key()
 	data, err := os.ReadFile(st.cellPath(key))
@@ -168,8 +168,28 @@ func (st *Store) get(c Cell) (sim.Result, bool, error) {
 	if sc.Cell != c {
 		return sim.Result{}, false, st.quarantine(key, fmt.Sprintf("cell file %s holds %s, wanted %s", key, sc.Cell, c))
 	}
+	if err := CheckResult(sc.Result); err != nil {
+		return sim.Result{}, false, st.quarantine(key, fmt.Sprintf("cell %s: %v", c, err))
+	}
 	st.o.getHits.Inc()
 	return sc.Result, true, nil
+}
+
+// CheckResult reports why r is not a result renders can read, or nil. A
+// result must carry statistics, and its workload's thread count, its
+// per-thread statistics and its per-thread IPCs must be nonzero and agree.
+// A sched: trial (Sched set) reports no per-thread IPCs, so for it only the
+// first two count.
+func CheckResult(r sim.Result) error {
+	if r.Stats == nil {
+		return errors.New("result has no statistics")
+	}
+	n := r.Workload.Threads
+	if n <= 0 || len(r.Stats.Threads) != n || (r.Sched == nil && len(r.IPCs) != n) {
+		return fmt.Errorf("result has %d workload threads, %d thread statistics and %d IPCs",
+			n, len(r.Stats.Threads), len(r.IPCs))
+	}
+	return nil
 }
 
 // quarantine moves a corrupt cell file aside (its .corrupt twin no longer

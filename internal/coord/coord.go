@@ -64,12 +64,16 @@ type Options struct {
 	// Tracer, when set, records lease lifecycles and worker-reported
 	// cell execution as Chrome trace-event spans, one lane per worker.
 	Tracer *obs.Tracer
-	// Flight, when set, receives control-plane events (lease grants,
-	// expiries, retries, exhaustions, rejected payloads, drains, SLO
-	// breaches) into a bounded ring; abort paths dump it for postmortems.
+	// Flight is ignored.
+	//
+	// Deprecated: it remains only because the benchmark's campaign rig
+	// (perfbench/campaign.go) still sets it; ROADMAP item 8 deletes it with
+	// that line.
 	Flight *obs.FlightRecorder
-	// CellSLO, when declared (and Obs is set), is the wall-clock
-	// cell-latency objective HealthTick evaluates over the health ring.
+	// CellSLO is ignored.
+	//
+	// Deprecated: it remains only because the benchmark's campaign rig
+	// still sets it; ROADMAP item 8 deletes it with that line.
 	CellSLO CellSLO
 }
 
@@ -147,9 +151,8 @@ type Coordinator struct {
 	retries  int
 	workers  map[string]contact
 
-	o      coordObs
-	lanes  map[string]int // trace lane per worker, in first-contact order
-	health *obs.Ring      // wall-clock ring of Obs snapshots; nil uninstrumented
+	o     coordObs
+	lanes map[string]int // trace lane per worker, in first-contact order
 }
 
 // Trace pid lane groups of a coordinator trace: lease lifecycles and
@@ -164,7 +167,7 @@ const (
 type coordObs struct {
 	leasesGranted, leasesExpired, leasesFailed, speculated *obs.Counter
 	heartbeats, verifyFailures                             *obs.Counter
-	cellsDone, cellsDuplicate, sloBreaches                 *obs.Counter
+	cellsDone, cellsDuplicate                              *obs.Counter
 	cellUS                                                 *obs.Histogram
 }
 
@@ -221,11 +224,7 @@ func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*
 		verifyFailures: opts.Obs.Counter("coord.verify.failures"),
 		cellsDone:      opts.Obs.Counter("coord.cells.done"),
 		cellsDuplicate: opts.Obs.Counter("coord.cells.duplicate"),
-		sloBreaches:    opts.Obs.Counter("coord.slo.breaches"),
 		cellUS:         opts.Obs.Histogram("coord.cell.us", obs.DurationBounds),
-	}
-	if opts.Obs != nil {
-		c.health = obs.NewRing(coordHealthRingCap)
 	}
 	opts.Tracer.Process(TracePIDLeases, "coordinator leases")
 	opts.Tracer.Process(TracePIDCells, "worker cells")
@@ -264,7 +263,6 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		delete(c.leases, id)
 		c.o.leasesExpired.Inc()
 		c.traceLeaseLocked(l, now, "expired")
-		c.flightf("lease-expired", "lease %s (%s) missed its heartbeat deadline", l.id, l.worker)
 		c.failLeaseLocked(l, now, "lease expired")
 	}
 }
@@ -286,13 +284,11 @@ func (c *Coordinator) failLeaseLocked(l *lease, now time.Time, why string) {
 		c.exhaust++
 		c.logf("lease %s (%s): %s; cell %s exhausted its retry budget (%d attempts)",
 			l.id, l.worker, why, cs.cell, cs.attempts)
-		c.flightf("cell-exhausted", "cell %s gave up after %d attempts", cs.cell, cs.attempts)
 		return
 	}
 	backoff := c.backoffLocked(cs.attempts)
 	cs.notBefore = now.Add(backoff)
 	c.logf("lease %s (%s, cell %s): %s; cell backs off %v", l.id, l.worker, cs.cell, why, backoff)
-	c.flightf("retry", "lease %s (%s, cell %s): %s; backoff %v", l.id, l.worker, cs.cell, why, backoff)
 }
 
 // closeHeldLocked closes every lease worker still holds. A worker serves
@@ -317,7 +313,6 @@ func (c *Coordinator) closeHeldLocked(worker string, now time.Time) {
 		}
 		c.o.leasesExpired.Inc()
 		c.traceLeaseLocked(l, now, "abandoned")
-		c.flightf("lease-abandoned", "lease %s (%s) abandoned by its worker", l.id, l.worker)
 		c.failLeaseLocked(l, now, "abandoned by its worker")
 	}
 }
@@ -391,8 +386,6 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) LeaseResponse
 		c.logf("straggler: cell %s leased to %s for %v, re-dispatching to %s",
 			cell, straggler.worker, now.Sub(straggler.issued), req.Worker)
 		c.o.speculated.Inc()
-		c.flightf("speculate", "cell %s straggling on %s for %v, re-dispatched to %s",
-			cell, straggler.worker, now.Sub(straggler.issued), req.Worker)
 		return c.grantLocked(req.Worker, straggler.cell, now)
 	}
 
@@ -413,7 +406,6 @@ func (c *Coordinator) grantLocked(worker string, i int, now time.Time) LeaseResp
 	c.o.leasesGranted.Inc()
 	cs := &c.cells[i]
 	c.logf("lease %s: cell %s -> %s (attempt %d)", l.id, cs.cell, worker, cs.attempts)
-	c.flightf("lease", "lease %s: cell %s -> %s (attempt %d)", l.id, cs.cell, worker, cs.attempts)
 	return LeaseResponse{State: StateLease, Grant: &Grant{
 		LeaseID: l.id,
 		Params:  c.store.Params(),
@@ -441,12 +433,14 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 }
 
 // Complete verifies and stores a completion payload. Integrity is checked
-// twice: the payload digest must match (in-flight corruption) and every
+// three times: the payload digest must match (in-flight corruption), every
 // cell's recorded key must match its recomputed content key and belong to
-// this campaign (wrong-campaign or hand-edited payloads). An accepted
-// completion ends its lease. Valid completions are accepted even from
-// expired or unknown leases — the work is done and the store write is
-// idempotent, so late and duplicate arrivals are kept, never wasted.
+// this campaign (wrong-campaign or hand-edited payloads), and every result
+// must be one renders can read (campaign.CheckResult). A refused payload
+// writes nothing. An accepted completion ends its lease. Valid completions
+// are accepted even from expired or unknown leases — the work is done and
+// the store write is idempotent, so late and duplicate arrivals are kept,
+// never wasted.
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -458,8 +452,6 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		c.logf("rejecting completion from %s (lease %s): payload digest %s, sealed %s",
 			req.Worker, req.LeaseID, got, req.Sum)
 		c.o.verifyFailures.Inc()
-		c.flightf("reject", "completion from %s (lease %s): payload digest %s, sealed %s",
-			req.Worker, req.LeaseID, got, req.Sum)
 		return CompleteResponse{Reason: "payload digest mismatch"}
 	}
 	for _, cr := range req.Cells {
@@ -470,6 +462,10 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		if _, ok := c.cellByKy[cr.Key]; !ok {
 			c.o.verifyFailures.Inc()
 			return CompleteResponse{Reason: fmt.Sprintf("cell %s is not part of campaign %s", cr.Cell, c.name)}
+		}
+		if err := campaign.CheckResult(cr.Result); err != nil {
+			c.o.verifyFailures.Inc()
+			return CompleteResponse{Reason: fmt.Sprintf("cell %s: %v", cr.Cell, err)}
 		}
 	}
 	for ci, cr := range req.Cells {
@@ -531,7 +527,6 @@ func (c *Coordinator) Fail(req FailRequest) FailResponse {
 		delete(c.leases, req.LeaseID)
 		c.o.leasesFailed.Inc()
 		c.traceLeaseLocked(l, now, "failed")
-		c.flightf("lease-failed", "lease %s surrendered by %s: %s", l.id, l.worker, req.Reason)
 		c.failLeaseLocked(l, now, "worker failed: "+req.Reason)
 	}
 	return FailResponse{OK: true}
@@ -554,7 +549,6 @@ func (c *Coordinator) Status() StatusResponse {
 		Retries:     c.retries,
 		Draining:    c.draining,
 		Quarantined: c.store.Quarantined(),
-		Health:      c.healthLocked(),
 	}
 	leased := make(map[int]bool)
 	for _, l := range c.leases {
@@ -597,7 +591,6 @@ func (c *Coordinator) Drain() {
 	if !c.draining {
 		c.draining = true
 		c.logf("draining: no further leases; %d/%d cells complete", c.done, len(c.cells))
-		c.flightf("drain", "draining: no further leases; %d/%d cells complete", c.done, len(c.cells))
 	}
 }
 

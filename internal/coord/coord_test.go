@@ -15,6 +15,8 @@ import (
 	"dcra/internal/coord"
 	"dcra/internal/sample"
 	"dcra/internal/sim"
+	"dcra/internal/stats"
+	"dcra/internal/workload"
 )
 
 // chaosSweep builds n synthetic cells; evaluation is a pure function of the
@@ -30,14 +32,18 @@ func chaosSweep(n int) campaign.Sweep {
 }
 
 // chaosResult derives a result deterministically from the cell identity,
-// with awkward floats so byte comparisons have teeth.
+// with awkward floats so byte comparisons have teeth. It is shaped as
+// renders read a result (campaign.CheckResult), so the coordinator accepts
+// it.
 func chaosResult(c campaign.Cell) sim.Result {
 	var f float64
 	for i, b := range []byte(c.Key()) {
 		f += float64(b) * float64(i+1)
 	}
 	return sim.Result{
+		Workload:   workload.Workload{Threads: 2},
 		Policy:     c.Pol,
+		Stats:      stats.New(2),
 		IPCs:       []float64{f / 3.0, f / 7.0},
 		Throughput: f/3.0 + f/7.0,
 		Hmean:      2 / (3.0/f + 7.0/f),
@@ -475,6 +481,66 @@ func TestCompleteRejectsCorruptPayloads(t *testing.T) {
 	}); !r.OK {
 		t.Fatalf("clean payload rejected: %s", r.Reason)
 	}
+}
+
+// TestCompleteRefusesUnrenderableResult: a result renders cannot read (here
+// one with no IPCs, as a hand-edited cell file might hold) is refused under
+// a correct digest and writes nothing. A worker whose completion is refused
+// fails its lease, and the cell is retried.
+func TestCompleteRefusesUnrenderableResult(t *testing.T) {
+	sweep := chaosSweep(1)
+	dir := t.TempDir()
+	st, err := campaign.Open(dir, chaosParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := coord.New("chaos", sweep, st, fastOpts(t, dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := co.Lease(coord.LeaseRequest{Worker: "w"}).Grant
+	bad := campaign.CellResult{Key: g.Cell.Key(), Cell: g.Cell, Result: chaosResult(g.Cell)}
+	bad.Result.IPCs = []float64{}
+	cells := []campaign.CellResult{bad}
+	r := co.Complete(coord.CompleteRequest{Worker: "w", LeaseID: g.LeaseID, Cells: cells, Sum: coord.PayloadSum(cells)})
+	if r.OK || r.Reason == "" {
+		t.Fatalf("unrenderable result: response %+v, want a refusal with a reason", r)
+	}
+	if got := readCells(t, dir); len(got) != 0 {
+		t.Fatalf("a refused completion wrote %d cell files", len(got))
+	}
+	if s := co.Status(); s.Done != 0 {
+		t.Fatalf("a refused completion counted as done: %+v", s)
+	}
+
+	dir = t.TempDir()
+	if st, err = campaign.Open(dir, chaosParams); err != nil {
+		t.Fatal(err)
+	}
+	if co, err = coord.New("chaos", sweep, st, fastOpts(t, dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	w := &coord.Worker{ID: "w", Transport: coord.NewLoopback(co), NewRunner: runnerFactory(&badOnceRunner{})}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Status(); !s.Complete() || s.Done != 1 || s.Retries != 1 {
+		t.Fatalf("after one refused completion: %+v, want the cell done after 1 retry", s)
+	}
+	assertStoresIdentical(t, referenceCells(t, sweep), readCells(t, dir))
+}
+
+// badOnceRunner returns a result with no IPCs for its first cell, then
+// chaosResult.
+type badOnceRunner struct{ calls int }
+
+func (r *badOnceRunner) RunCell(c campaign.Cell) (sim.Result, error) {
+	r.calls++
+	res := chaosResult(c)
+	if r.calls == 1 {
+		res.IPCs = nil
+	}
+	return res, nil
 }
 
 // TestExactBackedSampledCellsStartDone: renders prefer exact, so a sampled

@@ -142,10 +142,6 @@ type StatusResponse struct {
 	// MissingKeys lists cells that are out of retry budget (capped at 20;
 	// Exhausted is the full count).
 	MissingKeys []string `json:"missing_keys,omitempty"`
-
-	// Health carries windowed control-plane rates and the cell-latency SLO
-	// verdict, present once the coordinator's health ring has ticked.
-	Health *HealthInfo `json:"health,omitempty"`
 }
 
 // Complete reports whether the campaign has nothing left to schedule.

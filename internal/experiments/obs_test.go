@@ -29,29 +29,27 @@ func TestFigure5BitIdenticalWithTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
 	instrumented.Instrument(reg, tracer)
-	// The fleet-health layer samples live registries into time-series rings
-	// while work runs; do the same here so the bit-identity contract covers
-	// concurrent ring sampling, not just passive instrument attachment.
-	ring := obs.NewRing(64)
+	// A live /metrics endpoint snapshots the registry while work runs; do
+	// the same here so the bit-identity contract covers concurrent
+	// snapshots, not just passive instrument attachment.
 	stopSampling := make(chan struct{})
 	samplerDone := make(chan struct{})
+	snapshots := 0
 	go func() {
 		defer close(samplerDone)
-		at := int64(0)
 		for {
 			select {
 			case <-stopSampling:
 				return
 			default:
-				at++
-				ring.Record(at, reg.Snapshot())
+				reg.Snapshot()
+				snapshots++
 			}
 		}
 	}()
 	got, err := Figure5(instrumented)
 	close(stopSampling)
 	<-samplerDone
-	ring.Record(1<<30, reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,22 +85,7 @@ func TestFigure5BitIdenticalWithTelemetry(t *testing.T) {
 	if tracer.Len() == 0 {
 		t.Error("tracer recorded no spans for an instrumented Figure 5 run")
 	}
-
-	// The ring sampled the run while it was live: its newest cumulative
-	// snapshot agrees with the final registry state, and a windowed delta
-	// never exceeds the total (the hot sampler overflows the ring, so the
-	// window spans oldest-held to newest, not all of history).
-	if ring.Len() < 2 {
-		t.Fatalf("sampler recorded %d ring intervals, want >= 2", ring.Len())
-	}
-	iv := ring.Intervals()
-	if newest := iv[len(iv)-1].Snap.Counters["engine.cells.done"]; newest != done {
-		t.Errorf("ring's newest sample saw %d cells done, registry says %d", newest, done)
-	}
-	if win, fromAt, toAt, ok := ring.Window(0); !ok {
-		t.Error("ring window unavailable after sampling")
-	} else if d := win.Counters["engine.cells.done"]; d < 0 || d > done || fromAt >= toAt {
-		t.Errorf("ring window delta %d over [%d,%d] inconsistent with %d total cells",
-			d, fromAt, toAt, done)
+	if snapshots == 0 {
+		t.Error("the sampler took no registry snapshot while Figure 5 ran")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"dcra/internal/policy"
 	"dcra/internal/sample"
 	"dcra/internal/sim"
+	"dcra/internal/stats"
 	"dcra/internal/workload"
 )
 
@@ -249,7 +250,12 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactResult := sim.Result{Workload: w, Policy: policy.NameDCRA, Throughput: 2.5}
+	// Fabricated, but shaped as renders read a result, so Get serves it.
+	fabricate := func(throughput float64) sim.Result {
+		return sim.Result{Workload: w, Policy: policy.NameDCRA, Stats: stats.New(w.Threads),
+			IPCs: make([]float64, w.Threads), Throughput: throughput}
+	}
+	exactResult := fabricate(2.5)
 	if err := st.Put(exact, exactResult); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +263,7 @@ func TestAdaptiveStoreSeparation(t *testing.T) {
 		if st.Has(c) {
 			t.Errorf("%s: present in store before being written", c)
 		}
-		if err := st.Put(c, sim.Result{Workload: w, Policy: policy.NameDCRA, Throughput: 9.9}); err != nil {
+		if err := st.Put(c, fabricate(9.9)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,144 +1,15 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
-	"time"
-)
-
-// FlightEvent is one entry in a flight recorder: a structured control-plane
-// event (lease transition, quarantine, retry, SLO breach) with a sequence
-// number and wall-clock stamp.
-type FlightEvent struct {
-	Seq  int64  `json:"seq"`
-	At   string `json:"at"` // RFC3339Nano
-	Kind string `json:"kind"`
-	Msg  string `json:"msg"`
-}
-
-// FlightRecorder keeps a bounded ring of recent structured events, cheap
-// enough to leave always on: recording is one mutex acquisition and a slot
-// overwrite, with no I/O until a dump is requested. Its purpose is the
-// postmortem nobody planned for — when a coordinator aborts or a worker
-// dies, the last few hundred control-plane events are written out as JSON.
+// FlightRecorder records nothing: the coordinator's event log
+// (coord.Options.Logf) is its only record of control-plane events.
 //
-// A nil *FlightRecorder is a valid, disabled recorder: every method is a
-// no-op or returns a zero value.
-type FlightRecorder struct {
-	mu    sync.Mutex
-	clock func() time.Time
-	slots []FlightEvent
-	head  int
-	n     int
-	seq   int64
-}
+// Deprecated: it remains only because the benchmark's campaign rig
+// (perfbench/campaign.go) still builds one; ROADMAP item 8 deletes it with
+// that line.
+type FlightRecorder struct{}
 
-// NewFlightRecorder returns a recorder keeping the most recent capacity
-// events (minimum 1).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlightRecorder{slots: make([]FlightEvent, capacity), clock: time.Now}
-}
-
-// SetClock replaces the recorder's wall clock; tests pin timestamps with it.
-func (f *FlightRecorder) SetClock(now func() time.Time) {
-	if f == nil || now == nil {
-		return
-	}
-	f.mu.Lock()
-	f.clock = now
-	f.mu.Unlock()
-}
-
-// Record appends one event. No-op on a nil recorder.
-func (f *FlightRecorder) Record(kind, format string, args ...any) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.seq++
-	e := FlightEvent{
-		Seq:  f.seq,
-		At:   f.clock().UTC().Format(time.RFC3339Nano),
-		Kind: kind,
-		Msg:  fmt.Sprintf(format, args...),
-	}
-	if f.n == len(f.slots) {
-		// full: overwrite the oldest
-	} else {
-		f.n++
-	}
-	f.slots[f.head] = e
-	f.head = (f.head + 1) % len(f.slots)
-	f.mu.Unlock()
-}
-
-// Len returns the number of events currently held; 0 on a nil recorder.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
-
-// Events returns a copy of the held events, oldest first. Nil on a nil or
-// empty recorder.
-func (f *FlightRecorder) Events() []FlightEvent {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.n == 0 {
-		return nil
-	}
-	out := make([]FlightEvent, f.n)
-	start := (f.head - f.n + len(f.slots)) % len(f.slots)
-	for i := 0; i < f.n; i++ {
-		out[i] = f.slots[(start+i)%len(f.slots)]
-	}
-	return out
-}
-
-// FlightDump is the on-disk schema of a flight-recorder dump.
-type FlightDump struct {
-	WrittenAt string        `json:"written_at"`
-	Reason    string        `json:"reason"`
-	Recorded  int64         `json:"recorded"` // events ever recorded
-	Dropped   int64         `json:"dropped"`  // recorded minus retained
-	Events    []FlightEvent `json:"events"`
-}
-
-// Dump assembles the current dump document.
-func (f *FlightRecorder) Dump(reason string) FlightDump {
-	d := FlightDump{Reason: reason, Events: f.Events()}
-	if f == nil {
-		d.WrittenAt = time.Now().UTC().Format(time.RFC3339Nano)
-		return d
-	}
-	f.mu.Lock()
-	d.WrittenAt = f.clock().UTC().Format(time.RFC3339Nano)
-	d.Recorded = f.seq
-	d.Dropped = f.seq - int64(f.n)
-	f.mu.Unlock()
-	return d
-}
-
-// WriteFile dumps the recorder to path as indented JSON. Works on a nil
-// recorder too (an empty dump), so abort paths need no nil guard.
-func (f *FlightRecorder) WriteFile(path, reason string) error {
-	data, err := json.MarshalIndent(f.Dump(reason), "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: encoding flight record: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("obs: writing flight record: %w", err)
-	}
-	return nil
-}
+// NewFlightRecorder returns an inert recorder; capacity is ignored.
+//
+// Deprecated: it remains only because the benchmark's campaign rig still
+// calls it; ROADMAP item 8 deletes it with that line.
+func NewFlightRecorder(capacity int) *FlightRecorder { return &FlightRecorder{} }

@@ -10,8 +10,7 @@
 // and nothing else (no allocation, no atomics, no branches taken).
 //
 // Telemetry must never perturb results: instruments only ever *read*
-// simulation state, all histogram values are integers so that window
-// deltas are exact, and nothing here touches the simulation's RNG or
+// simulation state, and nothing here touches the simulation's RNG or
 // event ordering.
 package obs
 
@@ -45,8 +44,7 @@ func (c *Counter) Value() int64 {
 
 // Histogram is a fixed-bucket histogram over int64 observations.
 // Bucket i counts observations v with v <= bounds[i] (and greater than
-// bounds[i-1]); the final bucket is unbounded. All state is integer, so
-// snapshots subtract exactly (Delta), unlike float sums.
+// bounds[i-1]); the final bucket is unbounded.
 type Histogram struct {
 	bounds []int64
 	counts []atomic.Int64 // len(bounds)+1; last is the overflow bucket
