@@ -114,7 +114,7 @@ func runCampaign(o runOptions, stdout, stderr io.Writer) error {
 	}
 	// The render reads every cell from the store: a hole there is an
 	// error, never a quiet resimulation.
-	s.Store, s.RequireStore = st, true
+	s.Store = st
 	sweep := experiments.ApplyModeSampling(spec.Sweep(), s.Mode, s.Sampling)
 
 	// The coordinator always carries a metrics registry (served at /metrics

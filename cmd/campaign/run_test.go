@@ -81,6 +81,25 @@ func assertSameFile(t *testing.T, want, got string) {
 	}
 }
 
+// truncatedCopy copies the store at src and truncates the file of tab5's
+// first cell to half its size, as a torn copy or a crashed disk leaves it.
+func truncatedCopy(t *testing.T, src string) string {
+	t.Helper()
+	dst := filepath.Join(t.TempDir(), "store")
+	if err := os.CopyFS(dst, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dst, "cells", experiments.Table5Sweep().Cells[0].Key()+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 // TestRunMatchesInProcessRender: a local run's CSVs are byte-identical to
 // an in-process render of the same protocol, its store holds the whole
 // sweep, and a second run with -require-store leases nothing and renders
@@ -150,6 +169,32 @@ func TestRunRequireStoreEmpty(t *testing.T) {
 	if stdout, _ := mustRun(t, "-exp", "tab1", "-store", store, "-require-store"); !strings.Contains(stdout, "tab1: 0 cells rendered") {
 		t.Errorf("tab1 run:\n%s", stdout)
 	}
+}
+
+// TestRunRecomputesTruncatedCell: a cell file truncated to half its size
+// counts as missing. -require-store refuses before any lease, naming the
+// cell, and a plain run recomputes exactly that cell and writes the first
+// run's CSV.
+func TestRunRecomputesTruncatedCell(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "store")
+	mustRun(t, "-exp", "tab5", "-store", store)
+	cell := experiments.Table5Sweep().Cells[0]
+
+	strict := truncatedCopy(t, store)
+	_, stderr, err := runCmd(t, "-exp", "tab5", "-store", strict, "-require-store")
+	if err == nil || !strings.Contains(err.Error(), "lacks 1 of 12 cells") {
+		t.Errorf("err = %v, want a -require-store failure for 1 cell", err)
+	}
+	if !strings.Contains(stderr, "missing "+cell.String()) || strings.Contains(stderr, "lease ") {
+		t.Errorf("-require-store run should name %s and lease nothing:\n%s", cell, stderr)
+	}
+
+	healed := truncatedCopy(t, store)
+	stdout, _ := mustRun(t, "-exp", "tab5", "-store", healed)
+	if !strings.Contains(stdout, "(1 computed, 11 already stored, 0 retries)") {
+		t.Errorf("run over a truncated cell file:\n%s", stdout)
+	}
+	assertSameFile(t, filepath.Join(store, "csv", "table5.csv"), filepath.Join(healed, "csv", "table5.csv"))
 }
 
 // TestRunSampledPrefersStoredExact: a -sampled run over a store holding

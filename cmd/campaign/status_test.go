@@ -39,6 +39,10 @@ func TestStatusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A copy of the store in which the same cell's file is truncated: status
+	// quarantines it, so its report is the corrupt store's.
+	truncated := truncatedCopy(t, store)
+
 	// An uninstrumented coordinator leasing fig4 over the tab5 store. No
 	// worker takes a lease, so its report holds nothing time-dependent.
 	st, err := campaign.OpenExisting(store)
@@ -90,6 +94,7 @@ func TestStatusGolden(t *testing.T) {
 		{"complete", "status_tab5.golden.txt", store, []string{"-exp", "tab5", "-store", store}, nil},
 		{"partial", "status_fig4.golden.txt", store, []string{"-exp", "fig4", "-store", store}, errIncomplete},
 		{"corrupt", "status_corrupt.golden.txt", corrupt, []string{"-exp", "tab5", "-store", corrupt}, errIncomplete},
+		{"truncated", "status_corrupt.golden.txt", truncated, []string{"-exp", "tab5", "-store", truncated}, errIncomplete},
 		{"sampled-over-exact", "status_tab5_sampled.golden.txt", store, []string{"-exp", "tab5", "-store", store, "-sampled"}, nil},
 		{"coordinator", "status_coordinator.golden.txt", store, []string{"-coordinator", srv.URL}, errIncomplete},
 		{"coordinator-rig-options", "status_coordinator.golden.txt", store, []string{"-coordinator", rigSrv.URL}, errIncomplete},
@@ -108,6 +113,9 @@ func TestStatusGolden(t *testing.T) {
 				t.Errorf("campaign status %q: output differs from %s\ngot:\n%s\nwant:\n%s", tc.args, tc.golden, got, want)
 			}
 		})
+	}
+	if _, err := os.Stat(filepath.Join(truncated, "cells", key+".corrupt")); err != nil {
+		t.Errorf("status left the truncated cell file in place: %v", err)
 	}
 }
 

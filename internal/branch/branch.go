@@ -91,13 +91,13 @@ func (p *Predictor) index(thread int, pc uint64) uint64 {
 func (p *Predictor) Predict(thread int, u *isa.Uop) Prediction {
 	var pr Prediction
 	switch u.CallKind {
-	case CallReturnKind:
+	case isa.CallReturn:
 		if t, ok := p.ras[thread].pop(); ok {
 			pr = Prediction{Taken: true, Target: t, TargetKnown: true}
 		} else {
 			pr = Prediction{Taken: true}
 		}
-	case CallDirectKind:
+	case isa.CallDirect:
 		p.ras[thread].push(u.PC + 4)
 		target, hit := p.btb.lookup(u.PC)
 		pr = Prediction{Taken: true, Target: target, TargetKnown: hit}
@@ -119,7 +119,7 @@ func (p *Predictor) Predict(thread int, u *isa.Uop) Prediction {
 		}
 	}
 	p.history[thread] = p.history[thread]<<1 | b2u(u.Taken)
-	if u.Taken && u.CallKind != CallReturnKind {
+	if u.Taken && u.CallKind != isa.CallReturn {
 		p.btb.insert(u.PC, u.Target)
 	}
 	return pr
@@ -137,13 +137,6 @@ func (p *Predictor) SetRASTop(t int, top int32) {
 		p.ras[t].top = int(top)
 	}
 }
-
-// Aliases so this package does not leak isa constants into its API surface.
-const (
-	CallNoneKind   = isa.CallNone
-	CallDirectKind = isa.CallDirect
-	CallReturnKind = isa.CallReturn
-)
 
 func b2u(b bool) uint64 {
 	if b {

@@ -139,45 +139,36 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreDoSingleFlightAndPersistence(t *testing.T) {
+// TestStorePersistsAcrossReopen: a fresh store over the same directory
+// reads back what another store put there.
+func TestStorePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Params{Warmup: 1, Measure: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cellFor(t, "DCRA")
-	computes := 0
 	want := fakeResult(0.7)
-	for i := 0; i < 3; i++ {
-		_, computed, err := st.Do(c, func() (sim.Result, error) {
-			computes++
-			return want, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if computed != (i == 0) {
-			t.Fatalf("call %d: computed = %v", i, computed)
-		}
+	if err := st.Put(c, want); err != nil {
+		t.Fatal(err)
 	}
-	if computes != 1 {
-		t.Fatalf("compute ran %d times, want 1", computes)
-	}
-	// A fresh store over the same directory serves the cell from disk.
 	st2, err := Open(dir, Params{Warmup: 1, Measure: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, computed, err := st2.Do(c, func() (sim.Result, error) {
-		t.Fatal("cell resimulated despite being on disk")
-		return sim.Result{}, nil
-	})
-	if err != nil || computed {
-		t.Fatalf("Do on fresh store: computed %v, err %v", computed, err)
+	got, ok, err := st2.Get(c)
+	if err != nil || !ok {
+		t.Fatalf("Get on fresh store: ok %v, err %v", ok, err)
 	}
 	if got.Throughput != want.Throughput {
 		t.Fatal("persisted result differs")
 	}
+}
+
+// hasFile reports whether c's own cell file is present.
+func hasFile(st *Store, c Cell) bool {
+	_, err := os.Stat(st.cellPath(c.Key()))
+	return err == nil
 }
 
 func TestStoreGetQuarantinesCorruptCells(t *testing.T) {
@@ -205,8 +196,8 @@ func TestStoreGetQuarantinesCorruptCells(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "cells", b.Key()+".corrupt")); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
-	if st.Has(b) {
-		t.Fatal("Has still sees the quarantined cell")
+	if hasFile(st, b) {
+		t.Fatal("the quarantined cell file is still in place")
 	}
 
 	// A truncated cell file is likewise quarantined as a miss.
@@ -253,7 +244,7 @@ func TestStoreGC(t *testing.T) {
 	if len(removed) != 1 || removed[0] != stale.Key() {
 		t.Fatalf("dry-run GC = %v, want [%s]", removed, stale.Key())
 	}
-	if !st.Has(stale) {
+	if !hasFile(st, stale) {
 		t.Fatal("dry-run GC deleted a cell")
 	}
 
@@ -264,10 +255,10 @@ func TestStoreGC(t *testing.T) {
 	if len(removed) != 1 || removed[0] != stale.Key() {
 		t.Fatalf("GC = %v, want [%s]", removed, stale.Key())
 	}
-	if st.Has(stale) {
+	if hasFile(st, stale) {
 		t.Fatal("GC left the stale cell behind")
 	}
-	if !st.Has(live) {
+	if !hasFile(st, live) {
 		t.Fatal("GC deleted a live cell")
 	}
 	// Temp files and the manifest are untouched; a second GC is a no-op.

@@ -193,7 +193,7 @@ func CheckResult(r sim.Result) error {
 }
 
 // quarantine moves a corrupt cell file aside (its .corrupt twin no longer
-// matches *.json, so Has and Keys miss it and the next Put heals the slot)
+// matches *.json, so Get and Keys miss it and the next Put heals the slot)
 // and counts the event. The returned error is nil unless the rename itself
 // failed — a miss, not a fatal condition.
 func (st *Store) quarantine(key, reason string) error {
@@ -226,21 +226,6 @@ func (st *Store) CorruptCount() (int, error) {
 	return n, nil
 }
 
-// Has reports whether c's own cell file is present, without reading it.
-func (st *Store) Has(c Cell) bool {
-	_, err := os.Stat(st.cellPath(c.Key()))
-	return err == nil
-}
-
-// Covers reports whether Get has a result for c, without reading it: the
-// preferred cell's file or c's own is present.
-func (st *Store) Covers(c Cell) bool {
-	if e, ok := preferred(c); ok && st.Has(e) {
-		return true
-	}
-	return st.Has(c)
-}
-
 // Put stores the result for c atomically, overwriting any previous value.
 // Cell files hold a CellResult: the full cell identity rides along so Get
 // can verify the file answers the question asked (key collisions,
@@ -254,22 +239,10 @@ func (st *Store) Put(c Cell, r sim.Result) error {
 	return nil
 }
 
-// Do returns Get's result for c or, when the store has none, computes it
-// with compute and persists it under c's key. computed reports whether
-// compute ran. Do does not deduplicate concurrent calls for one cell: its
-// caller (experiments.Suite) already single-flights and memoises cells.
-func (st *Store) Do(c Cell, compute func() (sim.Result, error)) (r sim.Result, computed bool, err error) {
-	if r, ok, err := st.Get(c); err != nil || ok {
-		return r, false, err
-	}
-	if r, err = compute(); err != nil {
-		return r, true, err
-	}
-	return r, true, st.Put(c, r)
-}
-
-// Count returns how many of the sweep's distinct cells the store covers
-// (Covers), alongside the cells still missing (in sweep enumeration order).
+// Count returns how many of the sweep's distinct cells the store holds,
+// alongside the cells still missing (in sweep enumeration order). A cell
+// counts as held only when Get hits: like a render, Count quarantines a cell
+// file it cannot read and counts the cell missing.
 func (st *Store) Count(s Sweep) (present int, missing []Cell) {
 	seen := make(map[Cell]struct{}, len(s.Cells))
 	for _, c := range s.Cells {
@@ -277,7 +250,7 @@ func (st *Store) Count(s Sweep) (present int, missing []Cell) {
 			continue
 		}
 		seen[c] = struct{}{}
-		if st.Covers(c) {
+		if _, ok, err := st.Get(c); ok && err == nil {
 			present++
 		} else {
 			missing = append(missing, c)

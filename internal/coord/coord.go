@@ -197,9 +197,10 @@ func (c *Coordinator) traceLeaseLocked(l *lease, now time.Time, outcome string) 
 
 // New builds a coordinator for one experiment sweep over the given store.
 // The sweep's distinct cells, in enumeration order, form the canonical cell
-// order leases are handed out in. Cells the store already covers count as done
-// immediately (resumption, an earlier campaign, or for a sampled cell its
-// stored exact counterpart, which renders prefer); a sweep with no cells
+// order leases are handed out in. Cells the store's Get already serves count
+// as done immediately (resumption, an earlier campaign, or for a sampled cell
+// its stored exact counterpart, which renders prefer); Get quarantines a cell
+// file it cannot read, so that cell is leased again. A sweep with no cells
 // starts complete. A checkpoint file at opts.Checkpoint, if present, must
 // describe the same campaign and restores retry accounting.
 func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*Coordinator, error) {
@@ -234,7 +235,11 @@ func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*
 			continue
 		}
 		seen[cell] = struct{}{}
-		cs := cellState{cell: cell, key: cell.Key(), done: st.Covers(cell)}
+		_, done, err := st.Get(cell)
+		if err != nil {
+			return nil, err
+		}
+		cs := cellState{cell: cell, key: cell.Key(), done: done}
 		if cs.done {
 			c.done++
 		}

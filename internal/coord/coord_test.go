@@ -129,6 +129,12 @@ func readCells(t *testing.T, dir string) map[string]string {
 	return cells
 }
 
+// hasFile reports whether c's own cell file is present in the store at dir.
+func hasFile(dir string, c campaign.Cell) bool {
+	_, err := os.Stat(filepath.Join(dir, "cells", c.Key()+".json"))
+	return err == nil
+}
+
 // referenceCells renders the unfaulted single-process store: every cell Put
 // directly, exactly what `campaign run` does without a coordinator.
 func referenceCells(t *testing.T, sweep campaign.Sweep) map[string]string {
@@ -294,7 +300,7 @@ func TestCheckpointRestartResume(t *testing.T) {
 	}
 	doneKeys := make(map[string]bool)
 	for _, c := range sweep.Cells {
-		if st.Has(c) {
+		if hasFile(dir, c) {
 			doneKeys[c.Key()] = true
 		}
 	}
@@ -471,7 +477,7 @@ func TestCompleteRejectsCorruptPayloads(t *testing.T) {
 	}); r.OK {
 		t.Fatal("foreign cell accepted")
 	}
-	if st.Has(cell) || st.Has(foreign) {
+	if hasFile(dir, cell) || hasFile(dir, foreign) {
 		t.Fatal("a rejected payload reached the store")
 	}
 	// The clean payload still lands.
@@ -598,5 +604,49 @@ func TestExactBackedSampledCellsStartDone(t *testing.T) {
 	}
 	if r := co.Lease(coord.LeaseRequest{Worker: "w1"}); r.State != coord.StateDone {
 		t.Errorf("lease request answered %q, want %q", r.State, coord.StateDone)
+	}
+}
+
+// TestNewLeasesUnreadableCells: a coordinator counts a cell as done only
+// when the store's Get serves it. A truncated cell file is quarantined and
+// its cell leased again; a cell path Get cannot read at all (here a
+// directory) fails New instead of passing for an absent cell.
+func TestNewLeasesUnreadableCells(t *testing.T) {
+	sweep := chaosSweep(3)
+	dir := t.TempDir()
+	st, err := campaign.Open(dir, chaosParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range sweep.Cells {
+		if err := st.Put(c, chaosResult(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := sweep.Cells[1]
+	path := filepath.Join(dir, "cells", bad.Key()+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	co, err := coord.New("chaos", sweep, st, coord.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Status(); s.Done != 2 || s.Quarantined != 1 {
+		t.Errorf("coordinator over one truncated cell file starts at %+v, want 2 done and 1 quarantined", s)
+	}
+	if r := co.Lease(coord.LeaseRequest{Worker: "w"}); r.Grant == nil || r.Grant.Cell != bad {
+		t.Errorf("lease %+v, want the truncated cell %s", r, bad)
+	}
+
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.New("chaos", sweep, st, coord.Options{}); err == nil {
+		t.Error("New read an unreadable cell path as an absent cell")
 	}
 }

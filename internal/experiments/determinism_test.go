@@ -110,7 +110,7 @@ func TestBaselineDeterminism(t *testing.T) {
 	serial := determinismSuite(1)
 	parallel := determinismSuite(8)
 	got := make([]float64, len(names))
-	parallel.engine().Run(len(names), func(i int) {
+	parallel.Engine.RunLabeled(len(names), nil, func(i int) {
 		v, err := parallel.Runner.SingleIPC(cfg, names[i])
 		if err != nil {
 			t.Error(err)

@@ -67,7 +67,7 @@ var capPols = sync.OnceValue(func() map[string]capPol {
 	return m
 })
 
-// ErrMissingCell reports that a RequireStore suite was asked for a cell the
+// ErrMissingCell reports that a suite with a Store was asked for a cell the
 // store does not hold; match with errors.Is.
 var ErrMissingCell = errors.New("cell not in store")
 
@@ -78,15 +78,15 @@ var ErrMissingCell = errors.New("cell not in store")
 // enumerates its sweep up front, submits it to the engine's worker pool,
 // then renders from the completed results.
 //
-// With Store set, the memo is additionally layered over the persistent
-// on-disk campaign store: cell lookups hit disk before simulating, and fresh
-// simulations are persisted, so re-runs and figure re-renders across
-// processes cost file reads instead of resimulation. The store's Params must
-// match the Runner's windows and seed (campaign.Open enforces this).
+// With Store set, the suite renders from the persistent on-disk campaign
+// store instead of simulating: every cell is read through Store.Get, and a
+// cell the store does not hold is ErrMissingCell. A campaign's coordinator
+// is the store's one writer. The store's Params must match the Runner's
+// windows and seed (campaign.Open enforces this).
 type Suite struct {
 	Runner *sim.Runner
 	Engine *sim.Engine
-	Store  *campaign.Store // optional persistent result store
+	Store  *campaign.Store // optional: the store the suite renders from
 
 	// Mode selects the execution mode cells are demanded in:
 	// campaign.ModeExact (default) or campaign.ModeSampled. Sampled mode
@@ -103,11 +103,11 @@ type Suite struct {
 	// where the retired fixed 7-window protocol stored its results).
 	Sampling config.SamplingConfig
 
-	// RequireStore, with Store set, turns a store miss into ErrMissingCell
-	// instead of simulating the cell. Renders that must reflect exactly what
-	// a campaign computed — a coordinator's partial render after a deadline,
-	// say — use it to fail fast per-experiment rather than quietly spending
-	// hours resimulating holes.
+	// RequireStore is ignored: a suite with a Store only reads it.
+	//
+	// Deprecated: it remains only because the benchmark's render paths
+	// (perfbench/campaign.go and perfbench/traced.go) still set it; ROADMAP
+	// item 8 deletes it with those lines.
 	RequireStore bool
 
 	memo singleflight.Memo[campaign.Cell, sim.Result]
@@ -136,8 +136,8 @@ func NewSuite() *Suite {
 // covered. Telemetry never alters results — the instrumented paths feed the
 // same numbers to the same sinks.
 func (s *Suite) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	s.engine().Reg = reg
-	s.engine().Tracer = tr
+	s.Engine.Reg = reg
+	s.Engine.Tracer = tr
 	s.Runner.Obs = reg
 	if s.Runner.Pool != nil {
 		s.Runner.Pool.SetObs(reg)
@@ -153,16 +153,16 @@ func (s *Suite) StoreParams() campaign.Params {
 	return campaign.Params{Warmup: s.Runner.Warmup, Measure: s.Runner.Measure, Seed: s.Runner.Seed}
 }
 
-// Simulated returns how many cells this suite actually simulated (memo and
-// store hits excluded) — the number a fully-populated store drives to zero.
+// Simulated returns how many cells this suite simulated (memo hits
+// excluded). A suite with a Store simulates none.
 func (s *Suite) Simulated() int64 { return s.simulated.Load() }
 
 // StoreHits returns how many cell requests were served by the persistent
-// store instead of simulation.
+// store.
 func (s *Suite) StoreHits() int64 { return s.storeHits.Load() }
 
-// RunCell returns the memoised result of one campaign cell, computing (or
-// loading from the store) on first request. Concurrent callers
+// RunCell returns the memoised result of one campaign cell, computing it (or
+// reading it from the Store) on first request. Concurrent callers
 // single-flight. RunCell records the cell as demanded by rendering; the
 // sweep-parity tests assert that the demanded set of every Figure*/Table* is
 // exactly its declared sweep.
@@ -193,23 +193,17 @@ func (s *Suite) runCell(c campaign.Cell) (sim.Result, error) {
 			}
 			return r, err
 		}
-		compute := func() (sim.Result, error) { return s.computeCell(c) }
-		if s.RequireStore {
-			compute = func() (sim.Result, error) {
-				return sim.Result{}, fmt.Errorf("experiments: cell %s: %w", c, ErrMissingCell)
-			}
-		}
 		// The store answers a sampled cell with its exact counterpart's
 		// result when it holds one: renders prefer exact.
-		r, computed, err := s.Store.Do(c, compute)
-		if err == nil {
-			if computed {
-				s.simulated.Add(1)
-			} else {
-				s.storeHits.Add(1)
-			}
+		r, ok, err := s.Store.Get(c)
+		switch {
+		case err != nil:
+			return r, err
+		case !ok:
+			return r, fmt.Errorf("experiments: cell %s: %w", c, ErrMissingCell)
 		}
-		return r, err
+		s.storeHits.Add(1)
+		return r, nil
 	})
 }
 
@@ -311,24 +305,16 @@ func (s *Suite) run(cfg config.Config, w workload.Workload, pn string) (sim.Resu
 	return s.RunCell(s.applyCellMode(cellOf(cfg, w, pn)))
 }
 
-// engine returns the suite's engine, defaulting to GOMAXPROCS workers for
-// zero-value suites built by tests.
-func (s *Suite) engine() *sim.Engine {
-	if s.Engine == nil {
-		s.Engine = sim.NewEngine(0)
-	}
-	return s.Engine
-}
-
-// Prefetch computes every cell of a sweep on the worker pool, filling the
-// memo (and the store, if attached). Cells already computed (or in flight
-// from an earlier figure) cost one memo probe. The first error in submission
+// Prefetch fills the memo with every cell of a sweep on the worker pool,
+// simulating each or, with a Store attached, reading it from the store.
+// Cells already in the memo (or in flight from an earlier figure) cost one
+// memo probe. The first error in submission
 // order is returned, matching what a serial run would have reported.
 // Prefetch applies the suite's execution mode to each cell first, exactly as
 // the render loops do, so a sampled suite prefetches the sampled sweep.
 func (s *Suite) Prefetch(cells []campaign.Cell) error {
 	errs := make([]error, len(cells))
-	s.engine().RunLabeled(len(cells),
+	s.Engine.RunLabeled(len(cells),
 		func(i int) string { return s.applyCellMode(cells[i]).Key() },
 		func(i int) { _, errs[i] = s.runCell(s.applyCellMode(cells[i])) })
 	return sim.FirstError(errs)

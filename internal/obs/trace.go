@@ -78,16 +78,6 @@ func (t *Tracer) CompleteAt(pid, tid int, name, cat string, ts, dur float64) {
 	t.append(traceEvent{Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur, PID: pid, TID: tid})
 }
 
-// Instant records a zero-duration instant event (thread-scoped).
-// No-op on a nil tracer.
-func (t *Tracer) Instant(pid, tid int, name, cat string) {
-	if t == nil {
-		return
-	}
-	t.append(traceEvent{Name: name, Cat: cat, Ph: "i", TS: t.now(), PID: pid, TID: tid,
-		Args: map[string]any{"s": "t"}})
-}
-
 // Process names a pid lane group in the trace viewer. No-op on a nil
 // tracer.
 func (t *Tracer) Process(pid int, name string) {

@@ -14,7 +14,6 @@ func TestTracerChromeFormat(t *testing.T) {
 	end := tr.Span(0, 1, "lease L1", "lease")
 	end()
 	tr.CompleteAt(1, 1, "cell BASE/ILP2.0/DCRA", "cell", 100, 250)
-	tr.Instant(0, 0, "drain", "coord")
 
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := tr.WriteFile(path); err != nil {
@@ -30,8 +29,8 @@ func TestTracerChromeFormat(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 5 {
-		t.Fatalf("got %d events, want 5", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 4 {
+		t.Fatalf("got %d events, want 4", len(doc.TraceEvents))
 	}
 	var sawLease, sawCell bool
 	for _, e := range doc.TraceEvents {
@@ -59,7 +58,6 @@ func TestNilTracer(t *testing.T) {
 	end := tr.Span(0, 0, "s", "c")
 	end()
 	tr.CompleteAt(0, 0, "x", "c", 0, 1)
-	tr.Instant(0, 0, "i", "c")
 	tr.Process(0, "p")
 	tr.Lane(0, 0, "l")
 	if tr.Len() != 0 {

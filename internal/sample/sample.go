@@ -242,19 +242,13 @@ func meanStd(xs []float64) (mean, std float64) {
 // live on.
 const SamplePID = 2
 
-// Run executes the sampling schedule on m and returns the summary plus the
-// aggregate statistics over all measured windows (warmup and fast-forward
-// excluded). The machine must be freshly built or Reinit-ed; after Run it
-// can be recycled like any other.
-func Run(m *cpu.Machine, p Params) (*Summary, *stats.Stats, error) {
-	return RunObserved(m, p, nil, nil)
-}
-
-// RunObserved is Run with telemetry: reg (if set) accumulates windows
-// run, relative CI widths and the detailed-vs-fast-forward split, and
-// tr (if set) records cycle-domain spans for the pilot and each
-// measured window. Both nil reproduces Run exactly — the schedule and
-// results are identical either way.
+// RunObserved executes the sampling schedule on m and returns the summary
+// plus the aggregate statistics over all measured windows (warmup and
+// fast-forward excluded). The machine must be freshly built or Reinit-ed;
+// afterwards it can be recycled like any other. reg (if set) accumulates
+// windows run, relative CI widths and the detailed-vs-fast-forward split,
+// and tr (if set) records cycle-domain spans for the pilot and each
+// measured window; the schedule and results are identical either way.
 func RunObserved(m *cpu.Machine, p Params, reg *obs.Registry, tr *obs.Tracer) (*Summary, *stats.Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err

@@ -65,7 +65,7 @@ func TestParamsValidate(t *testing.T) {
 			t.Errorf("%s: config.Validate with schedule = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
-	if _, _, err := Run(testMachine(t), Params{}); err == nil {
+	if _, _, err := RunObserved(testMachine(t), Params{}, nil, nil); err == nil {
 		t.Error("RunObserved ran a zero schedule")
 	}
 }
@@ -108,11 +108,11 @@ func TestRunDeterminism(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	p := DeriveAdaptive(5_000, 20_000)
-	a, aggA, err := Run(testMachine(t), p)
+	a, aggA, err := RunObserved(testMachine(t), p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, aggB, err := Run(testMachine(t), p)
+	b, aggB, err := RunObserved(testMachine(t), p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAdaptiveStopping(t *testing.T) {
 
 	capped := base
 	capped.TargetRelCIPpm = 1 // 0.0001% of mean: unreachably tight
-	capSum, _, err := Run(testMachine(t), capped)
+	capSum, _, err := RunObserved(testMachine(t), capped, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAdaptiveStopping(t *testing.T) {
 
 	floor := base
 	floor.TargetRelCIPpm = 100_000_000 // 10000% of mean: met at the first check
-	floorSum, _, err := Run(testMachine(t), floor)
+	floorSum, _, err := RunObserved(testMachine(t), floor, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSummaryInvariants(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	p := DeriveAdaptive(5_000, 20_000)
-	sum, agg, err := Run(testMachine(t), p)
+	sum, agg, err := RunObserved(testMachine(t), p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 type Engine struct {
 	workers int
 
-	// Reg and Tracer, when set, instrument every Run: cells
+	// Reg and Tracer, when set, instrument every RunLabeled: cells
 	// started/done counters, a per-cell wall-time histogram, and one
 	// trace span per cell on the executing worker's lane. Both default
 	// to nil (off); task execution itself is untouched either way.
@@ -39,16 +39,11 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Run executes task(0..n-1) across the worker pool and waits for all of
-// them. Tasks must be independent and write only to their own slot of any
-// shared output slice. Panics propagate to the caller.
-func (e *Engine) Run(n int, task func(i int)) {
-	e.RunLabeled(n, nil, task)
-}
-
-// RunLabeled is Run with an optional per-task label used to name trace
-// spans; label is only consulted when the engine is instrumented, so
-// callers may pass expensive formatters freely.
+// RunLabeled executes task(0..n-1) across the worker pool and waits for all
+// of them. Tasks must be independent and write only to their own slot of
+// any shared output slice. Panics propagate to the caller. label, if
+// non-nil, names each task's trace span; it is only consulted when the
+// engine is instrumented, so callers may pass expensive formatters freely.
 func (e *Engine) RunLabeled(n int, label func(i int) string, task func(i int)) {
 	if n <= 0 {
 		return

@@ -112,7 +112,7 @@ func TestMachinePoolParallelHammer(t *testing.T) {
 	const rounds = 4
 	results := make([]Result, rounds*len(cells))
 	errs := make([]error, rounds*len(cells))
-	NewEngine(8).Run(len(results), func(i int) {
+	NewEngine(8).RunLabeled(len(results), nil, func(i int) {
 		c := cells[i%len(cells)]
 		results[i], errs[i] = r.RunWorkload(c.cfg, c.w, c.mk())
 	})
