@@ -29,12 +29,13 @@
 //	campaign status -coordinator http://host:8123          # live progress
 //
 // Either way the coordinator leases one cell at a time, reclaims leases
-// whose heartbeats lapse, retries failed cells with backoff, checkpoints
-// its retry state for crash-safe resumption (<store>/coordinator-<sweep
-// hash>.json), and drains on Ctrl-C or -deadline. It logs every
-// control-plane event (lease, expiry, retry, exhaustion, speculation,
-// rejected payload, drain) to stderr, one line each. See EXPERIMENTS.md
-// ("Distributed campaigns").
+// whose heartbeats lapse, retries failed cells with backoff under a
+// per-run budget, and drains on Ctrl-C or -deadline. The store is the only
+// state a campaign keeps, so re-running the same command after a crash, a
+// drain or a cell given up on computes just the cells the store lacks. The
+// coordinator logs every control-plane event (lease, expiry, retry,
+// exhaustion, speculation, rejected payload, drain) to stderr, one line
+// each. See EXPERIMENTS.md ("Distributed campaigns").
 package main
 
 import (
@@ -91,7 +92,6 @@ func usage() {
   run     -exp KEY -store DIR [-warmup N -measure N] [-sampled]
           [-csv DIR] [-require-store] [-trace FILE]
           [-addr HOST:PORT] [-ttl D -backoff D -deadline D -grace D]
-          [-checkpoint FILE]
   status  -exp KEY -store DIR [-sampled] | -coordinator URL
   gc      -store DIR [-dry-run]
   work    -coordinator URL [-id NAME] [-fault SPEC] [-retry-window D]`)
@@ -232,6 +232,11 @@ func status(args []string, stdout, stderr io.Writer) error {
 		if i == 10 {
 			fmt.Fprintf(stdout, "  ... and %d more missing\n", len(missing)-10)
 			break
+		}
+		// Count reads a cell whose file Get cannot read as missing; say why.
+		if _, _, err := st.Get(c); err != nil {
+			fmt.Fprintf(stdout, "  missing %s: %v\n", c, err)
+			continue
 		}
 		fmt.Fprintf(stdout, "  missing %s\n", c)
 	}

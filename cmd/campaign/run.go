@@ -42,7 +42,7 @@ type runOptions struct {
 	// addr, when set, serves the coordinator over HTTP to remote workers
 	// instead of computing with local ones.
 	addr     string
-	coord    coord.Options // Checkpoint defaults per sweep (runCampaign)
+	coord    coord.Options
 	deadline time.Duration
 	grace    time.Duration
 }
@@ -67,7 +67,6 @@ func parseRunFlags(args []string, stderr io.Writer) (runOptions, error) {
 	fs.DurationVar(&o.coord.BackoffBase, "backoff", 0, "base retry backoff, doubled per attempt (0 = default)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "campaign deadline; on expiry drain leases and report what is missing (0 = none)")
 	fs.DurationVar(&o.grace, "grace", 30*time.Second, "drain grace: how long to wait for in-flight leases, and for live remote workers to hear the campaign is over")
-	fs.StringVar(&o.coord.Checkpoint, "checkpoint", "", "coordinator checkpoint file (default <store>/coordinator-<sweep hash>.json)")
 	if err := parseFlags(fs, args); err != nil {
 		return o, err
 	}
@@ -137,11 +136,6 @@ func runCampaign(o runOptions, stdout, stderr io.Writer) error {
 
 	logger := log.New(stderr, "campaign: ", log.LstdFlags)
 	opts := o.coord
-	if opts.Checkpoint == "" {
-		// One checkpoint per sweep, so a checkpoint left by one campaign
-		// never blocks another sweep on the same store.
-		opts.Checkpoint = filepath.Join(o.store, "coordinator-"+sweep.Hash()+".json")
-	}
 	if o.addr == "" {
 		// Loopback calls make no round trip: let idle workers poll often, so
 		// they leave within a poll of the campaign's end.

@@ -8,8 +8,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"dcra/internal/campaign"
@@ -213,25 +213,39 @@ func TestRunSampledPrefersStoredExact(t *testing.T) {
 	}
 }
 
-// failOnce fails the first cell it is asked for, then delegates.
-type failOnce struct {
-	once sync.Once
+// failCell fails every attempt at one cell and delegates the others.
+type failCell struct {
+	cell campaign.Cell
 	next campaign.Runner
 }
 
-func (f *failOnce) RunCell(c campaign.Cell) (sim.Result, error) {
-	failed := false
-	f.once.Do(func() { failed = true })
-	if failed {
+func (f failCell) RunCell(c campaign.Cell) (sim.Result, error) {
+	if c == f.cell {
 		return sim.Result{}, errors.New("injected failure")
 	}
 	return f.next.RunCell(c)
 }
 
-// TestRunAfterRetryStartsOtherSweep: a campaign with a retry leaves a
-// coordinator checkpoint behind, and a run of another sweep on the same
-// store — another experiment, or the same one sampled — still starts.
-func TestRunAfterRetryStartsOtherSweep(t *testing.T) {
+// storeEntries lists the names at the top of a store directory.
+func storeEntries(t *testing.T, store string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestRerunRetriesGivenUpCell: the store is a campaign's only durable
+// state. An -addr run whose only worker always fails one tab5 cell gives
+// up on it and fails, leaving only the manifest and the cells in the store;
+// a plain re-run computes exactly that cell under a fresh retry budget and
+// renders; and runs of other sweeps on the same store still start.
+func TestRerunRetriesGivenUpCell(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -240,24 +254,33 @@ func TestRunAfterRetryStartsOtherSweep(t *testing.T) {
 	ln.Close()
 
 	store := filepath.Join(t.TempDir(), "store")
+	poisoned := experiments.Table5Sweep().Cells[3]
 	w := &coord.Worker{
-		ID:        "flaky",
+		ID:        "failing",
 		Transport: &coord.HTTPTransport{Base: "http://" + addr},
 		NewRunner: func(p campaign.Params) (campaign.Runner, error) {
-			return &failOnce{next: workerSuite(p)}, nil
+			return failCell{cell: poisoned, next: workerSuite(p)}, nil
 		},
 	}
 	workerErr := make(chan error, 1)
 	go func() { workerErr <- w.Run() }()
-	stdout, stderr := mustRun(t, "-exp", "tab5", "-store", store, "-addr", addr, "-backoff", "1ms")
-	if err := <-workerErr; err != nil {
-		t.Fatalf("worker: %v", err)
+	_, stderr, err := runCmd(t, "-exp", "tab5", "-store", store, "-addr", addr, "-backoff", "1ms")
+	if err == nil || !strings.Contains(err.Error(), "1 of 12 cells missing") {
+		t.Fatalf("run with one cell failing every attempt: err = %v, want 1 of 12 cells missing\nstderr:\n%s", err, stderr)
 	}
-	if !strings.Contains(stdout, "(12 computed, 0 already stored, 1 retries)") {
-		t.Fatalf("campaign with one failed cell:\nstdout:\n%s\nstderr:\n%s", stdout, stderr)
+	if err := <-workerErr; err != nil || w.Missing != 1 {
+		t.Fatalf("worker: err %v, %d cells reported missing; want nil and 1", err, w.Missing)
 	}
-	if ck, _ := filepath.Glob(filepath.Join(store, "coordinator*.json")); len(ck) != 1 {
-		t.Fatalf("checkpoints after the retry: %v, want one", ck)
+	if got := storeEntries(t, store); !slices.Equal(got, []string{"cells", "manifest.json"}) {
+		t.Errorf("store after the failed run holds %v, want only cells and manifest.json", got)
+	}
+
+	stdout, stderr := mustRun(t, "-exp", "tab5", "-store", store)
+	if !strings.Contains(stdout, "(1 computed, 11 already stored, 0 retries)") {
+		t.Fatalf("re-run after a cell was given up on:\nstdout:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+	if got := storeEntries(t, store); !slices.Equal(got, []string{"cells", "csv", "manifest.json"}) {
+		t.Errorf("store after the re-run holds %v, want only cells, csv and manifest.json", got)
 	}
 
 	mustRun(t, "-exp", "tab3", "-store", store)

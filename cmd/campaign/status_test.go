@@ -43,6 +43,20 @@ func TestStatusGolden(t *testing.T) {
 	// quarantines it, so its report is the corrupt store's.
 	truncated := truncatedCopy(t, store)
 
+	// A copy of the store with a directory in place of the same cell's file:
+	// Get cannot read it, and status names the error.
+	unreadable := filepath.Join(t.TempDir(), "store")
+	if err := os.CopyFS(unreadable, os.DirFS(store)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(unreadable, "cells", key+".json")
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
 	// An uninstrumented coordinator leasing fig4 over the tab5 store. No
 	// worker takes a lease, so its report holds nothing time-dependent.
 	st, err := campaign.OpenExisting(store)
@@ -57,13 +71,14 @@ func TestStatusGolden(t *testing.T) {
 	defer srv.Close()
 
 	// The same coordinator built as the benchmark's campaign rig builds it:
-	// instrumented, with the deprecated Flight and CellSLO options set, and
-	// ticked. Those options and HealthTick are inert, so its report is the
-	// plain coordinator's and its /v1/status has no health key.
+	// instrumented, with the deprecated Checkpoint, Flight and CellSLO
+	// options set, and ticked. Those options and HealthTick are inert, so its
+	// report is the plain coordinator's and its /v1/status has no health key.
 	rig, err := coord.New("fig4", experiments.Figure4Sweep(), st, coord.Options{
-		Obs:     obs.NewRegistry(),
-		Flight:  obs.NewFlightRecorder(512),
-		CellSLO: coord.CellSLO{Quantile: 0.99, Window: 30},
+		Checkpoint: filepath.Join(store, "coordinator.json"),
+		Obs:        obs.NewRegistry(),
+		Flight:     obs.NewFlightRecorder(512),
+		CellSLO:    coord.CellSLO{Quantile: 0.99, Window: 30},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +110,7 @@ func TestStatusGolden(t *testing.T) {
 		{"partial", "status_fig4.golden.txt", store, []string{"-exp", "fig4", "-store", store}, errIncomplete},
 		{"corrupt", "status_corrupt.golden.txt", corrupt, []string{"-exp", "tab5", "-store", corrupt}, errIncomplete},
 		{"truncated", "status_corrupt.golden.txt", truncated, []string{"-exp", "tab5", "-store", truncated}, errIncomplete},
+		{"unreadable", "status_unreadable.golden.txt", unreadable, []string{"-exp", "tab5", "-store", unreadable}, errIncomplete},
 		{"sampled-over-exact", "status_tab5_sampled.golden.txt", store, []string{"-exp", "tab5", "-store", store, "-sampled"}, nil},
 		{"coordinator", "status_coordinator.golden.txt", store, []string{"-coordinator", srv.URL}, errIncomplete},
 		{"coordinator-rig-options", "status_coordinator.golden.txt", store, []string{"-coordinator", rigSrv.URL}, errIncomplete},

@@ -96,9 +96,8 @@ type Sweep struct {
 }
 
 // Hash returns a digest of the sweep's content (the sorted cell-key set),
-// independent of enumeration order. The coordinator stamps it on lease
-// grants and its checkpoint, so a resumed campaign refuses a checkpoint
-// written for a different sweep, and `campaign status` prints it.
+// independent of enumeration order. The coordinator reports it in its
+// status and log, and `campaign status` prints it.
 func (s Sweep) Hash() string {
 	keys := make([]string, len(s.Cells))
 	for i, c := range s.Cells {

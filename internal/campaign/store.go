@@ -83,7 +83,7 @@ func Open(dir string, p Params) (*Store, error) {
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		m := manifest{Version: storeVersion, Params: p}
-		if err := WriteFileAtomic(mpath, mustJSON(m)); err != nil {
+		if err := writeFileAtomic(mpath, mustJSON(m)); err != nil {
 			return nil, fmt.Errorf("campaign: writing store manifest: %w", err)
 		}
 	case err != nil:
@@ -232,7 +232,7 @@ func (st *Store) CorruptCount() (int, error) {
 // hand-edited files) and the files are self-describing.
 func (st *Store) Put(c Cell, r sim.Result) error {
 	sc := CellResult{Key: c.Key(), Cell: c, Result: r}
-	if err := WriteFileAtomic(st.cellPath(sc.Key), mustJSON(sc)); err != nil {
+	if err := writeFileAtomic(st.cellPath(sc.Key), mustJSON(sc)); err != nil {
 		return fmt.Errorf("campaign: writing cell %s: %w", c, err)
 	}
 	st.o.puts.Inc()
@@ -312,10 +312,10 @@ func mustJSON(v any) []byte {
 	return append(data, '\n')
 }
 
-// WriteFileAtomic writes data to path via a temp file and rename, so readers
+// writeFileAtomic writes data to path via a temp file and rename, so readers
 // (and crashed writers) never observe a partial file. path's directory must
 // exist.
-func WriteFileAtomic(path string, data []byte) error {
+func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {

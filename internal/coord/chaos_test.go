@@ -33,7 +33,7 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := fastOpts(t, dir, seed)
+				opts := fastOpts(t, seed)
 				co, err := coord.New("chaos", sweep, st, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -44,7 +44,7 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 				// CoordinatorRestart is a harness-level fault: kill the
 				// coordinator once the campaign-wide completion count
 				// reaches the trigger, keep it down long enough for workers
-				// to notice, then restart it from checkpoint + store.
+				// to notice, then restart it from its store.
 				restartDone := make(chan struct{})
 				if f.Kind == faults.CoordinatorRestart {
 					go func() {

@@ -3,11 +3,11 @@
 // tracks lease heartbeats against deadlines, reclaims and re-leases expired
 // or failed cells with exponential backoff and seeded jitter under a
 // per-cell retry budget, re-dispatches stragglers speculatively, and stores
-// each completed cell in the campaign store as it arrives. Coordinator state
-// is checkpointed to disk so a killed coordinator resumes exactly where it
-// left off: completion is re-derived from the store itself (the durable
-// record), retry accounting from the checkpoint, and lost leases simply
-// expire into re-leases.
+// each completed cell in the campaign store as it arrives. The store is the
+// only state a campaign keeps on disk: a restarted coordinator re-derives
+// completion from it and gives every missing cell a fresh retry budget. The
+// leases of its previous life die with it, so their cells are leased afresh
+// (a late completion under one is still accepted).
 //
 // Everything is duplicate-safe by construction. The store's content-keyed
 // atomic Put makes double-completion idempotent, so speculative re-dispatch,
@@ -33,7 +33,8 @@ type Options struct {
 	LeaseTTL time.Duration
 	// RetryBudget is the per-cell attempt budget: a cell whose leases have
 	// failed or expired this many times is given up on and reported missing
-	// (default 5).
+	// (default 5). The budget is per coordinator: one started later over the
+	// same store retries the cell afresh.
 	RetryBudget int
 	// BackoffBase/BackoffMax bound the exponential backoff applied to a
 	// cell after each failure: base*2^(attempt-1), jittered to [50%,150%]
@@ -49,9 +50,10 @@ type Options struct {
 	PollInterval time.Duration
 	// Seed fixes the backoff jitter stream (default 1).
 	Seed uint64
-	// Checkpoint is the path retry accounting is persisted to after every
-	// state change; empty disables checkpointing (restart then resets retry
-	// budgets but still resumes completion from the store).
+	// Checkpoint is ignored: the store is a campaign's only durable state.
+	//
+	// Deprecated: it remains only because the benchmark's campaign rig
+	// still sets it; ROADMAP item 8 deletes it with that line.
 	Checkpoint string
 	// Logf, when set, receives one line per control-plane event (lease,
 	// expiry, rejection, ...).
@@ -201,8 +203,7 @@ func (c *Coordinator) traceLeaseLocked(l *lease, now time.Time, outcome string) 
 // as done immediately (resumption, an earlier campaign, or for a sampled cell
 // its stored exact counterpart, which renders prefer); Get quarantines a cell
 // file it cannot read, so that cell is leased again. A sweep with no cells
-// starts complete. A checkpoint file at opts.Checkpoint, if present, must
-// describe the same campaign and restores retry accounting.
+// starts complete.
 func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{
@@ -246,9 +247,6 @@ func New(name string, sweep campaign.Sweep, st *campaign.Store, opts Options) (*
 		c.cellByKy[cs.key] = len(c.cells)
 		c.cells = append(c.cells, cs)
 	}
-	if err := c.loadCheckpoint(); err != nil {
-		return nil, err
-	}
 	c.logf("campaign %s (%s): %d cells, %d already complete", name, c.hash, len(c.cells), c.done)
 	return c, nil
 }
@@ -277,7 +275,6 @@ func (c *Coordinator) reapLocked(now time.Time) {
 // behind an exponential-backoff gate.
 func (c *Coordinator) failLeaseLocked(l *lease, now time.Time, why string) {
 	c.retries++
-	defer c.saveCheckpointLocked()
 	cs := &c.cells[l.cell]
 	if !cs.pending() {
 		c.logf("lease %s (%s, cell %s): %s; nothing left to retry", l.id, l.worker, cs.cell, why)
@@ -437,15 +434,19 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return HeartbeatResponse{OK: true, Cancel: c.draining || !c.cells[l.cell].pending()}
 }
 
-// Complete verifies and stores a completion payload. Integrity is checked
-// three times: the payload digest must match (in-flight corruption), every
-// cell's recorded key must match its recomputed content key and belong to
-// this campaign (wrong-campaign or hand-edited payloads), and every result
-// must be one renders can read (campaign.CheckResult). A refused payload
-// writes nothing. An accepted completion ends its lease. Valid completions
-// are accepted even from expired or unknown leases — the work is done and
-// the store write is idempotent, so late and duplicate arrivals are kept,
-// never wasted.
+// Complete verifies and stores a completion payload, which must carry
+// exactly one cell. Integrity is checked three times: the payload digest
+// must match (in-flight corruption), the cell's recorded key must match its
+// recomputed content key and belong to this campaign (wrong-campaign or
+// hand-edited payloads), and its result must be one renders can read
+// (campaign.CheckResult). A refused payload writes nothing. An accepted
+// completion ends its lease only when that lease is for the cell carried;
+// a lease for another cell stays live, to be failed and charged at its
+// worker's next request (lease IDs restart with every coordinator, so a
+// late completion from an earlier life can carry a live lease's ID). Valid
+// completions are accepted even from expired or unknown leases — the work
+// is done and the store write is idempotent, so late and duplicate
+// arrivals are kept, never wasted.
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -459,28 +460,29 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		c.o.verifyFailures.Inc()
 		return CompleteResponse{Reason: "payload digest mismatch"}
 	}
-	for _, cr := range req.Cells {
-		if got := cr.Cell.Key(); got != cr.Key {
-			c.o.verifyFailures.Inc()
-			return CompleteResponse{Reason: fmt.Sprintf("cell %s recorded under key %s (recomputed %s)", cr.Cell, cr.Key, got)}
-		}
-		if _, ok := c.cellByKy[cr.Key]; !ok {
-			c.o.verifyFailures.Inc()
-			return CompleteResponse{Reason: fmt.Sprintf("cell %s is not part of campaign %s", cr.Cell, c.name)}
-		}
-		if err := campaign.CheckResult(cr.Result); err != nil {
-			c.o.verifyFailures.Inc()
-			return CompleteResponse{Reason: fmt.Sprintf("cell %s: %v", cr.Cell, err)}
-		}
+	if len(req.Cells) != 1 {
+		c.o.verifyFailures.Inc()
+		return CompleteResponse{Reason: fmt.Sprintf("completion carries %d cells, want 1", len(req.Cells))}
 	}
-	for ci, cr := range req.Cells {
-		i := c.cellByKy[cr.Key]
-		cs := &c.cells[i]
-		c.traceCellLocked(req, ci, now)
-		if cs.done {
-			c.o.cellsDuplicate.Inc()
-			continue // duplicate (speculation or late completion): idempotent
-		}
+	cr := req.Cells[0]
+	if got := cr.Cell.Key(); got != cr.Key {
+		c.o.verifyFailures.Inc()
+		return CompleteResponse{Reason: fmt.Sprintf("cell %s recorded under key %s (recomputed %s)", cr.Cell, cr.Key, got)}
+	}
+	i, ok := c.cellByKy[cr.Key]
+	if !ok {
+		c.o.verifyFailures.Inc()
+		return CompleteResponse{Reason: fmt.Sprintf("cell %s is not part of campaign %s", cr.Cell, c.name)}
+	}
+	if err := campaign.CheckResult(cr.Result); err != nil {
+		c.o.verifyFailures.Inc()
+		return CompleteResponse{Reason: fmt.Sprintf("cell %s: %v", cr.Cell, err)}
+	}
+	c.traceCellLocked(req, now)
+	cs := &c.cells[i]
+	if cs.done {
+		c.o.cellsDuplicate.Inc() // duplicate (speculation or late completion): idempotent
+	} else {
 		if err := c.store.Put(cr.Cell, cr.Result); err != nil {
 			return CompleteResponse{Reason: fmt.Sprintf("storing cell: %v", err)}
 		}
@@ -494,22 +496,22 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		c.o.cellsDone.Inc()
 		c.opts.Obs.Counter("coord.worker.cells." + req.Worker).Inc()
 	}
-	if l, ok := c.leases[req.LeaseID]; ok {
+	if l, ok := c.leases[req.LeaseID]; ok && l.cell == i {
 		c.traceLeaseLocked(l, now, "done")
 		delete(c.leases, req.LeaseID)
 	}
 	return CompleteResponse{OK: true}
 }
 
-// traceCellLocked records the worker-reported execution span of one
+// traceCellLocked records the worker-reported execution span of the
 // completed cell: the worker measured the duration, the coordinator
 // anchors it so the span ends at receipt time. Workers without timings
 // (an older binary) simply yield no cell spans.
-func (c *Coordinator) traceCellLocked(req CompleteRequest, ci int, now time.Time) {
-	if ci >= len(req.CellMs) {
+func (c *Coordinator) traceCellLocked(req CompleteRequest, now time.Time) {
+	if len(req.CellMs) == 0 {
 		return
 	}
-	us := int64(req.CellMs[ci] * 1e3)
+	us := int64(req.CellMs[0] * 1e3)
 	c.o.cellUS.Observe(us)
 	tr := c.opts.Tracer
 	if tr == nil {
@@ -517,7 +519,7 @@ func (c *Coordinator) traceCellLocked(req CompleteRequest, ci int, now time.Time
 	}
 	end := tr.Since(now)
 	tr.CompleteAt(TracePIDCells, c.laneForLocked(req.Worker),
-		"cell "+req.Cells[ci].Cell.String(), "cell", end-float64(us), float64(us))
+		"cell "+req.Cells[0].Cell.String(), "cell", end-float64(us), float64(us))
 }
 
 // Fail surrenders a lease: its cell is charged an attempt and re-queued

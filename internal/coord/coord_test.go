@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,7 +94,7 @@ var chaosParams = campaign.Params{Warmup: 11, Measure: 22, Seed: 33}
 
 // fastOpts compresses every control-plane time constant so chaos scenarios
 // finish in tens of milliseconds.
-func fastOpts(t *testing.T, dir string, seed uint64) coord.Options {
+func fastOpts(t *testing.T, seed uint64) coord.Options {
 	t.Helper()
 	return coord.Options{
 		LeaseTTL:       40 * time.Millisecond,
@@ -103,7 +104,6 @@ func fastOpts(t *testing.T, dir string, seed uint64) coord.Options {
 		SpeculateAfter: 60 * time.Millisecond,
 		PollInterval:   5 * time.Millisecond,
 		Seed:           seed,
-		Checkpoint:     filepath.Join(dir, "coordinator.json"),
 		Logf:           t.Logf,
 	}
 }
@@ -176,7 +176,7 @@ func TestCoordinatorCompletesHealthyFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := coord.New("chaos", sweep, st, fastOpts(t, dir, 1))
+	co, err := coord.New("chaos", sweep, st, fastOpts(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCoordinatorOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := coord.New("chaos", sweep, st, fastOpts(t, dir, 1))
+	co, err := coord.New("chaos", sweep, st, fastOpts(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,19 +256,19 @@ func TestCoordinatorOverHTTP(t *testing.T) {
 	assertStoresIdentical(t, referenceCells(t, sweep), readCells(t, dir))
 }
 
-// TestCheckpointRestartResume kills the coordinator mid-campaign (after a
+// TestRestartResumesFromStore kills the coordinator mid-campaign (after a
 // crash-faulted worker completed part of the sweep and one cell burned
-// retries) and restarts it from its checkpoint and store: completion must be
-// re-derived exactly (no completed cell recomputed) and retry accounting
-// must survive.
-func TestCheckpointRestartResume(t *testing.T) {
+// retries) and restarts it from its store: completion must be re-derived
+// exactly (no completed cell recomputed), and the restarted coordinator
+// counts retries afresh.
+func TestRestartResumesFromStore(t *testing.T) {
 	sweep := chaosSweep(18)
 	dir := t.TempDir()
 	st, err := campaign.Open(dir, chaosParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := fastOpts(t, dir, 1)
+	opts := fastOpts(t, 1)
 	co, err := coord.New("chaos", sweep, st, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -276,8 +276,7 @@ func TestCheckpointRestartResume(t *testing.T) {
 	lb := coord.NewLoopback(co)
 
 	runner := newSlowRunner(time.Millisecond)
-	// One cell fails twice before succeeding, so the checkpoint has real
-	// retry accounting to preserve.
+	// One cell fails twice before succeeding, so phase 1 has retries.
 	flaky := sweep.Cells[0].Key()
 	runner.failN[flaky] = 2
 
@@ -305,7 +304,7 @@ func TestCheckpointRestartResume(t *testing.T) {
 		}
 	}
 
-	// Kill the coordinator: drop it and restart from checkpoint + store.
+	// Kill the coordinator: drop it and restart from the store.
 	lb.Swap(nil)
 	st2, err := campaign.Open(dir, chaosParams)
 	if err != nil {
@@ -319,8 +318,9 @@ func TestCheckpointRestartResume(t *testing.T) {
 	if resumed.Done != phase1.Done {
 		t.Fatalf("restarted coordinator sees %d done, phase 1 ended at %d", resumed.Done, phase1.Done)
 	}
-	if resumed.Retries == 0 {
-		t.Fatal("restarted coordinator lost its retry accounting")
+	if phase1.Retries == 0 || resumed.Retries != 0 {
+		t.Fatalf("phase 1 ended with %d retries and the restarted coordinator starts with %d; want some, then 0",
+			phase1.Retries, resumed.Retries)
 	}
 	lb.Swap(co2)
 
@@ -347,6 +347,63 @@ func TestCheckpointRestartResume(t *testing.T) {
 	}
 }
 
+// TestRestartRetriesExhaustedCell: the store is a campaign's only durable
+// state. A coordinator that gives up on a cell writes nothing beside the
+// store, even with the deprecated Checkpoint option set as the benchmark's
+// campaign rig sets it, and a coordinator started later over the same store
+// leases that cell again under a fresh budget and completes it.
+func TestRestartRetriesExhaustedCell(t *testing.T) {
+	sweep := chaosSweep(4)
+	dir := t.TempDir()
+	st, err := campaign.Open(dir, chaosParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := fastOpts(t, 1)
+	opts.RetryBudget = 2
+	opts.Checkpoint = filepath.Join(dir, "coordinator.json")
+	co, err := coord.New("chaos", sweep, st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := newSlowRunner(0)
+	poisoned := sweep.Cells[2].Key()
+	runner.failN[poisoned] = opts.RetryBudget // fails the first coordinator's every attempt
+	w1 := &coord.Worker{ID: "w1", Transport: coord.NewLoopback(co), NewRunner: runnerFactory(runner)}
+	if err := w1.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Status(); s.Exhausted != 1 || s.Done != len(sweep.Cells)-1 {
+		t.Fatalf("first coordinator ended at %+v, want 1 cell exhausted", s)
+	}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"cells", "manifest.json"}) {
+		t.Errorf("store directory holds %v, want only cells and manifest.json", names)
+	}
+
+	st2, err := campaign.Open(dir, chaosParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co2, err := coord.New("chaos", sweep, st2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := co2.Status(); s.Exhausted != 0 || s.Done != len(sweep.Cells)-1 {
+		t.Fatalf("restarted coordinator starts at %+v, want the given-up cell pending", s)
+	}
+	w2 := &coord.Worker{ID: "w2", Transport: coord.NewLoopback(co2), NewRunner: runnerFactory(runner)}
+	if err := w2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := co2.Status(); !s.Complete() || s.Done != len(sweep.Cells) || w2.Cells != 1 {
+		t.Fatalf("restarted coordinator ended at %+v after %d cells, want the given-up cell computed", s, w2.Cells)
+	}
+	if n := runner.count(poisoned); n != opts.RetryBudget+1 {
+		t.Errorf("given-up cell computed %d times, want %d", n, opts.RetryBudget+1)
+	}
+	assertStoresIdentical(t, referenceCells(t, sweep), readCells(t, dir))
+}
+
 // TestExhaustedCellsReportedMissing drives one cell past its retry budget
 // and checks the campaign still completes, reporting the hole explicitly
 // everywhere: status, worker exit, and Missing().
@@ -357,7 +414,7 @@ func TestExhaustedCellsReportedMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := fastOpts(t, dir, 1)
+	opts := fastOpts(t, 1)
 	opts.RetryBudget = 2
 	co, err := coord.New("chaos", sweep, st, opts)
 	if err != nil {
@@ -402,7 +459,7 @@ func TestDrainStopsLeasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := coord.New("chaos", sweep, st, fastOpts(t, dir, 1))
+	co, err := coord.New("chaos", sweep, st, fastOpts(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +498,7 @@ func TestCompleteRejectsCorruptPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := coord.New("chaos", sweep, st, fastOpts(t, dir, 1))
+	co, err := coord.New("chaos", sweep, st, fastOpts(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,8 +534,21 @@ func TestCompleteRejectsCorruptPayloads(t *testing.T) {
 	}); r.OK {
 		t.Fatal("foreign cell accepted")
 	}
-	if hasFile(dir, cell) || hasFile(dir, foreign) {
+	// No cell, and two cells: a completion carries exactly one.
+	other := sweep.Cells[1]
+	second := campaign.CellResult{Key: other.Key(), Cell: other, Result: chaosResult(other)}
+	for _, cells := range [][]campaign.CellResult{{}, {good, second}} {
+		if r := co.Complete(coord.CompleteRequest{
+			Worker: "w", LeaseID: g.LeaseID, Cells: cells, Sum: coord.PayloadSum(cells),
+		}); r.OK {
+			t.Fatalf("completion of %d cells accepted", len(cells))
+		}
+	}
+	if hasFile(dir, cell) || hasFile(dir, foreign) || hasFile(dir, other) {
 		t.Fatal("a rejected payload reached the store")
+	}
+	if s := co.Status(); s.Done != 0 || s.Leased != 1 {
+		t.Fatalf("after rejected payloads: %+v, want nothing done and the lease live", s)
 	}
 	// The clean payload still lands.
 	if r := co.Complete(coord.CompleteRequest{
@@ -486,6 +556,40 @@ func TestCompleteRejectsCorruptPayloads(t *testing.T) {
 		Cells: []campaign.CellResult{good}, Sum: coord.PayloadSum([]campaign.CellResult{good}),
 	}); !r.OK {
 		t.Fatalf("clean payload rejected: %s", r.Reason)
+	}
+}
+
+// TestCompleteOfAnotherCellKeepsLease: a completion ends only the lease for
+// the cell it carries. Carried under another cell's live lease, it stores
+// its cell and leaves that lease live, so the lease's worker's next request
+// fails it and charges its cell an attempt.
+func TestCompleteOfAnotherCellKeepsLease(t *testing.T) {
+	sweep := chaosSweep(2)
+	dir := t.TempDir()
+	st, err := campaign.Open(dir, chaosParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := coord.New("chaos", sweep, st, fastOpts(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := co.Lease(coord.LeaseRequest{Worker: "w"}).Grant
+	other := sweep.Cells[1]
+	if g.Cell == other {
+		t.Fatalf("first lease is of %s, want %s", g.Cell, sweep.Cells[0])
+	}
+	cells := []campaign.CellResult{{Key: other.Key(), Cell: other, Result: chaosResult(other)}}
+	if r := co.Complete(coord.CompleteRequest{Worker: "w", LeaseID: g.LeaseID, Cells: cells, Sum: coord.PayloadSum(cells)}); !r.OK {
+		t.Fatalf("completion of another cell refused: %s", r.Reason)
+	}
+	s := co.Status()
+	if s.Done != 1 || s.Leased != 1 || len(s.Leases) != 1 || s.Leases[0].LeaseID != g.LeaseID {
+		t.Fatalf("after completing %s under the lease of %s: %+v, want it done and the lease live", other, g.Cell, s)
+	}
+	co.Lease(coord.LeaseRequest{Worker: "w"})
+	if s := co.Status(); s.Retries != 1 || s.Done != 1 {
+		t.Errorf("after the worker's next lease request: %+v, want its left lease failed with 1 retry", s)
 	}
 }
 
@@ -500,7 +604,7 @@ func TestCompleteRefusesUnrenderableResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := coord.New("chaos", sweep, st, fastOpts(t, dir, 1))
+	co, err := coord.New("chaos", sweep, st, fastOpts(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +627,7 @@ func TestCompleteRefusesUnrenderableResult(t *testing.T) {
 	if st, err = campaign.Open(dir, chaosParams); err != nil {
 		t.Fatal(err)
 	}
-	if co, err = coord.New("chaos", sweep, st, fastOpts(t, dir, 1)); err != nil {
+	if co, err = coord.New("chaos", sweep, st, fastOpts(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	w := &coord.Worker{ID: "w", Transport: coord.NewLoopback(co), NewRunner: runnerFactory(&badOnceRunner{})}
@@ -573,7 +677,7 @@ func TestExactBackedSampledCellsStartDone(t *testing.T) {
 		}
 	}
 
-	co, err := coord.New("chaos", sampled, st, fastOpts(t, dir, 1))
+	co, err := coord.New("chaos", sampled, st, fastOpts(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +699,7 @@ func TestExactBackedSampledCellsStartDone(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "cells", sampled.Cells[0].Key()+".json")); err != nil {
 		t.Fatal(err)
 	}
-	co, err = coord.New("chaos", sampled, st, fastOpts(t, dir, 1))
+	co, err = coord.New("chaos", sampled, st, fastOpts(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,7 @@ const (
 	CorruptPayload Kind = "corrupt-payload"
 	// CoordinatorRestart is a harness-level fault: the test (or operator)
 	// kills the coordinator after the trigger count of completed cells and
-	// restarts it from its checkpoint and store. Workers see transport
-	// errors and retry.
+	// restarts it from its store. Workers see transport errors and retry.
 	CoordinatorRestart Kind = "coordinator-restart"
 )
 

@@ -43,7 +43,7 @@ func TestTelemetryCoversFleet(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
-	opts := fastOpts(t, dir, 1)
+	opts := fastOpts(t, 1)
 	opts.Obs = reg
 	opts.Tracer = tracer
 	co, err := coord.New("chaos", sweep, st, opts)
@@ -147,7 +147,7 @@ func TestMetricsAndPprofEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	opts := fastOpts(t, dir, 1)
+	opts := fastOpts(t, 1)
 	opts.Obs = reg
 	co, err := coord.New("chaos", sweep, st, opts)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestMetricsEndpointUninstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := coord.New("chaos", sweep, st, fastOpts(t, dir, 1))
+	co, err := coord.New("chaos", sweep, st, fastOpts(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,8 @@ type HeartbeatResponse struct {
 }
 
 // CompleteRequest brings a lease's finished cell home and ends the lease.
-// Workers send one cell per request. Sum is the integrity digest of Cells
+// Cells must hold exactly that one cell; the coordinator refuses any other
+// count. Sum is the integrity digest of Cells
 // (PayloadSum); the coordinator rejects payloads whose digest does not
 // match, so a corrupted result cannot poison the store with a
 // wrong-but-well-formed number.
@@ -130,7 +131,7 @@ type StatusResponse struct {
 	Leased    int `json:"leased"`  // incomplete cells under at least one active lease
 	Pending   int `json:"pending"` // incomplete cells under no lease
 	Exhausted int `json:"exhausted"`
-	Retries   int `json:"retries"` // lease expiries + failures so far
+	Retries   int `json:"retries"` // lease expiries + failures in this coordinator's life
 
 	Draining bool        `json:"draining"`
 	Leases   []LeaseInfo `json:"leases,omitempty"`

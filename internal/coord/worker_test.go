@@ -24,7 +24,7 @@ func openChaos(t *testing.T, sweep campaign.Sweep, tweak func(*coord.Options)) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := fastOpts(t, dir, 1)
+	opts := fastOpts(t, 1)
 	tweak(&opts)
 	co, err := coord.New("chaos", sweep, st, opts)
 	if err != nil {
